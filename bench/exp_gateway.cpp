@@ -1,8 +1,7 @@
-// E22 + E24 + E25. Acceptance experiment for the net::Gateway front door:
-// real loopback sockets through the event loop, batched into the lock-free
+// E22 + E24. Acceptance experiment for the net::Gateway front door: real
+// loopback sockets through the epoll loop, batched into the lock-free
 // engine, redundancy patterns on the serving path, completions over the
-// wakeup fd — sharded across SO_REUSEPORT reactor loops, with an
-// epoll-vs-io_uring backend comparison.
+// wakeup fd — sharded across SO_REUSEPORT reactor loops.
 //
 // Part A (closed loop) — request latency. A handful of keep-alive client
 // threads each issue serial requests against the hedged-and-cached /fast
@@ -36,25 +35,12 @@
 // sendmsg coalescing, pipelined bursts must average strictly fewer than one
 // syscall per response. Gated unconditionally.
 //
-// Part E (E25) — completion-backend comparison. The same open-loop
-// pipelined workload against two fresh single-loop gateways, one pinned to
-// Backend::epoll and one to Backend::uring (multishot accept, provided
-// buffers, linked sendmsg chains, batched io_uring_enter). Gates, enforced
-// only when the uring probe passes AND >= 4 cores (the backend-vs-backend
-// ratio needs the loop and the clients on separate cores to mean
-// anything): uring throughput >= 1.3x epoll, and io_uring_enter calls per
-// response < 0.5 (from the gateway.enters / gateway.responses deltas).
-// When the probe falls back both numbers are report-only and the uring
-// series is omitted from the JSON.
-//
 // Environment knobs (all optional):
 //   REDUNDANCY_GATEWAY_CONNS        Part C target population
 //   REDUNDANCY_GATEWAY_DURATION_MS  Part A per-route duration (default 1500)
 //   REDUNDANCY_GATEWAY_QPS          Part B pipelined burst size (default 64)
 //   REDUNDANCY_GATEWAY_PORT         fixed listen port (default ephemeral)
 //   REDUNDANCY_GATEWAY_LOOPS        reactor count of the Part A-C gateway
-//   REDUNDANCY_GATEWAY_BACKEND      loop backend of the Part A-D gateways
-//                                   (Part E pins its backends explicitly)
 //
 // Emits BENCH_exp_gateway.json in the bench_json_main schema.
 #include <sys/resource.h>
@@ -83,8 +69,6 @@ constexpr std::size_t kOpenLoopConns = 8;
 constexpr std::size_t kOpenLoopBursts = 32;
 constexpr std::size_t kPipelineDepth = 32;  ///< conn.max_pipeline everywhere
 constexpr double kScalingGate = 2.5;        ///< 4-loop vs 1-loop throughput
-constexpr double kUringSpeedupGate = 1.3;   ///< uring vs epoll throughput
-constexpr double kEntersGate = 0.5;         ///< io_uring_enter per response
 
 std::size_t env_or(const char* name, std::size_t fallback) {
   const char* raw = std::getenv(name);
@@ -341,57 +325,8 @@ Series loop_scaling_point(std::size_t loops, std::size_t burst) {
   return s;
 }
 
-// --------------------------------------------------------------------------
-// Part E (E25): epoll vs io_uring backend comparison
-// --------------------------------------------------------------------------
-
-struct BackendPoint {
-  Series series;
-  /// io_uring_enter syscalls per served response (0 on the epoll backend —
-  /// its loop never touches the ring, so the counter does not move).
-  double enters_per_response = 0.0;
-};
-
-/// One comparison point: a fresh single-loop gateway pinned to `backend`
-/// serving the open-loop pipelined workload.
-BackendPoint backend_point(net::EventLoop::Backend backend,
-                           std::size_t burst) {
-  net::Gateway::Options options;
-  options.loops = 1;
-  options.loop.backend = backend;
-  options.conn.max_pipeline = kPipelineDepth;
-  options.conn.max_inflight = 4096;
-  net::Gateway gateway{options};
-  net::install_demo_routes(gateway);
-  if (!gateway.start()) {
-    std::fprintf(stderr, "exp_gateway: %s-backend gateway failed to start\n",
-                 net::EventLoop::backend_name(backend));
-    std::exit(2);
-  }
-  const std::uint64_t enters_before = counter_family_total("gateway.enters");
-  const std::uint64_t responses_before =
-      counter_family_total("gateway.responses");
-  BackendPoint point;
-  point.series = open_loop(gateway.port(), burst);
-  const std::uint64_t enters =
-      counter_family_total("gateway.enters") - enters_before;
-  const std::uint64_t responses =
-      counter_family_total("gateway.responses") - responses_before;
-  if (responses > 0) {
-    point.enters_per_response = double(enters) / double(responses);
-  }
-  gateway.stop();
-  if (gateway.jobs_inflight() != 0) {
-    std::fprintf(stderr, "exp_gateway: %s-backend gateway leaked jobs\n",
-                 net::EventLoop::backend_name(backend));
-    std::exit(2);
-  }
-  return point;
-}
-
 void write_json(const std::vector<std::pair<std::string, Series>>& all,
-                std::size_t threads, double sends_per_response,
-                bool have_uring, double enters_per_response) {
+                std::size_t threads, double sends_per_response) {
   const char* path = "BENCH_exp_gateway.json";
   std::FILE* f = std::fopen(path, "w");
   if (f == nullptr) {
@@ -419,16 +354,6 @@ void write_json(const std::vector<std::pair<std::string, Series>>& all,
                ",\n    {\"name\": \"gateway_send_batching\", "
                "\"sends_per_response\": %.4f, \"threads\": %zu}",
                sends_per_response, threads);
-  // Submission-batching efficiency of the uring backend: io_uring_enter
-  // syscalls per response (lower is better; < 0.5 is the E25 gate).
-  // Omitted when the probe fell back — a zero here would read as "perfect
-  // batching" on a machine that never touched the ring.
-  if (have_uring) {
-    std::fprintf(f,
-                 ",\n    {\"name\": \"gateway_uring_batching\", "
-                 "\"enters_per_response\": %.4f, \"threads\": %zu}",
-                 enters_per_response, threads);
-  }
   std::fprintf(f, "\n  ]\n}\n");
   std::fclose(f);
   std::printf("wrote %s\n", path);
@@ -462,11 +387,10 @@ int main() {
     return 2;
   }
   std::printf(
-      "E22+E24+E25. Gateway front door: multi-reactor loops -> submit_batch "
+      "E22+E24. Gateway front door: multi-reactor loops -> submit_batch "
       "-> completions\n\n");
-  std::printf("port %u, fd budget %zu, %zu cores, %zu loops, backend %s\n\n",
-              gateway.port(), fd_budget, cores, gateway.loops(),
-              net::EventLoop::backend_name(gateway.backend()));
+  std::printf("port %u, fd budget %zu, %zu cores, %zu loops\n\n",
+              gateway.port(), fd_budget, cores, gateway.loops());
 
   std::printf("Part A: closed loop, %zu keep-alive clients, %zu ms/route\n",
               kClosedLoopClients, duration_ms);
@@ -562,59 +486,12 @@ int main() {
                 scaling, kScalingGate);
   }
 
-  std::printf("Part E (E25): completion-backend comparison, 1 loop, same "
-              "open-loop workload\n");
-  const bool uring_ok = net::EventLoop::uring_supported();
-  const BackendPoint epoll_point =
-      backend_point(net::EventLoop::Backend::epoll, burst);
-  std::printf("  epoll backend             %10.0f req/s  p50 %.1f us "
-              "amortized\n",
-              epoll_point.series.ops_per_sec(),
-              epoll_point.series.percentile(50.0) / 1e3);
-  BackendPoint uring_point;
-  double uring_speedup = 0.0;
-  if (uring_ok) {
-    uring_point = backend_point(net::EventLoop::Backend::uring, burst);
-    uring_speedup = epoll_point.series.ops_per_sec() > 0.0
-                        ? uring_point.series.ops_per_sec() /
-                              epoll_point.series.ops_per_sec()
-                        : 0.0;
-    std::printf("  uring backend             %10.0f req/s  p50 %.1f us "
-                "amortized\n",
-                uring_point.series.ops_per_sec(),
-                uring_point.series.percentile(50.0) / 1e3);
-    if (gate_active) {
-      const bool speedup_ok = uring_speedup >= kUringSpeedupGate;
-      const bool enters_ok = uring_point.enters_per_response < kEntersGate;
-      pass = pass && speedup_ok && enters_ok;
-      std::printf("  uring / epoll             %10.2fx  gate >= %.1fx -> %s\n",
-                  uring_speedup, kUringSpeedupGate,
-                  speedup_ok ? "PASS" : "FAIL");
-      std::printf("  io_uring_enter / response %10.4f  gate < %.1f -> %s\n\n",
-                  uring_point.enters_per_response, kEntersGate,
-                  enters_ok ? "PASS" : "FAIL");
-    } else {
-      std::printf("  uring / epoll             %10.2fx  gate >= %.1fx "
-                  "skipped: < 4 cores (report only)\n",
-                  uring_speedup, kUringSpeedupGate);
-      std::printf("  io_uring_enter / response %10.4f  gate < %.1f skipped: "
-                  "< 4 cores (report only)\n\n",
-                  uring_point.enters_per_response, kEntersGate);
-    }
-  } else {
-    std::printf("  uring backend             probe fell back (kernel/seccomp)"
-                " — epoll numbers only, gates skipped\n\n");
-  }
-
   std::vector<std::pair<std::string, Series>> all = {
       {"gateway_fast_closed", fast},
       {"gateway_vote_closed", vote},
       {"gateway_echo_pipelined", pipelined},
       {"gateway_conn_scale", scale.series}};
   for (auto& point : sweep) all.push_back(std::move(point));
-  all.emplace_back("gateway_echo_epoll", epoll_point.series);
-  if (uring_ok) all.emplace_back("gateway_echo_uring", uring_point.series);
-  write_json(all, std::clamp<std::size_t>(cores, 2, 8), sends_per_response,
-             uring_ok, uring_point.enters_per_response);
+  write_json(all, std::clamp<std::size_t>(cores, 2, 8), sends_per_response);
   return pass ? 0 : 1;
 }

@@ -20,7 +20,7 @@
 
 #include "core/parallel_evaluation.hpp"
 #include "core/voters.hpp"
-#include "obs/http_exporter.hpp"
+#include "net/gateway.hpp"
 #include "obs/obs.hpp"
 
 using namespace redundancy;
@@ -85,13 +85,15 @@ int main() {
   rec.clear_sinks();
   const double off_ns = measure();
 
-  // sampled: production config (NullSink, 1-in-64 root spans) with the HTTP
-  // exporter thread running but idle — the deployment shape. An unscraped
-  // exporter polls its listen socket a few times a second and must not eat
-  // into the budget.
-  obs::HttpExporter exporter;
-  if (!exporter.start({})) {
-    std::printf("warning: could not start idle http exporter\n");
+  // sampled: production config (NullSink, 1-in-64 root spans) with a
+  // 1-loop gateway running but idle — the deployment shape of the live
+  // telemetry endpoint. An unscraped gateway wakes every 100 ms to check
+  // its stop flag and must not eat into the budget.
+  net::Gateway::Options options;
+  options.loops = 1;
+  net::Gateway gateway{options};
+  if (!gateway.start()) {
+    std::printf("warning: could not start idle gateway\n");
   }
   auto null_sink = std::make_shared<obs::NullSink>();
   rec.add_sink(null_sink);
@@ -103,7 +105,7 @@ int main() {
   rec.set_sample_every(1);
   const double traced_ns = measure();
   rec.flush();
-  exporter.stop();
+  gateway.stop();
 
   const double sampled_pct = overhead_pct(off_ns, sampled_ns);
   const double traced_pct = overhead_pct(off_ns, traced_ns);
@@ -114,7 +116,7 @@ int main() {
               "best of %d)\n\n", kRequests, kRounds);
   std::printf("  %-28s %10.1f ns/request\n", "off (no-op baseline)", off_ns);
   std::printf("  %-28s %10.1f ns/request  %+6.2f%%\n",
-              "sampled 1/64 + idle exporter", sampled_ns, sampled_pct);
+              "sampled 1/64 + idle gateway", sampled_ns, sampled_pct);
   std::printf("  %-28s %10.1f ns/request  %+6.2f%%\n",
               "traced 1/1 (worst case)", traced_ns, traced_pct);
   std::printf("\nbudget: sampled overhead < %.1f%% -> %s\n", kBudgetPct,

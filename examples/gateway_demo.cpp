@@ -102,11 +102,9 @@ int main() {
   }
   std::signal(SIGTERM, handle_stop);
   std::signal(SIGINT, handle_stop);
-  std::printf(
-      "gateway_demo: serving on port %u with %zu reactor loop%s (backend "
-      "%s)\n",
-      gateway.port(), gateway.loops(), gateway.loops() == 1 ? "" : "s",
-      net::EventLoop::backend_name(gateway.backend()));
+  std::printf("gateway_demo: serving on port %u with %zu reactor loop%s\n",
+              gateway.port(), gateway.loops(),
+              gateway.loops() == 1 ? "" : "s");
   std::fflush(stdout);
 
   const std::size_t linger_ms = env_or("REDUNDANCY_GATEWAY_LINGER_MS", 0);

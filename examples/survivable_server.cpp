@@ -19,12 +19,13 @@
 // injection, and heap smashes — every attack travels through the same
 // HTTP front door a real one would.
 //
-// Live telemetry (opt-in): REDUNDANCY_OBS_HTTP_PORT=9137 starts the
-// embedded exporter — `curl localhost:9137/metrics` scrapes Prometheus
+// Live telemetry (opt-in): REDUNDANCY_OBS_HTTP_PORT=9137 starts a second,
+// 1-loop ops gateway — `curl localhost:9137/metrics` scrapes Prometheus
 // text, `/healthz` reports per-technique health from recent adjudication
-// verdicts, `/traces?n=10` tails recent request spans. The gateway also
-// serves `/metrics` and `/healthz` in-process on its own port. Set
-// REDUNDANCY_OBS_HTTP_LINGER_MS to keep the endpoints up after the
+// verdicts, `/traces?n=10` tails recent request spans. Its gateway.*
+// series carry server="ops", apart from the serving gateway's. The serving
+// gateway also serves `/metrics` and `/healthz` in-process on its own port.
+// Set REDUNDANCY_OBS_HTTP_LINGER_MS to keep the endpoints up after the
 // workload finishes.
 #include <iostream>
 #include <mutex>

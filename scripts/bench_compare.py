@@ -59,7 +59,7 @@ def load_series(path):
 
 def lower_is_better(metric):
     # Latency tails and the syscalls-per-response family (sends_per_response,
-    # enters_per_response, ...) all improve downward.
+    # ...) all improve downward.
     return metric.startswith("latency") or metric.endswith("_per_response")
 
 

@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "obs/clock.hpp"
+#include "util/env.hpp"
 
 namespace redundancy::core {
 
@@ -17,16 +18,9 @@ std::size_t window_from_env() noexcept {
   constexpr std::size_t kDefault = 64;
   const char* env = std::getenv("REDUNDANCY_HEALTH_WINDOW");
   if (env == nullptr || *env == '\0') return kDefault;
-  std::size_t value = 0;
-  bool valid = true;
-  for (const char* p = env; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9' || value > 1'000'000) {
-      valid = false;
-      break;
-    }
-    value = value * 10 + static_cast<std::size_t>(*p - '0');
-  }
-  if (!valid || value == 0 || value > 1'000'000) {
+  const std::optional<std::uint64_t> value =
+      util::parse_decimal(env, 1, 1'000'000);
+  if (!value) {
     std::fprintf(stderr,
                  "[redundancy] REDUNDANCY_HEALTH_WINDOW='%s' is not a valid "
                  "verdict window (expected an integer in 1..1000000); using "
@@ -34,7 +28,7 @@ std::size_t window_from_env() noexcept {
                  env, kDefault);
     return kDefault;
   }
-  return value;
+  return static_cast<std::size_t>(*value);
 }
 
 }  // namespace

@@ -6,7 +6,9 @@
 #include <string>
 #include <thread>
 
+#include "net/gateway.hpp"
 #include "obs/obs.hpp"
+#include "util/env.hpp"
 #include "util/signals.hpp"
 
 namespace redundancy::core {
@@ -21,6 +23,21 @@ long long env_ll(const char* name, long long fallback) {
   const long long v = std::strtoll(s, &stop, 10);
   if (stop == s || *stop != '\0' || v < 0) return fallback;
   return v;
+}
+
+/// Lines /traces returns when the scrape names no n=K.
+constexpr std::size_t kDefaultTraceTail = 32;
+
+/// REDUNDANCY_OBS_HTTP_PORT, parsed as strictly as REDUNDANCY_GATEWAY_LOOPS:
+/// decimal 0..65535, anything else loudly replaced by an ephemeral port.
+std::uint16_t port_from_env(const char* raw) {
+  const std::optional<std::uint64_t> port = util::parse_decimal(raw, 0, 65535);
+  if (port) return static_cast<std::uint16_t>(*port);
+  std::fprintf(stderr,
+               "obs: REDUNDANCY_OBS_HTTP_PORT='%s' is not a valid port "
+               "(expected an integer in 0..65535); using an ephemeral port\n",
+               raw);
+  return 0;
 }
 
 }  // namespace
@@ -43,7 +60,7 @@ std::unique_ptr<LiveTelemetry> start_live_telemetry_from_env() {
   if (!want_trace && !want_http && !want_slo && !want_flight) return nullptr;
 
   // A scraper that hangs up mid-response must not SIGPIPE the process the
-  // exporter is embedded in.
+  // ops gateway is embedded in.
   util::ignore_sigpipe();
 
   auto telemetry = std::make_unique<LiveTelemetry>();
@@ -112,54 +129,51 @@ std::unique_ptr<LiveTelemetry> start_live_telemetry_from_env() {
     telemetry->ring = std::make_shared<obs::RingTraceSink>();
     recorder.add_sink(telemetry->ring);
 
-    obs::HttpExporter::Options options;
-    options.port = static_cast<std::uint16_t>(
-        env_ll("REDUNDANCY_OBS_HTTP_PORT", 0));
-    const auto health = telemetry->health;
-    options.healthz_handler = [health]() -> obs::HttpResponse {
-      // Drain the per-thread buffers so the window sees current verdicts.
-      obs::Recorder::instance().flush();
-      const HealthState state = health->overall();
-      return {state == HealthState::failing ? 503 : 200,
-              "text/plain; charset=utf-8", health->healthz_text()};
-    };
+    // A 1-loop gateway on the shared pool serves the ops routes: the
+    // built-in /metrics, /healthz (from the health tracker) and
+    // /debug/flight, plus /traces and /slo below. Its own gateway.* series
+    // are labelled apart from any serving gateway in the same process.
+    net::Gateway::Options options;
+    options.conn.port = port_from_env(port_env);
+    options.conn.metric_label = "server=ops";
+    options.loops = 1;
+    options.health = telemetry->health.get();
+    telemetry->http = std::make_unique<net::Gateway>(options);
+    using Request = net::Gateway::Request;
+    using Response = net::http::Response;
     const auto ring = telemetry->ring;
-    options.traces_handler = [ring](std::size_t n) -> obs::HttpResponse {
+    telemetry->http->add_route("/traces", [ring](const Request& req) {
+      auto n = static_cast<std::size_t>(
+          net::http::query_param(req.query, "n").value_or(0));
+      if (n == 0) n = kDefaultTraceTail;
       obs::Recorder::instance().flush();
       std::string body;
       for (const auto& line : ring->tail(n)) {
         body += line;
         body += '\n';
       }
-      return {200, "application/x-ndjson", std::move(body)};
-    };
+      return Response{200, "application/x-ndjson", std::move(body)};
+    });
     if (telemetry->slo) {
       const auto slo = telemetry->slo;
-      options.slo_handler = [slo]() -> obs::HttpResponse {
+      telemetry->http->add_route("/slo", [slo](const Request&) {
         obs::Recorder::instance().flush();
-        return {200, "application/x-ndjson",
-                slo->snapshot_jsonl(obs::now_ns())};
-      };
-    }
-    if (want_flight) {
-      options.flight_handler = []() -> obs::HttpResponse {
-        obs::Recorder::instance().flush();
-        return {200, "application/x-ndjson",
-                obs::FlightRecorder::instance().dump_jsonl()};
-      };
+        return Response{200, "application/x-ndjson",
+                        slo->snapshot_jsonl(obs::now_ns())};
+      });
     }
 
-    telemetry->http = std::make_unique<obs::HttpExporter>();
-    if (telemetry->http->start(std::move(options))) {
+    if (telemetry->http->start()) {
       std::fprintf(stderr,
                    "obs: live telemetry on http://127.0.0.1:%u "
                    "(/metrics /healthz /traces?n=K%s%s)\n",
                    static_cast<unsigned>(telemetry->http->port()),
                    telemetry->slo ? " /slo" : "",
-                   want_flight ? " /debug/flight" : "");
+                   obs::flight_enabled() ? " /debug/flight" : "");
     } else {
-      std::fprintf(stderr, "obs: could not bind http exporter on port %s\n",
-                   port_env);
+      std::fprintf(stderr,
+                   "obs: could not start the telemetry gateway on port %u\n",
+                   static_cast<unsigned>(options.conn.port));
       telemetry->http.reset();
     }
   }

@@ -2,11 +2,15 @@
 // drivers, driven entirely by environment variables so every binary stays
 // opt-in and zero-cost by default:
 //
-//   REDUNDANCY_OBS_HTTP_PORT   start obs::HttpExporter on 127.0.0.1:<port>
-//                              (0 = ephemeral; the chosen port is printed).
-//                              Serves /metrics, /healthz (from a
-//                              core::HealthTracker fed by the recorder) and
-//                              /traces?n=K (from a RingTraceSink).
+//   REDUNDANCY_OBS_HTTP_PORT   start a 1-loop ops net::Gateway on
+//                              127.0.0.1:<port> (decimal 0..65535; 0 or an
+//                              invalid value = ephemeral; the chosen port is
+//                              printed). Serves /metrics, /healthz (from a
+//                              core::HealthTracker fed by the recorder),
+//                              /traces?n=K (from a RingTraceSink, default 32
+//                              lines), and /slo and /debug/flight when those
+//                              are wired. Its gateway.* series carry the
+//                              label server="ops".
 //   REDUNDANCY_OBS_TRACE_FILE  also append every record to this JSONL file
 //                              (tools/tracetool input).
 //   REDUNDANCY_OBS_SAMPLE      root-span sampling divisor (default 1).
@@ -41,21 +45,24 @@
 #include <memory>
 
 #include "core/health.hpp"
-#include "obs/http_exporter.hpp"
 #include "obs/sink.hpp"
 #include "obs/slo.hpp"
+
+namespace redundancy::net {
+class Gateway;
+}  // namespace redundancy::net
 
 namespace redundancy::core {
 
 /// Owns the wired-up telemetry; destroying it flushes the recorder and
-/// stops the HTTP thread (sinks stay attached — the Recorder is process-
+/// stops the ops gateway (sinks stay attached — the Recorder is process-
 /// wide and the process is exiting anyway).
 struct LiveTelemetry {
   std::shared_ptr<HealthTracker> health;
   std::shared_ptr<obs::RingTraceSink> ring;
   std::shared_ptr<obs::JsonlTraceSink> trace_file;
   std::shared_ptr<obs::SloTracker> slo;
-  std::unique_ptr<obs::HttpExporter> http;
+  std::unique_ptr<net::Gateway> http;
 
   ~LiveTelemetry();
 };

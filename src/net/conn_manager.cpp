@@ -1,7 +1,6 @@
 #include "net/conn_manager.hpp"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
@@ -14,43 +13,14 @@
 
 #include "obs/obs.hpp"
 
-#ifndef MSG_NOSIGNAL
-#define MSG_NOSIGNAL 0
-#endif
-
 namespace redundancy::net {
 
 namespace {
-
-bool set_nonblocking(int fd) noexcept {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-/// Accept one connection, already non-blocking + close-on-exec. accept4()
-/// saves the two fcntl() round trips per connection where available.
-int accept_nonblocking(int listen_fd) noexcept {
-#if defined(__linux__) && defined(SOCK_NONBLOCK)
-  return ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-#else
-  const int fd = ::accept(listen_fd, nullptr, nullptr);
-  if (fd >= 0 && !set_nonblocking(fd)) {
-    ::close(fd);
-    errno = EAGAIN;
-    return -1;
-  }
-  return fd;
-#endif
-}
 
 constexpr std::size_t kReadChunkMin = 4 * 1024;
 constexpr std::size_t kReadChunkMax = 64 * 1024;
 /// iovecs per sendmsg(); far below any IOV_MAX, plenty for a drain burst.
 constexpr std::size_t kMaxIov = 64;
-/// Provided buffers per reactor (completion mode). Buffers are held only
-/// between a recv completion posting and its drain-time recycle, so the
-/// pool bounds one drain batch, not the connection count.
-constexpr std::uint32_t kProvidedBuffers = 256;
 
 }  // namespace
 
@@ -74,69 +44,26 @@ ConnManager::ConnManager(EventLoop& loop, Options options)
   state_draining_ = &obs::counter("gateway.conn_draining", label);
   request_ns_ = &obs::histogram("gateway.request_ns", label);
   if (options_.max_pipeline == 0) options_.max_pipeline = 1;
-  // Claim the loop's completion sink. A second manager on the same uring
-  // loop stays in readiness mode — the POLL_ADD emulation serves it — so
-  // the one-sink contract never misroutes another manager's tokens.
-  completion_ = loop_.uring_mode() && loop_.uring_sink() == nullptr;
-  if (completion_) loop_.set_uring_sink(this);
 }
 
 ConnManager::~ConnManager() {
   close_all();
   stop_listening();
-  if (completion_) {
-    // Zombies hold buffers the kernel may still read (in-flight sendmsg
-    // chains); drive the ring until their cancellations complete. The loop
-    // must already be stopped — this runs submit+wait inline.
-    int guard = 0;
-    while (!zombies_.empty() && !loop_.running() && guard++ < 100) {
-      loop_.uring_reap_blocking(10);
-    }
-    zombies_.clear();
-    loop_.clear_uring_sink(this);
-  }
-}
-
-bool ConnManager::reuseport_supported() noexcept {
-#if defined(SO_REUSEPORT)
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return false;
-  const int one = 1;
-  const bool ok =
-      ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof one) == 0;
-  ::close(fd);
-  return ok;
-#else
-  return false;
-#endif
 }
 
 bool ConnManager::listen() {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (listen_fd_ < 0) return false;
   const int one = 1;
   ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  if (options_.reuseport) {
-#if defined(SO_REUSEPORT)
-    if (::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEPORT, &one,
-                     sizeof one) != 0) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return false;
-    }
-#else
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-#endif
-  }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   addr.sin_port = htons(options_.port);
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
-      ::listen(listen_fd_, options_.backlog) != 0 ||
-      !set_nonblocking(listen_fd_)) {
+  if ((options_.reuseport && ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEPORT,
+                                          &one, sizeof one) != 0) ||
+      ::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0 ||
+      ::listen(listen_fd_, options_.backlog) != 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
     return false;
@@ -144,20 +71,6 @@ bool ConnManager::listen() {
   socklen_t len = sizeof addr;
   if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
     port_ = ntohs(addr.sin_port);
-  }
-  if (completion_) {
-    // One multishot accept SQE replaces the accept4 drain loop: the kernel
-    // streams a CQE per connection until told otherwise.
-    if (!loop_.uring_setup_buffers(
-            kProvidedBuffers,
-            static_cast<std::uint32_t>(read_chunk_target())) ||
-        !loop_.uring_accept(listen_fd_)) {
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return false;
-    }
-    accept_armed_ = true;
-    return true;
   }
   if (!loop_.add(listen_fd_, kReadable, this)) {
     ::close(listen_fd_);
@@ -169,14 +82,7 @@ bool ConnManager::listen() {
 
 void ConnManager::stop_listening() {
   if (listen_fd_ < 0) return;
-  if (completion_) {
-    if (accept_armed_) {
-      loop_.uring_cancel_accept(listen_fd_);
-      accept_armed_ = false;
-    }
-  } else {
-    loop_.remove(listen_fd_);
-  }
+  loop_.remove(listen_fd_);
   ::close(listen_fd_);
   listen_fd_ = -1;
 }
@@ -189,26 +95,23 @@ void ConnManager::close_all() {
 void ConnManager::on_io(std::uint32_t events) {
   if ((events & kReadable) == 0) return;
   for (;;) {
-    const int fd = accept_nonblocking(listen_fd_);
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
       return;  // EAGAIN: backlog drained (other errors: retry next wakeup)
-    }
-    if (sink_) {
-      sink_(fd);  // single-acceptor fallback: another loop adopts it
-      continue;
     }
     adopt(fd);
   }
 }
 
-bool ConnManager::adopt(int fd) {
+void ConnManager::adopt(int fd) {
   if (conns_.size() >= options_.max_connections) {
     // Accept-then-close is the cheapest refusal: the peer sees an
     // immediate RST/EOF instead of hanging in the backlog.
     shed_conns_->add();
     ::close(fd);
-    return false;
+    return;
   }
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
@@ -219,26 +122,15 @@ bool ConnManager::adopt(int fd) {
   const std::uint64_t id = next_id_++;
   auto conn = std::make_unique<Conn>(this, fd, id);
   Conn& c = *conn;
-  if (completion_) {
-    // Adopt-only managers (the single-acceptor fan-out's receiving end)
-    // never ran listen(); register the buffer pool lazily.
-    if (!loop_.uring_setup_buffers(
-            kProvidedBuffers,
-            static_cast<std::uint32_t>(read_chunk_target()))) {
-      ::close(fd);
-      return false;
-    }
-  } else if (!loop_.add(fd, kReadable, &c)) {
+  if (!loop_.add(fd, kReadable, &c)) {
     ::close(fd);
-    return false;
+    return;
   }
   c.in.reserve(read_chunk_target());
   conns_.emplace(id, std::move(conn));
   accepted_->add();
   state_reading_->add();
   loop_.timers().arm(c.timer, loop_.now_ms(), options_.idle_timeout_ms);
-  if (completion_) arm_recv(c);
-  return true;
 }
 
 void ConnManager::conn_io(Conn& conn, std::uint32_t events) {
@@ -466,10 +358,6 @@ void ConnManager::flush_batch() {
 }
 
 void ConnManager::flush_conn(Conn& conn) {
-  if (completion_) {
-    submit_send(conn);
-    return;
-  }
   while (!conn.flushq.empty()) {
     // Vectored flush: one sendmsg() covers every queued head/body chunk (up
     // to kMaxIov) — pipelined responses and head+body pairs coalesce into
@@ -569,17 +457,6 @@ void ConnManager::update_state(Conn& conn) {
 }
 
 void ConnManager::update_interest(Conn& conn) {
-  if (completion_) {
-    // Completion mode has no interest set: "read interest" is simply
-    // whether a recv SQE is armed. Write readiness never needs watching —
-    // the kernel completes the send chain when the peer drains.
-    const bool want_read =
-        conn.state == ConnState::draining ||
-        (!conn.no_more_requests && conn.slots.size() < options_.max_pipeline &&
-         (options_.max_pipeline > 1 || conn.flushq.empty()));
-    if (want_read && !conn.pending_recv) arm_recv(conn);
-    return;
-  }
   std::uint32_t want = 0;
   if (conn.state == ConnState::draining) {
     want = kReadable;  // watch for the peer's EOF, discard everything else
@@ -601,12 +478,8 @@ void ConnManager::start_drain(Conn& conn) {
   state_draining_->add();
   conn.in.clear();
   ::shutdown(conn.fd, SHUT_WR);
-  if (completion_) {
-    if (!conn.pending_recv) arm_recv(conn);  // watch for the peer's EOF
-  } else {
-    loop_.modify(conn.fd, kReadable);
-    conn.interest = kReadable;
-  }
+  loop_.modify(conn.fd, kReadable);
+  conn.interest = kReadable;
   loop_.timers().arm(conn.timer, loop_.now_ms(), options_.drain_timeout_ms);
 }
 
@@ -636,171 +509,9 @@ void ConnManager::teardown(Conn& conn) {
   }
   closed_->add();
   const std::uint64_t id = conn.id;
-  if (completion_) {
-    loop_.timers().cancel(conn.timer);
-    if (conn.pending_recv) loop_.uring_cancel_recv(id);
-    if (conn.pending_sends > 0) loop_.uring_cancel_sends(id);
-    // Close immediately — in-flight ops hold their own kernel file refs,
-    // and the cancellations above target user_data, never the fd.
-    ::close(conn.fd);
-    conn.fd = -1;
-    auto it = conns_.find(id);
-    if (conn.pending_recv || conn.pending_sends > 0) {
-      // Flushq strings are still referenced by kernel-side iovecs; the
-      // zombie keeps them alive until the last completion arrives.
-      zombies_.emplace(id, std::move(it->second));
-    }
-    conns_.erase(it);
-    return;
-  }
   loop_.remove(conn.fd);
   ::close(conn.fd);
   conns_.erase(id);  // destroys conn (timer detaches itself)
-}
-
-void ConnManager::arm_recv(Conn& conn) {
-  if (conn.pending_recv) return;
-  if (loop_.uring_recv(conn.fd, conn.id)) conn.pending_recv = true;
-  // Prep failure (SQ exhausted even after a flush) leaves the connection
-  // deaf; the armed idle/drain deadline reclaims it.
-}
-
-void ConnManager::submit_send(Conn& conn) {
-  if (conn.pending_sends > 0 || conn.flushq.empty()) return;
-  send_iov_.clear();
-  std::size_t skip = conn.flush_off;
-  for (const Chunk& chunk : conn.flushq) {
-    if (skip >= chunk.data.size()) {  // only the front chunk can be partial
-      skip -= chunk.data.size();
-      continue;
-    }
-    iovec iov{};
-    iov.iov_base = const_cast<char*>(chunk.data.data()) + skip;
-    iov.iov_len = chunk.data.size() - skip;
-    skip = 0;
-    send_iov_.push_back(iov);
-  }
-  const std::size_t queued =
-      loop_.uring_sendmsg(conn.fd, send_iov_.data(), send_iov_.size(),
-                          conn.id);
-  if (queued == 0) {
-    teardown(conn);
-    return;
-  }
-  conn.pending_sends = static_cast<std::uint32_t>(queued);
-  sends_->add(queued);
-}
-
-void ConnManager::maybe_reap(std::uint64_t id) {
-  auto it = zombies_.find(id);
-  if (it == zombies_.end()) return;
-  const Conn& conn = *it->second;
-  if (!conn.pending_recv && conn.pending_sends == 0) zombies_.erase(it);
-}
-
-void ConnManager::on_uring_accept(int res, bool more) {
-  if (!more) accept_armed_ = false;
-  if (res >= 0) {
-    if (sink_) {
-      sink_(res);  // single-acceptor fallback: another loop adopts it
-    } else {
-      adopt(res);
-    }
-  }
-  // -ECANCELED: stop_listening() retired the chain. Any other error (e.g.
-  // EMFILE) ended the multishot stream; re-arm below while still bound.
-  if (!accept_armed_ && listen_fd_ >= 0 && res != -ECANCELED) {
-    accept_armed_ = loop_.uring_accept(listen_fd_);
-  }
-}
-
-void ConnManager::on_uring_recv(std::uint64_t token, int res,
-                                const char* data, std::size_t len) {
-  auto it = conns_.find(token);
-  if (it == conns_.end()) {
-    auto z = zombies_.find(token);
-    if (z != zombies_.end()) {
-      z->second->pending_recv = false;
-      maybe_reap(token);
-    }
-    return;
-  }
-  Conn& conn = *it->second;
-  conn.pending_recv = false;
-  if (res > 0) {
-    if (conn.state != ConnState::draining && data != nullptr) {
-      // Deliberately no timer refresh (slow loris — see on_readable).
-      conn.in.append(data, len);
-    }
-    const std::uint64_t id = conn.id;
-    if (can_parse(conn)) try_parse(conn);
-    auto it2 = conns_.find(id);  // try_parse may have destroyed conn
-    if (it2 != conns_.end()) update_interest(*it2->second);
-    return;
-  }
-  if (res == 0) {  // EOF — for a draining conn this is the awaited goodbye
-    teardown(conn);
-    return;
-  }
-  if (res == -ENOBUFS) {
-    // Provided-buffer pool momentarily dry; every drained completion
-    // recycles one, so re-arm once this drain batch ends.
-    recv_starved_.push_back(conn.id);
-    return;
-  }
-  if (res == -ECANCELED || res == -EINTR || res == -EAGAIN) {
-    update_interest(conn);  // transient: re-arm if still wanted
-    return;
-  }
-  teardown(conn);  // ECONNRESET and friends
-}
-
-void ConnManager::on_uring_send(std::uint64_t token, int res) {
-  auto it = conns_.find(token);
-  if (it == conns_.end()) {
-    auto z = zombies_.find(token);
-    if (z != zombies_.end()) {
-      if (z->second->pending_sends > 0) --z->second->pending_sends;
-      maybe_reap(token);
-    }
-    return;
-  }
-  Conn& conn = *it->second;
-  if (conn.pending_sends > 0) --conn.pending_sends;
-  if (res > 0) {
-    advance_flush(conn, static_cast<std::size_t>(res));
-  } else if (res != -ECANCELED && res != -EINTR && res != -EAGAIN) {
-    conn.send_error = true;  // EPIPE/ECONNRESET: peer is gone
-  }
-  if (conn.pending_sends > 0) return;  // wait out the rest of the chain
-  if (conn.send_error) {
-    teardown(conn);
-    return;
-  }
-  if (!conn.flushq.empty()) {
-    // Short write (or a chain cut by -ECANCELED links): resubmit what the
-    // wire has not taken yet, still strictly in order.
-    submit_send(conn);
-    return;
-  }
-  conn.want_write = false;
-  if (conn.close_now) {
-    start_drain(conn);
-    return;
-  }
-  update_state(conn);
-  update_interest(conn);
-  // Pipelined bytes may already hold the next request.
-  if (!conn.in.empty() && can_parse(conn)) try_parse(conn);
-}
-
-void ConnManager::on_uring_drain_end() {
-  for (const std::uint64_t id : recv_starved_) {
-    auto it = conns_.find(id);
-    if (it == conns_.end()) continue;
-    update_interest(*it->second);  // re-arm now that buffers recycled
-  }
-  recv_starved_.clear();
 }
 
 }  // namespace redundancy::net

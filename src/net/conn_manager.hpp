@@ -38,26 +38,12 @@
 //
 // Multi-reactor sharding hooks (the gateway runs N of these, one per
 // loop): `reuseport` lets every reactor bind its own listening socket on
-// the same port (the kernel spreads connections by 4-tuple hash);
-// set_accept_sink() + adopt() support the fallback where one acceptor
-// round-robins accepted fds to the other loops. `metric_label` shards the
-// gateway.* metric families per reactor ("loop=0" → `{loop="0"}`); empty
-// keeps the single-loop unlabelled series. begin_batch()/flush_batch()
-// bracket a completion drain so every response delivered in one burst to
-// the same connection coalesces into one sendmsg().
-//
-// Completion mode (loop backend == uring): the same state machine driven
-// by completions instead of readiness. The accept4 drain loop becomes one
-// multishot IORING_OP_ACCEPT; reads are IORING_OP_RECV with kernel-selected
-// provided buffers (no recv() syscalls, no interest juggling — reads are
-// re-armed exactly when the pipeline has room); the vectored flush becomes
-// a chain of linked IORING_OP_SENDMSG SQEs submitted in the loop's single
-// io_uring_enter. At most one send chain is in flight per connection, which
-// preserves byte order; a short write completes the chain early and the
-// remainder is resubmitted. Teardown with operations still in flight closes
-// the fd immediately (cancellations target user_data, never the fd) and
-// parks the Conn in a zombie map until the last completion arrives, so no
-// kernel-referenced buffer is ever freed early.
+// the same port (the kernel spreads connections by 4-tuple hash).
+// `metric_label` shards the gateway.* metric families per reactor ("loop=0"
+// → `{loop="0"}`); empty keeps the single-loop unlabelled series.
+// begin_batch()/flush_batch() bracket a completion drain so every response
+// delivered in one burst to the same connection coalesces into one
+// sendmsg().
 #pragma once
 
 #include <cstddef>
@@ -72,8 +58,6 @@
 #include "net/http.hpp"
 #include "util/unique_function.hpp"
 
-struct iovec;
-
 namespace redundancy::obs {
 class Counter;
 class Histogram;
@@ -81,7 +65,7 @@ class Histogram;
 
 namespace redundancy::net {
 
-class ConnManager final : public IoHandler, public EventLoop::UringSink {
+class ConnManager final : public IoHandler {
  public:
   struct Options {
     /// Bind 127.0.0.1:port; 0 picks an ephemeral port (read it back).
@@ -126,10 +110,6 @@ class ConnManager final : public IoHandler, public EventLoop::UringSink {
       util::UniqueFunction<void(std::uint64_t conn_id,
                                 const http::Request& request)>;
 
-  /// Receives ownership of accepted (already non-blocking) fds instead of
-  /// this manager adopting them — the single-acceptor fallback's fan-out.
-  using AcceptSink = util::UniqueFunction<void(int fd)>;
-
   ConnManager(EventLoop& loop, Options options);
   ConnManager(const ConnManager&) = delete;
   ConnManager& operator=(const ConnManager&) = delete;
@@ -138,16 +118,10 @@ class ConnManager final : public IoHandler, public EventLoop::UringSink {
   void set_request_handler(RequestHandler handler) {
     handler_ = std::move(handler);
   }
-  void set_accept_sink(AcceptSink sink) { sink_ = std::move(sink); }
 
   /// Bind + listen + register with the loop. False on socket failure.
   [[nodiscard]] bool listen();
   [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
-
-  /// Adopt an accepted, non-blocking fd as a new connection (the receiving
-  /// end of an AcceptSink handoff). Loop thread only. Sheds (closes) past
-  /// max_connections; returns false when shed or registration failed.
-  bool adopt(int fd);
 
   /// Deliver the response for a dispatched request. Loop thread only. An
   /// unknown id (the connection was torn down while the request was in
@@ -180,21 +154,8 @@ class ConnManager final : public IoHandler, public EventLoop::UringSink {
     return Stats{conns_.size(), inflight_};
   }
 
-  /// One-shot probe: can this kernel set SO_REUSEPORT on a TCP socket?
-  [[nodiscard]] static bool reuseport_supported() noexcept;
-
   /// Listener readiness: accept until EAGAIN, shedding past the cap.
   void on_io(std::uint32_t events) override;
-
-  /// True when this manager drives completion-style I/O (uring backend).
-  [[nodiscard]] bool completion_mode() const noexcept { return completion_; }
-
-  // EventLoop::UringSink (completion mode; loop thread only).
-  void on_uring_accept(int res, bool more) override;
-  void on_uring_recv(std::uint64_t token, int res, const char* data,
-                     std::size_t len) override;
-  void on_uring_send(std::uint64_t token, int res) override;
-  void on_uring_drain_end() override;
 
  private:
   enum class ConnState : std::uint8_t { reading, dispatched, writing, draining };
@@ -234,9 +195,6 @@ class ConnManager final : public IoHandler, public EventLoop::UringSink {
     bool close_now = false;         ///< close response flushed: drain next
     bool want_write = false;        ///< last flush hit EAGAIN
     bool in_dirty = false;          ///< queued in the batch dirty list
-    bool pending_recv = false;      ///< completion mode: a recv SQE is armed
-    bool send_error = false;        ///< completion mode: chain hit a fatal errno
-    std::uint32_t pending_sends = 0;  ///< completion mode: in-flight send SQEs
     std::uint32_t interest = kReadable;  ///< current epoll interest (cached)
     std::uint64_t next_seq = 1;
     std::string in;
@@ -246,6 +204,9 @@ class ConnManager final : public IoHandler, public EventLoop::UringSink {
     TimerWheel::Timer timer;   ///< detaches itself on Conn destruction
   };
 
+  /// Take ownership of an accepted, non-blocking fd. Sheds (closes) past
+  /// max_connections.
+  void adopt(int fd);
   void conn_io(Conn& conn, std::uint32_t events);
   void on_readable(Conn& conn);
   void on_writable(Conn& conn);
@@ -273,21 +234,10 @@ class ConnManager final : public IoHandler, public EventLoop::UringSink {
   void start_drain(Conn& conn);
   void teardown(Conn& conn);
   [[nodiscard]] std::size_t read_chunk_target() const noexcept;
-  // Completion-mode helpers.
-  /// Arm a buffer-select recv unless one is already in flight. A prep
-  /// failure leaves the connection deaf; the idle deadline reclaims it.
-  void arm_recv(Conn& conn);
-  /// Submit the flush queue as one linked sendmsg chain (no-op while a
-  /// chain is in flight — order is per-connection serial). May tear the
-  /// connection down on submission failure.
-  void submit_send(Conn& conn);
-  /// Destroy a zombie once its last in-flight completion has arrived.
-  void maybe_reap(std::uint64_t id);
 
   EventLoop& loop_;
   Options options_;
   RequestHandler handler_;
-  AcceptSink sink_;
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::uint64_t next_id_ = 1;
@@ -301,15 +251,6 @@ class ConnManager final : public IoHandler, public EventLoop::UringSink {
   std::size_t in_hwm_ = 4096;
   std::string read_scratch_;
   std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> conns_;
-
-  // Completion-mode state (loop backend == uring).
-  bool completion_ = false;
-  bool accept_armed_ = false;
-  std::vector<std::uint64_t> recv_starved_;  ///< -ENOBUFS: re-arm post-drain
-  std::vector<::iovec> send_iov_;            ///< submit_send scratch
-  /// Torn-down connections whose fd is closed but whose buffers are still
-  /// referenced by in-flight SQEs; reaped on their final completion.
-  std::unordered_map<std::uint64_t, std::unique_ptr<Conn>> zombies_;
 
   // Registry-owned counters, resolved once (obs::counter is find-or-create
   // under a registry lock; the serving path should not take it per event).

@@ -1,34 +1,13 @@
 #include "net/event_loop.hpp"
 
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/uio.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <time.h>
 #include <unistd.h>
 
-#ifdef __linux__
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#else
-// Completes the forward declaration so the scratch vector's destructor
-// instantiates; the epoll code paths are compiled out entirely.
-struct epoll_event {
-  int unused;
-};
-#endif
-
-#include <algorithm>
 #include <cerrno>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <deque>
 #include <thread>
-
-#include "net/uring.hpp"
-#include "obs/obs.hpp"
 
 namespace redundancy::net {
 
@@ -41,12 +20,6 @@ std::uint64_t thread_cookie() noexcept {
   return h == 0 ? 1 : h;
 }
 
-bool set_nonblocking(int fd) noexcept {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-#ifdef __linux__
 std::uint32_t to_epoll(std::uint32_t interest) noexcept {
   std::uint32_t ev = EPOLLRDHUP;  // half-close is always interesting
   if (interest & kReadable) ev |= EPOLLIN;
@@ -62,66 +35,8 @@ std::uint32_t from_epoll(std::uint32_t ev) noexcept {
   if (ev & (EPOLLHUP | EPOLLRDHUP)) events |= kHangup;
   return events;
 }
-#endif
-
-short to_poll(std::uint32_t interest) noexcept {
-  short ev = 0;
-  if (interest & kReadable) ev |= POLLIN;
-  if (interest & kWritable) ev |= POLLOUT;
-  return ev;
-}
-
-std::uint32_t from_poll(short ev) noexcept {
-  std::uint32_t events = 0;
-  if (ev & POLLIN) events |= kReadable;
-  if (ev & POLLOUT) events |= kWritable;
-  if (ev & POLLERR) events |= kError;
-  if (ev & (POLLHUP | POLLNVAL)) events |= kHangup;
-#ifdef POLLRDHUP
-  if (ev & POLLRDHUP) events |= kHangup;
-#endif
-  return events;
-}
-
-// user_data layout for uring SQEs: [63:56] tag | [55:0] payload.
-// Poll payloads are [55:32] generation | [31:0] fd.
-constexpr unsigned kTagShift = 56;
-constexpr std::uint64_t kPayloadMask = (std::uint64_t{1} << kTagShift) - 1;
-constexpr std::uint64_t kTagPoll = 1;
-constexpr std::uint64_t kTagAccept = 2;
-constexpr std::uint64_t kTagRecv = 3;
-constexpr std::uint64_t kTagSend = 4;
-constexpr std::uint64_t kTagCancel = 5;
-
-constexpr std::uint64_t make_ud(std::uint64_t tag,
-                                std::uint64_t payload) noexcept {
-  return (tag << kTagShift) | (payload & kPayloadMask);
-}
-
-constexpr std::uint64_t poll_ud(int fd, std::uint32_t gen) noexcept {
-  return make_ud(kTagPoll, (std::uint64_t{gen & 0xffffffu} << 32) |
-                               static_cast<std::uint32_t>(fd));
-}
-
-/// iovecs per sendmsg SQE; matches the readiness path's vectored flush cap.
-constexpr std::size_t kUringMaxIov = 64;
 
 }  // namespace
-
-/// One in-flight IORING_OP_SENDMSG: the msghdr + iovec array the SQE points
-/// at, pinned at a stable address until the completion lands. Slots live in
-/// a deque — growth never relocates an element the kernel is reading.
-struct UringSendOp {
-  ::msghdr msg{};
-  ::iovec iov[kUringMaxIov];
-  std::uint64_t token = 0;
-  bool in_use = false;
-};
-
-struct UringSendPool {
-  std::deque<UringSendOp> ops;
-  std::vector<std::uint32_t> free_list;
-};
 
 std::uint64_t monotonic_ms() noexcept {
   timespec ts{};
@@ -130,150 +45,26 @@ std::uint64_t monotonic_ms() noexcept {
          static_cast<std::uint64_t>(ts.tv_nsec) / 1'000'000u;
 }
 
-const char* EventLoop::backend_name(Backend backend) noexcept {
-  switch (backend) {
-    case Backend::automatic:
-      return "automatic";
-    case Backend::epoll:
-      return "epoll";
-    case Backend::poll:
-      return "poll";
-    case Backend::uring:
-      return "uring";
-  }
-  return "unknown";
-}
-
-bool EventLoop::uring_supported() noexcept {
-#ifdef __linux__
-  return Uring::supported();
-#else
-  return false;
-#endif
-}
-
-namespace {
-
-/// Resolve Backend::automatic: REDUNDANCY_GATEWAY_BACKEND pins the choice
-/// (strict parse, loud fallback — the REDUNDANCY_GATEWAY_LOOPS contract);
-/// otherwise prefer uring → epoll → poll by platform capability.
-EventLoop::Backend resolve_automatic() {
-  using Backend = EventLoop::Backend;
-#ifdef __linux__
-  const Backend preferred =
-      EventLoop::uring_supported() ? Backend::uring : Backend::epoll;
-#else
-  const Backend preferred = Backend::poll;
-#endif
-  const char* env = std::getenv("REDUNDANCY_GATEWAY_BACKEND");
-  if (env == nullptr || *env == '\0') return preferred;
-  if (std::strcmp(env, "poll") == 0) return Backend::poll;
-  if (std::strcmp(env, "epoll") == 0) {
-#ifdef __linux__
-    return Backend::epoll;
-#else
-    std::fprintf(stderr,
-                 "[redundancy] REDUNDANCY_GATEWAY_BACKEND=epoll is not "
-                 "available on this platform; using poll\n");
-    return Backend::poll;
-#endif
-  }
-  if (std::strcmp(env, "uring") == 0) {
-    if (EventLoop::uring_supported()) return Backend::uring;
-    std::fprintf(stderr,
-                 "[redundancy] REDUNDANCY_GATEWAY_BACKEND=uring requested "
-                 "but io_uring is unavailable (kernel or seccomp); using "
-                 "%s\n",
-                 EventLoop::backend_name(preferred));
-    return preferred;
-  }
-  std::fprintf(stderr,
-               "[redundancy] REDUNDANCY_GATEWAY_BACKEND='%s' is not a valid "
-               "backend (uring|epoll|poll); using %s\n",
-               env, EventLoop::backend_name(preferred));
-  return preferred;
-}
-
-}  // namespace
-
 EventLoop::EventLoop() : EventLoop(Options{}) {}
 
 EventLoop::EventLoop(Options options)
-    : options_(std::move(options)),
-      wheel_(options_.timer_slots, options_.timer_tick_ms) {
-  backend_ = options_.backend;
-  if (backend_ == Backend::automatic) backend_ = resolve_automatic();
-#ifndef __linux__
-  if (backend_ == Backend::epoll || backend_ == Backend::uring) {
-    return;  // not available: loop stays dead
+    : options_(options),
+      wheel_(options_.timer_slots, options_.timer_tick_ms),
+      epoll_fd_(::epoll_create1(EPOLL_CLOEXEC)),
+      wake_fd_(::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK)) {
+  ready_.resize(256);
+  // The wakeup fd is a permanent registration; dispatch recognizes it by fd.
+  if (!add(wake_fd_, kReadable, nullptr)) {
+    if (epoll_fd_ >= 0) ::close(epoll_fd_);
+    if (wake_fd_ >= 0) ::close(wake_fd_);
+    epoll_fd_ = -1;
+    wake_fd_ = -1;
   }
-#endif
-
-#ifdef __linux__
-  if (backend_ == Backend::epoll) {
-    epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    if (epoll_fd_ < 0) return;
-    epoll_scratch_.resize(256);
-  }
-  if (backend_ == Backend::uring) {
-    // Explicitly requested uring on a kernel that refuses it fails closed,
-    // exactly like Backend::epoll off Linux (automatic never lands here
-    // unsupported — resolve_automatic() already probed).
-    if (!Uring::supported()) return;
-    uring_ = std::make_unique<Uring>();
-    if (!uring_->init(256)) {
-      uring_.reset();
-      return;
-    }
-    send_pool_ = std::make_unique<UringSendPool>();
-    enters_ = &obs::counter("gateway.enters", options_.metric_label);
-    sqes_ = &obs::counter("gateway.sqes", options_.metric_label);
-    sqe_batches_ = &obs::counter("gateway.sqe_batches", options_.metric_label);
-    cqe_per_enter_ =
-        &obs::histogram("gateway.cqe_per_enter", options_.metric_label);
-  }
-  const int efd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-  if (efd >= 0) {
-    wake_read_fd_ = efd;
-    wake_write_fd_ = efd;
-  }
-#endif
-  if (wake_read_fd_ < 0) {
-    int fds[2] = {-1, -1};
-    if (::pipe(fds) != 0) return;
-    if (!set_nonblocking(fds[0]) || !set_nonblocking(fds[1])) {
-      ::close(fds[0]);
-      ::close(fds[1]);
-      return;
-    }
-    wake_read_fd_ = fds[0];
-    wake_write_fd_ = fds[1];
-  }
-  // The wakeup fd is a permanent registration.
-  add(wake_read_fd_, kReadable, nullptr);
 }
 
 EventLoop::~EventLoop() {
-  if (wake_read_fd_ >= 0) ::close(wake_read_fd_);
-  if (wake_write_fd_ >= 0 && wake_write_fd_ != wake_read_fd_) {
-    ::close(wake_write_fd_);
-  }
+  if (wake_fd_ >= 0) ::close(wake_fd_);
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
-  // uring_ destruction closes the ring fd, which cancels and reaps every
-  // in-flight op before send_pool_ (declared earlier, destroyed later)
-  // releases the msghdr/iovec memory those ops reference.
-}
-
-bool EventLoop::ok() const noexcept { return wake_read_fd_ >= 0; }
-
-bool EventLoop::uring_mode() const noexcept {
-  return backend_ == Backend::uring && uring_ != nullptr;
-}
-
-std::uint32_t EventLoop::next_poll_gen() noexcept {
-  poll_gen_ = (poll_gen_ + 1) & 0xffffffu;
-  if (poll_gen_ == 0) poll_gen_ = 1;
-  return poll_gen_;
 }
 
 bool EventLoop::add(int fd, std::uint32_t interest, IoHandler* handler) {
@@ -282,15 +73,14 @@ bool EventLoop::add(int fd, std::uint32_t interest, IoHandler* handler) {
     table_.resize(static_cast<std::size_t>(fd) + 1);
   }
   Registration& reg = table_[static_cast<std::size_t>(fd)];
-  if (reg.interest != 0 || reg.handler != nullptr ||
-      fd == wake_read_fd_) {
-    if (fd != wake_read_fd_ || reg.interest != 0) return false;  // duplicate
-  }
-  if (!backend_add(fd, interest)) return false;
+  if (reg.interest != 0 || reg.handler != nullptr) return false;  // duplicate
+  epoll_event ev{};
+  ev.events = to_epoll(interest);
+  ev.data.fd = fd;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) != 0) return false;
   reg.handler = handler;
   reg.interest = interest;
   ++nfds_;
-  poll_dirty_ = true;
   return true;
 }
 
@@ -301,9 +91,11 @@ bool EventLoop::modify(int fd, std::uint32_t interest) {
   Registration& reg = table_[static_cast<std::size_t>(fd)];
   if (reg.interest == 0 && reg.handler == nullptr) return false;
   if (reg.interest == interest) return true;
-  if (!backend_modify(fd, interest)) return false;
+  epoll_event ev{};
+  ev.events = to_epoll(interest);
+  ev.data.fd = fd;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) != 0) return false;
   reg.interest = interest;
-  poll_dirty_ = true;
   return true;
 }
 
@@ -311,12 +103,9 @@ void EventLoop::remove(int fd) {
   if (fd < 0 || static_cast<std::size_t>(fd) >= table_.size()) return;
   Registration& reg = table_[static_cast<std::size_t>(fd)];
   if (reg.interest == 0 && reg.handler == nullptr) return;
-  backend_remove(fd);
-  const std::uint32_t gen = reg.gen;
+  ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   reg = Registration{};
-  reg.gen = gen;  // keep the bumped generation: in-flight CQEs stay stale
   --nfds_;
-  poll_dirty_ = true;
 }
 
 void EventLoop::run() {
@@ -325,10 +114,18 @@ void EventLoop::run() {
   running_.store(true, std::memory_order_release);
   now_ms_ = monotonic_ms();
   while (!stop_.load(std::memory_order_acquire)) {
-    const int timeout =
-        wheel_.next_timeout_ms(now_ms_, options_.idle_timeout_ms);
-    const int ready = backend_wait(timeout);
-    if (ready < 0) break;  // backend failed hard (EINTR is mapped to 0)
+    // Grow the ready buffer to the population so one wait can report every
+    // ready fd (a 10k-connection burst drains in one iteration).
+    if (ready_.size() < nfds_) ready_.resize(nfds_);
+    const int n = ::epoll_wait(
+        epoll_fd_, ready_.data(), static_cast<int>(ready_.size()),
+        wheel_.next_timeout_ms(now_ms_, options_.idle_timeout_ms));
+    if (n < 0 && errno != EINTR) break;  // epoll failed hard
+    now_ms_ = monotonic_ms();  // handlers see the post-wait clock
+    for (int i = 0; i < n; ++i) {
+      const epoll_event& ev = ready_[static_cast<std::size_t>(i)];
+      dispatch(ev.data.fd, from_epoll(ev.events));
+    }
     wheel_.advance(now_ms_, [](TimerWheel::Timer& timer) {
       // The wheel stores handler-owned timers; the owner cookie is the
       // IoHandler to notify. A null owner is a plain deadline marker.
@@ -348,10 +145,10 @@ void EventLoop::stop() {
 }
 
 void EventLoop::wake() {
-  if (wake_write_fd_ < 0) return;
+  if (wake_fd_ < 0) return;
   const std::uint64_t one = 1;
   for (;;) {
-    const ssize_t n = ::write(wake_write_fd_, &one, sizeof one);
+    const ssize_t n = ::write(wake_fd_, &one, sizeof one);
     if (n >= 0 || errno != EINTR) break;  // EAGAIN: a wake is already queued
   }
 }
@@ -361,8 +158,9 @@ bool EventLoop::in_loop_thread() const noexcept {
 }
 
 void EventLoop::dispatch(int fd, std::uint32_t events) {
-  if (fd == wake_read_fd_) {
-    drain_wakeup();
+  if (fd == wake_fd_) {
+    std::uint64_t count = 0;
+    (void)::read(wake_fd_, &count, sizeof count);  // resets the eventfd
     if (wake_handler_) wake_handler_();
     return;
   }
@@ -372,335 +170,6 @@ void EventLoop::dispatch(int fd, std::uint32_t events) {
   // this fd; the table, not the stale readiness record, is authoritative.
   if (reg.handler == nullptr) return;
   reg.handler->on_io(events);
-}
-
-void EventLoop::drain_wakeup() {
-  std::uint64_t buf = 0;
-  // eventfd: one 8-byte read resets the counter. pipe: read until dry.
-  while (::read(wake_read_fd_, &buf, sizeof buf) > 0) {
-    if (wake_read_fd_ == wake_write_fd_) break;
-  }
-}
-
-void EventLoop::arm_poll(int fd, Registration& reg, std::uint32_t interest) {
-#ifdef __linux__
-  std::uint32_t mask = static_cast<std::uint32_t>(
-      static_cast<unsigned short>(to_poll(interest)));
-#ifdef POLLRDHUP
-  mask |= static_cast<std::uint32_t>(POLLRDHUP);  // epoll parity: half-close
-#endif
-  if (uring_->prep_poll_add(fd, mask, poll_ud(fd, reg.gen))) {
-    ++reg.polls_inflight;
-  }
-#else
-  (void)fd;
-  (void)reg;
-  (void)interest;
-#endif
-}
-
-bool EventLoop::backend_add(int fd, std::uint32_t interest) {
-#ifdef __linux__
-  if (backend_ == Backend::epoll) {
-    epoll_event ev{};
-    ev.events = to_epoll(interest);
-    ev.data.fd = fd;
-    return ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd, &ev) == 0;
-  }
-  if (backend_ == Backend::uring) {
-    Registration& reg = table_[static_cast<std::size_t>(fd)];
-    reg.gen = next_poll_gen();
-    reg.polls_inflight = 0;
-    if (interest != 0) arm_poll(fd, reg, interest);
-    return true;
-  }
-#endif
-  (void)interest;
-  return true;  // poll backend: the registration table is the state
-}
-
-bool EventLoop::backend_modify(int fd, std::uint32_t interest) {
-#ifdef __linux__
-  if (backend_ == Backend::epoll) {
-    epoll_event ev{};
-    ev.events = to_epoll(interest);
-    ev.data.fd = fd;
-    return ::epoll_ctl(epoll_fd_, EPOLL_CTL_MOD, fd, &ev) == 0;
-  }
-  if (backend_ == Backend::uring) {
-    Registration& reg = table_[static_cast<std::size_t>(fd)];
-    if (reg.polls_inflight > 0) {
-      // Cancel by user_data, not fd: a later close() must not race the
-      // cancellation target. The stale CQE is dropped by the gen check.
-      uring_->prep_cancel(poll_ud(fd, reg.gen), make_ud(kTagCancel, 0));
-      reg.polls_inflight = 0;
-    }
-    reg.gen = next_poll_gen();
-    if (interest != 0) arm_poll(fd, reg, interest);
-    return true;
-  }
-#endif
-  (void)fd;
-  (void)interest;
-  return true;
-}
-
-void EventLoop::backend_remove(int fd) {
-#ifdef __linux__
-  if (backend_ == Backend::epoll) {
-    ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
-  }
-  if (backend_ == Backend::uring) {
-    Registration& reg = table_[static_cast<std::size_t>(fd)];
-    if (reg.polls_inflight > 0) {
-      uring_->prep_cancel(poll_ud(fd, reg.gen), make_ud(kTagCancel, 0));
-      reg.polls_inflight = 0;
-    }
-    reg.gen = next_poll_gen();  // orphan any in-flight completion
-  }
-#endif
-  (void)fd;
-}
-
-void EventLoop::handle_uring_cqe(std::uint64_t user_data, std::int32_t res,
-                                 std::uint32_t flags) {
-  switch (user_data >> kTagShift) {
-    case kTagPoll: {
-      const int fd = static_cast<int>(user_data & 0xffffffffu);
-      const auto gen = static_cast<std::uint32_t>((user_data >> 32) &
-                                                  0xffffffu);
-      if (fd < 0 || static_cast<std::size_t>(fd) >= table_.size()) return;
-      Registration& reg = table_[static_cast<std::size_t>(fd)];
-      if (reg.gen != gen) return;  // stale: fd removed/re-registered
-      if (reg.polls_inflight > 0) --reg.polls_inflight;
-      if (res > 0) {
-        dispatch(fd, from_poll(static_cast<short>(res)));
-      }
-      // Level-triggered emulation: one-shot polls re-arm after dispatch —
-      // unless the handler removed or re-registered the fd (generation
-      // moved), modified interest (ditto), or went quiet.
-      if (static_cast<std::size_t>(fd) < table_.size()) {
-        Registration& cur = table_[static_cast<std::size_t>(fd)];
-        if (cur.gen == gen && cur.interest != 0 && cur.polls_inflight == 0) {
-          arm_poll(fd, cur, cur.interest);
-        }
-      }
-      return;
-    }
-    case kTagAccept:
-      if (uring_sink_ != nullptr) {
-        uring_sink_->on_uring_accept(res,
-                                     (flags & Uring::kCqeFMore) != 0);
-      }
-      return;
-    case kTagRecv: {
-      const std::uint64_t token = user_data & kPayloadMask;
-      const char* data = nullptr;
-      std::size_t len = 0;
-      std::uint32_t bid = 0;
-      const bool has_buffer = (flags & Uring::kCqeFBuffer) != 0;
-      if (has_buffer) {
-        bid = flags >> Uring::kCqeBufferShift;
-        if (res > 0) {
-          data = uring_->buffer_at(bid);
-          len = static_cast<std::size_t>(res);
-        }
-      }
-      if (uring_sink_ != nullptr) {
-        uring_sink_->on_uring_recv(token, res, data, len);
-      }
-      // Recycle AFTER the sink copied the bytes out.
-      if (has_buffer) uring_->recycle_buffer(bid);
-      return;
-    }
-    case kTagSend: {
-      const auto slot = static_cast<std::uint32_t>(user_data & kPayloadMask);
-      if (send_pool_ == nullptr || slot >= send_pool_->ops.size()) return;
-      UringSendOp& op = send_pool_->ops[slot];
-      if (!op.in_use) return;
-      const std::uint64_t token = op.token;
-      // Free BEFORE the callback: the sink may queue the retry chain into
-      // this very slot; the kernel is done with the msghdr once the CQE is
-      // posted.
-      op.in_use = false;
-      send_pool_->free_list.push_back(slot);
-      if (uring_sink_ != nullptr) uring_sink_->on_uring_send(token, res);
-      return;
-    }
-    default:
-      return;  // cancel completions carry no state
-  }
-}
-
-int EventLoop::backend_wait(int timeout_ms) {
-#ifdef __linux__
-  if (backend_ == Backend::uring) {
-    // One syscall: submit every SQE queued since the last iteration AND
-    // wait (up to the wheel deadline) for completions.
-    if (!uring_->submit_and_wait(timeout_ms < 0 ? 0 : timeout_ms)) return -1;
-    now_ms_ = monotonic_ms();  // handlers see the post-wait clock
-    int n = 0;
-    Uring::Cqe cqe;
-    while (uring_->peek_cqe(&cqe)) {
-      handle_uring_cqe(cqe.user_data, cqe.res, cqe.flags);
-      ++n;
-    }
-    if (uring_sink_ != nullptr) uring_sink_->on_uring_drain_end();
-    if (enters_ != nullptr) {
-      const std::uint64_t enters = uring_->enters();
-      const std::uint64_t sqes = uring_->sqes_submitted();
-      const std::uint64_t batches = uring_->submit_batches();
-      enters_->add(enters - last_enters_);
-      sqes_->add(sqes - last_sqes_);
-      sqe_batches_->add(batches - last_batches_);
-      last_enters_ = enters;
-      last_sqes_ = sqes;
-      last_batches_ = batches;
-      cqe_per_enter_->record(static_cast<std::uint64_t>(n));
-    }
-    return n;
-  }
-  if (backend_ == Backend::epoll) {
-    // Grow the ready buffer to the population so one wait can report every
-    // ready fd (a 10k-connection burst drains in one iteration).
-    if (epoll_scratch_.size() < nfds_) epoll_scratch_.resize(nfds_);
-    const int n = ::epoll_wait(epoll_fd_, epoll_scratch_.data(),
-                               static_cast<int>(epoll_scratch_.size()),
-                               timeout_ms);
-    if (n < 0) return errno == EINTR ? 0 : -1;
-    now_ms_ = monotonic_ms();  // handlers see the post-wait clock
-    for (int i = 0; i < n; ++i) {
-      dispatch(epoll_scratch_[static_cast<std::size_t>(i)].data.fd,
-               from_epoll(epoll_scratch_[static_cast<std::size_t>(i)].events));
-    }
-    return n;
-  }
-#endif
-  if (poll_dirty_) {
-    poll_scratch_.clear();
-    poll_scratch_.reserve(nfds_);
-    for (std::size_t fd = 0; fd < table_.size(); ++fd) {
-      const Registration& reg = table_[fd];
-      if (reg.interest == 0 && reg.handler == nullptr) continue;
-      pollfd pfd{};
-      pfd.fd = static_cast<int>(fd);
-      pfd.events = to_poll(reg.interest);
-      poll_scratch_.push_back(pfd);
-    }
-    poll_dirty_ = false;
-  }
-  const int n = ::poll(poll_scratch_.data(),
-                       static_cast<nfds_t>(poll_scratch_.size()), timeout_ms);
-  if (n < 0) return errno == EINTR ? 0 : -1;
-  now_ms_ = monotonic_ms();  // handlers see the post-wait clock
-  if (n == 0) return 0;
-  for (const pollfd& pfd : poll_scratch_) {
-    if (pfd.revents == 0) continue;
-    dispatch(pfd.fd, from_poll(pfd.revents));
-  }
-  return n;
-}
-
-// ---------------------------------------------------------------------------
-// Completion-mode surface
-// ---------------------------------------------------------------------------
-
-bool EventLoop::uring_setup_buffers(std::uint32_t count, std::uint32_t size) {
-  if (!uring_mode()) return false;
-  return uring_->setup_buffer_ring(count, size);
-}
-
-bool EventLoop::uring_accept(int listen_fd) {
-  if (!uring_mode()) return false;
-  return uring_->prep_accept_multishot(
-      listen_fd, make_ud(kTagAccept, static_cast<std::uint32_t>(listen_fd)));
-}
-
-void EventLoop::uring_cancel_accept(int listen_fd) {
-  if (!uring_mode()) return;
-  uring_->prep_cancel(
-      make_ud(kTagAccept, static_cast<std::uint32_t>(listen_fd)),
-      make_ud(kTagCancel, 0));
-  // Flush immediately: the caller closes the fd next, and the in-flight
-  // accept holds a file reference until its cancellation completes.
-  uring_->submit();
-}
-
-bool EventLoop::uring_recv(int fd, std::uint64_t token) {
-  if (!uring_mode() || !uring_->buffers_ready()) return false;
-  return uring_->prep_recv_select(fd, make_ud(kTagRecv, token));
-}
-
-void EventLoop::uring_cancel_recv(std::uint64_t token) {
-  if (!uring_mode()) return;
-  uring_->prep_cancel(make_ud(kTagRecv, token), make_ud(kTagCancel, 0));
-}
-
-std::size_t EventLoop::uring_sendmsg(int fd, const ::iovec* iov,
-                                     std::size_t niov, std::uint64_t token) {
-  if (!uring_mode() || niov == 0) return 0;
-  std::size_t chunks = (niov + kUringMaxIov - 1) / kUringMaxIov;
-  // A link chain must not straddle a submission boundary (the chain ends at
-  // the batch edge and ordering would be lost): make room up front, and cap
-  // the chain at the SQ size — any unqueued tail is resubmitted by the
-  // caller when this chain's completions land.
-  if (uring_->sq_space_left() < chunks) uring_->submit();
-  const std::uint32_t space = uring_->sq_space_left();
-  if (space == 0) return 0;
-  if (chunks > space) chunks = space;
-  std::size_t queued = 0;
-  std::size_t off = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t cnt = std::min(kUringMaxIov, niov - off);
-    std::uint32_t slot;
-    if (!send_pool_->free_list.empty()) {
-      slot = send_pool_->free_list.back();
-      send_pool_->free_list.pop_back();
-    } else {
-      slot = static_cast<std::uint32_t>(send_pool_->ops.size());
-      send_pool_->ops.emplace_back();
-    }
-    UringSendOp& op = send_pool_->ops[slot];
-    std::memcpy(op.iov, iov + off, cnt * sizeof(::iovec));
-    op.msg = ::msghdr{};
-    op.msg.msg_iov = op.iov;
-    op.msg.msg_iovlen = cnt;
-    op.token = token;
-    op.in_use = true;
-    const bool link = c + 1 < chunks;
-    if (!uring_->prep_sendmsg(fd, &op.msg, make_ud(kTagSend, slot), link)) {
-      op.in_use = false;
-      send_pool_->free_list.push_back(slot);
-      // The previous SQE must not link into whatever is prepared next.
-      uring_->clear_link_on_last();
-      break;
-    }
-    ++queued;
-    off += cnt;
-  }
-  return queued;
-}
-
-void EventLoop::uring_cancel_sends(std::uint64_t token) {
-  if (!uring_mode() || send_pool_ == nullptr) return;
-  for (std::size_t i = 0; i < send_pool_->ops.size(); ++i) {
-    if (send_pool_->ops[i].in_use && send_pool_->ops[i].token == token) {
-      uring_->prep_cancel(make_ud(kTagSend, i), make_ud(kTagCancel, 0));
-    }
-  }
-}
-
-bool EventLoop::uring_reap_blocking(int timeout_ms) {
-  if (!uring_mode()) return false;
-  if (!uring_->submit_and_wait(timeout_ms < 0 ? 0 : timeout_ms)) return false;
-  now_ms_ = monotonic_ms();
-  bool any = false;
-  Uring::Cqe cqe;
-  while (uring_->peek_cqe(&cqe)) {
-    handle_uring_cqe(cqe.user_data, cqe.res, cqe.flags);
-    any = true;
-  }
-  return any;
 }
 
 }  // namespace redundancy::net

@@ -1,71 +1,45 @@
 // net::EventLoop — the single-threaded readiness loop under the gateway.
 //
-// One thread, one backend — io_uring where the kernel allows it, epoll as
-// the Linux readiness fallback, poll(2) for everything else — a wakeup fd
-// for cross-thread signalling, and a TimerWheel for connection deadlines.
-// Everything that touches a socket happens on the loop thread; other
-// threads interact with the loop in exactly two ways — wake() (an
-// eventfd/pipe write, async-signal-safe cheap) and stop() — so fd
-// registration needs no locks and handlers need no synchronization.
+// One thread, one epoll instance, an eventfd for cross-thread wakeups, and
+// a TimerWheel for connection deadlines. Everything that touches a socket
+// happens on the loop thread; other threads interact with the loop in
+// exactly two ways — wake() (an eventfd write, async-signal-safe cheap) and
+// stop() — so fd registration needs no locks and handlers need no
+// synchronization.
 //
-// Dispatch is index-based, not pointer-based: the backend stores the fd in
-// the readiness event and the loop resolves fd → IoHandler through its own
+// Dispatch is index-based, not pointer-based: epoll stores the fd in the
+// readiness event and the loop resolves fd → IoHandler through its own
 // table *at dispatch time*. A handler that closes and removes another fd
 // mid-batch (a connection manager shedding its neighbour) simply leaves a
 // null table entry behind; the stale readiness record is skipped instead
 // of dereferencing a dangling pointer — the classic epoll use-after-close
-// hazard designed out. The uring backend adds a second guard: poll SQEs
-// carry a per-registration generation, so a completion for an fd that was
-// removed and re-registered mid-flight is recognized as stale and dropped.
+// hazard designed out.
 //
 // Each iteration:
-//   1. wait for readiness/completions (timeout = min(wheel deadline, idle
-//      tick); on uring this is ONE io_uring_enter that also submits every
-//      SQE queued since the last iteration),
-//   2. dispatch ready fds / drain the completion queue (wakeup fd drains →
-//      wake handler runs; uring completions route to the UringSink),
+//   1. epoll_wait (timeout = min(wheel deadline, idle tick)),
+//   2. dispatch ready fds (the wakeup fd drains → wake handler runs),
 //   3. advance the timer wheel,
 //   4. run the cycle handler — the batching hook: the gateway collects
 //      every request parsed during (2) and submits them to the engine as
 //      ONE ThreadPool::submit_batch there, so a burst of N readable
 //      sockets costs one pending-counter epoch and one worker wake-up.
-//
-// Backend selection: Backend::automatic prefers uring → epoll → poll.
-// REDUNDANCY_GATEWAY_BACKEND=uring|epoll|poll pins the choice (strict
-// parse, loud stderr fallback on nonsense, mirroring
-// REDUNDANCY_GATEWAY_LOOPS); it applies only to automatic — code that
-// requests a concrete backend keeps it. A loop built with an explicit
-// backend the platform cannot provide is dead (ok() == false), never
-// silently downgraded.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "net/timer_wheel.hpp"
 #include "util/unique_function.hpp"
 
-// Backend scratch buffers hold the system structs by value; forward
-// declarations keep <poll.h>/<sys/epoll.h>/<sys/uio.h> out of this header
-// (C++17 std::vector supports incomplete element types).
-struct pollfd;
+// The ready-event buffer holds the system struct by value; the forward
+// declaration keeps <sys/epoll.h> out of this header (C++17 std::vector
+// supports incomplete element types).
 struct epoll_event;
-struct iovec;
-
-namespace redundancy::obs {
-class Counter;
-class Histogram;
-}  // namespace redundancy::obs
 
 namespace redundancy::net {
 
-class Uring;
-struct UringSendPool;
-
-/// Readiness interest / event bits (backend-neutral).
+/// Readiness interest / event bits.
 inline constexpr std::uint32_t kReadable = 1u << 0;
 inline constexpr std::uint32_t kWritable = 1u << 1;
 inline constexpr std::uint32_t kError = 1u << 2;    ///< EPOLLERR
@@ -85,49 +59,22 @@ class IoHandler {
 
 class EventLoop {
  public:
-  enum class Backend : std::uint8_t {
-    automatic,  ///< uring where supported, else epoll on Linux, else poll
-    epoll,      ///< fails construction off Linux
-    poll,       ///< portable fallback, O(fds) per iteration
-    uring,      ///< fails construction when the runtime probe refuses
-  };
+  // Backend, backend_name() and uring_supported() are kept only because
+  // perfbench compiles against them; they go once a benchmark change drops
+  // those uses. The loop always runs epoll.
+  enum class Backend : std::uint8_t { epoll, uring };
+  [[nodiscard]] static const char* backend_name(Backend backend) noexcept {
+    return backend == Backend::epoll ? "epoll" : "uring";
+  }
+  [[nodiscard]] static bool uring_supported() noexcept { return false; }
 
   struct Options {
-    Backend backend = Backend::automatic;
     /// Wheel granularity and sizing (see TimerWheel).
     std::uint64_t timer_tick_ms = 10;
     std::size_t timer_slots = 512;
     /// Iteration timeout when no timer is due sooner: how often the loop
     /// re-checks its stop flag even with nothing happening.
     int idle_timeout_ms = 100;
-    /// Label spec for the loop's gateway.* submission metrics ("loop=0"
-    /// renders `{loop="0"}`); empty = the unlabelled single-loop series.
-    std::string metric_label;
-  };
-
-  /// Completion-mode consumer (the uring backend's ConnManager face).
-  /// Exactly one sink per loop: whoever claims it receives every accept,
-  /// recv and send completion, routed by the token it supplied.
-  class UringSink {
-   public:
-    /// One accepted fd (res >= 0) or an accept error (negative errno).
-    /// `more` false means the multishot chain ended — re-arm to continue.
-    virtual void on_uring_accept(int res, bool more) = 0;
-    /// Recv completion: res > 0 ⇒ `data`/`len` view a kernel-provided
-    /// buffer, valid only for the duration of the call (copy out); res == 0
-    /// ⇒ EOF; res < 0 ⇒ negative errno (-ENOBUFS: buffer pool exhausted,
-    /// re-arm after the drain).
-    virtual void on_uring_recv(std::uint64_t token, int res, const char* data,
-                               std::size_t len) = 0;
-    /// Sendmsg completion: res = bytes written or negative errno. One call
-    /// per SQE of the submitted chain.
-    virtual void on_uring_send(std::uint64_t token, int res) = 0;
-    /// End of one completion-drain batch — the flush point: sends queued
-    /// here ride the next iteration's single io_uring_enter.
-    virtual void on_uring_drain_end() = 0;
-
-   protected:
-    ~UringSink() = default;
   };
 
   EventLoop();
@@ -136,16 +83,11 @@ class EventLoop {
   EventLoop& operator=(const EventLoop&) = delete;
   ~EventLoop();
 
-  /// False when the backend could not be set up (epoll_create/pipe/ring
-  /// setup failed, Backend::epoll requested off Linux, Backend::uring
-  /// requested where the probe refuses); a dead loop refuses add/run.
-  [[nodiscard]] bool ok() const noexcept;
-  [[nodiscard]] Backend backend() const noexcept { return backend_; }
-  /// Human-readable backend name ("uring"/"epoll"/"poll") for startup logs.
-  [[nodiscard]] static const char* backend_name(Backend backend) noexcept;
-  /// Cached runtime probe: can this kernel/seccomp policy run the uring
-  /// backend? (ring setup + the ops we issue + provided buffer rings).
-  [[nodiscard]] static bool uring_supported() noexcept;
+  /// False when epoll_create1 or eventfd failed; a dead loop refuses
+  /// add/run.
+  [[nodiscard]] bool ok() const noexcept {
+    return epoll_fd_ >= 0 && wake_fd_ >= 0;
+  }
 
   /// Register `fd` (must be non-blocking) for `interest` bits. The handler
   /// pointer must stay valid until remove(fd). Loop thread (or pre-run).
@@ -161,7 +103,7 @@ class EventLoop {
   void run();
   /// Ask the loop to exit its next iteration. Any thread.
   void stop();
-  /// Force an immediate iteration (wakeup-fd write). Any thread. Coalesces:
+  /// Force an immediate iteration (eventfd write). Any thread. Coalesces:
   /// multiple wakes before the drain cost one iteration.
   void wake();
 
@@ -175,38 +117,6 @@ class EventLoop {
   void set_cycle_handler(util::UniqueFunction<void()> handler) {
     cycle_handler_ = std::move(handler);
   }
-
-  // -- completion-mode surface (uring backend only; no-ops elsewhere) -----
-
-  /// True when this loop runs the uring backend and completion-style I/O
-  /// (uring_accept/uring_recv/uring_sendmsg) is available.
-  [[nodiscard]] bool uring_mode() const noexcept;
-  [[nodiscard]] UringSink* uring_sink() const noexcept { return uring_sink_; }
-  void set_uring_sink(UringSink* sink) noexcept { uring_sink_ = sink; }
-  void clear_uring_sink(UringSink* sink) noexcept {
-    if (uring_sink_ == sink) uring_sink_ = nullptr;
-  }
-  /// Register the loop's provided-buffer pool (idempotent; first call
-  /// wins). `size` should track the socket high-water mark.
-  bool uring_setup_buffers(std::uint32_t count, std::uint32_t size);
-  /// Arm a multishot accept on `listen_fd`; completions stream to the sink
-  /// until one arrives without `more` — re-arm then.
-  bool uring_accept(int listen_fd);
-  void uring_cancel_accept(int listen_fd);
-  /// Arm one buffer-select recv; the completion carries `token` back.
-  bool uring_recv(int fd, std::uint64_t token);
-  void uring_cancel_recv(std::uint64_t token);
-  /// Queue `niov` iovecs as a chain of linked IORING_OP_SENDMSG SQEs (≤64
-  /// iovecs each, in-order by link). The iovec array is copied; the bytes
-  /// it points at must stay alive until every completion arrived. Returns
-  /// the number of SQEs queued (0 = failure); they ride the next enter.
-  std::size_t uring_sendmsg(int fd, const ::iovec* iov, std::size_t niov,
-                            std::uint64_t token);
-  void uring_cancel_sends(std::uint64_t token);
-  /// Drive one submit+wait+drain round outside run() — the teardown path
-  /// that reaps in-flight completions after the loop has stopped. Returns
-  /// true when at least one completion was processed.
-  bool uring_reap_blocking(int timeout_ms);
 
   [[nodiscard]] TimerWheel& timers() noexcept { return wheel_; }
   /// Cached once per iteration; cheap enough to call from handlers.
@@ -222,67 +132,28 @@ class EventLoop {
   struct Registration {
     IoHandler* handler = nullptr;
     std::uint32_t interest = 0;
-    /// uring backend: generation tag carried by poll SQEs — a completion
-    /// whose generation no longer matches is stale (fd removed or
-    /// re-registered mid-flight) and is dropped.
-    std::uint32_t gen = 0;
-    /// uring backend: one-shot polls armed and not yet completed.
-    std::uint8_t polls_inflight = 0;
   };
 
   void dispatch(int fd, std::uint32_t events);
-  void drain_wakeup();
-  bool backend_add(int fd, std::uint32_t interest);
-  bool backend_modify(int fd, std::uint32_t interest);
-  void backend_remove(int fd);
-  int backend_wait(int timeout_ms);
-  // uring plumbing (compiled to stubs elsewhere).
-  void arm_poll(int fd, Registration& reg, std::uint32_t interest);
-  void handle_uring_cqe(std::uint64_t user_data, std::int32_t res,
-                        std::uint32_t flags);
-  std::uint32_t next_poll_gen() noexcept;
 
   Options options_;
-  Backend backend_ = Backend::poll;
   TimerWheel wheel_;
   std::vector<Registration> table_;  ///< indexed by fd
   std::size_t nfds_ = 0;
   std::uint64_t now_ms_ = 0;
 
   int epoll_fd_ = -1;
-  int wake_read_fd_ = -1;
-  int wake_write_fd_ = -1;  ///< == wake_read_fd_ for eventfd
-
-  // Backend scratch, reused across iterations (no per-iteration allocation
-  // in steady state). poll_scratch_ is rebuilt only when registrations
-  // change; epoll_scratch_ is the ready-event output buffer.
-  std::vector<::pollfd> poll_scratch_;
-  bool poll_dirty_ = true;
-  std::vector<::epoll_event> epoll_scratch_;
+  int wake_fd_ = -1;  ///< eventfd
+  /// Ready-event output buffer, reused across iterations (no
+  /// per-iteration allocation in steady state).
+  std::vector<::epoll_event> ready_;
 
   util::UniqueFunction<void()> wake_handler_;
   util::UniqueFunction<void()> cycle_handler_;
 
-  UringSink* uring_sink_ = nullptr;
-  std::uint32_t poll_gen_ = 0;
-  // gateway.* submission metrics (uring backend only; resolved once).
-  obs::Counter* enters_ = nullptr;
-  obs::Counter* sqes_ = nullptr;
-  obs::Counter* sqe_batches_ = nullptr;
-  obs::Histogram* cqe_per_enter_ = nullptr;
-  std::uint64_t last_enters_ = 0;
-  std::uint64_t last_sqes_ = 0;
-  std::uint64_t last_batches_ = 0;
-
   std::atomic<bool> stop_{false};
   std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> loop_thread_id_{0};
-
-  // In-flight sendmsg headers/iovecs (kernel-referenced until their CQEs
-  // land); declared before uring_ so the ring — whose teardown reaps every
-  // in-flight op — is destroyed first.
-  std::unique_ptr<UringSendPool> send_pool_;
-  std::unique_ptr<Uring> uring_;
 };
 
 }  // namespace redundancy::net

@@ -1,7 +1,5 @@
 #include "net/gateway.hpp"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -17,6 +15,7 @@
 #include "core/voters.hpp"
 #include "obs/obs.hpp"
 #include "obs/slo.hpp"
+#include "util/env.hpp"
 #include "util/signals.hpp"
 #include "util/topology.hpp"
 
@@ -34,20 +33,8 @@ std::size_t loops_from_env_or_cores() noexcept {
       std::max<std::size_t>(std::thread::hardware_concurrency() / 2, 1), 8);
   const char* env = std::getenv("REDUNDANCY_GATEWAY_LOOPS");
   if (env == nullptr) return fallback;
-  std::size_t value = 0;
-  bool valid = *env != '\0';
-  for (const char* p = env; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') {
-      valid = false;
-      break;
-    }
-    value = value * 10 + static_cast<std::size_t>(*p - '0');
-    if (value > 64) {
-      valid = false;
-      break;
-    }
-  }
-  if (!valid || value == 0) {
+  const std::optional<std::uint64_t> value = util::parse_decimal(env, 1, 64);
+  if (!value) {
     std::fprintf(stderr,
                  "[redundancy] REDUNDANCY_GATEWAY_LOOPS='%s' is not a valid "
                  "loop count (expected an integer in 1..64); using %zu "
@@ -55,7 +42,7 @@ std::size_t loops_from_env_or_cores() noexcept {
                  env, fallback);
     return fallback;
   }
-  return value;
+  return static_cast<std::size_t>(*value);
 }
 
 }  // namespace
@@ -69,27 +56,19 @@ bool Gateway::start() {
                       ? std::min<std::size_t>(options_.loops, 64)
                       : loops_from_env_or_cores();
   if (n == 0) n = 1;
-  // Every reactor gets its own listener when the kernel can share the port;
-  // otherwise reactor 0 accepts alone and fans fds out (drain_adoptions).
-  const bool shard_listeners =
-      n > 1 && !options_.single_acceptor && ConnManager::reuseport_supported();
 
   reactors_.clear();
-  round_robin_.store(0, std::memory_order_relaxed);
   for (std::size_t i = 0; i < n; ++i) {
     auto reactor = std::make_unique<Reactor>();
     reactor->index = i;
-    EventLoop::Options loop_opts = options_.loop;
-    // Shard the loop-level submission metrics like the ConnManager's
-    // gateway.* families (empty label = the single-loop series).
-    if (n > 1) loop_opts.metric_label = "loop=" + std::to_string(i);
-    reactor->loop = std::make_unique<EventLoop>(std::move(loop_opts));
+    reactor->loop = std::make_unique<EventLoop>(options_.loop);
     if (!reactor->loop->ok()) {
       reactors_.clear();
       return false;
     }
+    // Every reactor binds its own listener on the shared port.
     ConnManager::Options conn = options_.conn;
-    conn.reuseport = shard_listeners;
+    conn.reuseport = n > 1;
     if (n > 1) conn.metric_label = "loop=" + std::to_string(i);
     if (i > 0) conn.port = reactors_.front()->manager->port();
     reactor->manager = std::make_unique<ConnManager>(*reactor->loop, conn);
@@ -105,10 +84,7 @@ bool Gateway::start() {
         [this, rp](std::uint64_t conn_id, const http::Request& request) {
           on_request(*rp, conn_id, request);
         });
-    reactor->loop->set_wake_handler([this, rp] {
-      drain_adoptions(*rp);
-      drain_completions(*rp);
-    });
+    reactor->loop->set_wake_handler([this, rp] { drain_completions(*rp); });
     reactor->loop->set_cycle_handler([this, rp] {
       // One submit_batch per loop iteration, covering every request parsed
       // during this iteration's dispatch phase.
@@ -118,29 +94,11 @@ bool Gateway::start() {
       if (!rp->completions.empty()) drain_completions(*rp);
     });
 
-    if ((shard_listeners || i == 0) && !reactor->manager->listen()) {
+    if (!reactor->manager->listen()) {
       reactors_.clear();
       return false;
     }
     reactors_.push_back(std::move(reactor));
-  }
-
-  if (!shard_listeners && n > 1) {
-    reactors_.front()->manager->set_accept_sink([this](int fd) {
-      const std::size_t i =
-          round_robin_.fetch_add(1, std::memory_order_relaxed) %
-          reactors_.size();
-      Reactor& target = *reactors_[i];
-      if (i == 0) {  // the acceptor IS reactor 0's loop thread
-        target.manager->adopt(fd);
-        return;
-      }
-      {
-        std::lock_guard lock(target.adopt_mutex);
-        target.adopt_queue.push_back(fd);
-      }
-      target.loop->wake();
-    });
   }
 
   running_.store(true, std::memory_order_release);
@@ -187,9 +145,6 @@ void Gateway::stop() {
       delete static_cast<Job*>(node);
       node = next;
     }
-    std::lock_guard lock(reactor->adopt_mutex);
-    for (const int fd : reactor->adopt_queue) ::close(fd);
-    reactor->adopt_queue.clear();
   }
   // Keep the (joined, drained) reactors so loops() and jobs_inflight(loop)
   // stay answerable after a clean stop — the e2e drill asserts per-loop
@@ -216,7 +171,7 @@ void Gateway::on_request(Reactor& reactor, std::uint64_t conn_id,
   job->request.path = std::string{request.path};
   job->request.query = std::string{request.query};
   job->request.body = std::string{request.body};
-  job->handler = &it->second;
+  job->route = &it->second;
   job->t0_ns = obs::now_ns();
   if (obs::flight_enabled()) {
     // Arrival breadcrumb: a crash dump shows what was *in flight*, not
@@ -230,7 +185,7 @@ void Gateway::on_request(Reactor& reactor, std::uint64_t conn_id,
 
 void Gateway::run_job(Job* job) noexcept {
   try {
-    job->response = (*job->handler)(job->request);
+    job->response = job->route->handler(job->request);
   } catch (...) {
     job->response = {500, "text/plain; charset=utf-8", "handler error\n"};
   }
@@ -254,7 +209,7 @@ void Gateway::drain_completions(Reactor& reactor) {
     auto* job = static_cast<Job*>(node);
     const int status = job->response.status;
     const std::uint64_t latency_ns = obs::now_ns() - job->t0_ns;
-    if (options_.slo != nullptr) {
+    if (options_.slo != nullptr && job->route->scored) {
       // The request class is the exact route path; 5xx is an availability
       // error regardless of latency, anything else is judged against the
       // class's latency target.
@@ -273,16 +228,6 @@ void Gateway::drain_completions(Reactor& reactor) {
   reactor.manager->flush_batch();
 }
 
-void Gateway::drain_adoptions(Reactor& reactor) {
-  std::vector<int> fds;
-  {
-    std::lock_guard lock(reactor.adopt_mutex);
-    if (reactor.adopt_queue.empty()) return;
-    fds.swap(reactor.adopt_queue);
-  }
-  for (const int fd : fds) reactor.manager->adopt(fd);
-}
-
 http::Response Gateway::serve_cached(
     OpsCache& cache, const std::function<http::Response()>& render) {
   const std::uint64_t ttl_ns = options_.ops_cache_ttl_ms * 1'000'000ULL;
@@ -294,42 +239,43 @@ http::Response Gateway::serve_cached(
   }
   cache.response = render();
   cache.rendered_at_ns = now;
-  obs::counter("gateway.ops_renders").add();
+  obs::counter("gateway.ops_renders", options_.conn.metric_label).add();
   return cache.response;
+}
+
+void Gateway::add_ops_route(std::string path, Handler handler) {
+  routes_.try_emplace(std::move(path), Route{std::move(handler),
+                                             /*scored=*/false});
 }
 
 void Gateway::install_builtin_routes() {
   // The ops routes serve a short-TTL cached render: a scrape storm (or a
   // scraper polling faster than the TTL) costs at most one registry walk
   // per TTL, so scraping can never stall request I/O behind it.
-  if (routes_.find("/metrics") == routes_.end()) {
-    add_route("/metrics", [this](const Request&) -> http::Response {
-      return serve_cached(metrics_cache_, [] {
-        obs::Recorder::instance().flush();
-        return http::Response{
-            200, "text/plain; version=0.0.4; charset=utf-8",
-            obs::MetricsRegistry::instance().render_prometheus_text()};
-      });
+  add_ops_route("/metrics", [this](const Request&) -> http::Response {
+    return serve_cached(metrics_cache_, [] {
+      obs::Recorder::instance().flush();
+      return http::Response{
+          200, "text/plain; version=0.0.4; charset=utf-8",
+          obs::MetricsRegistry::instance().render_prometheus_text()};
     });
-  }
-  if (routes_.find("/healthz") == routes_.end()) {
-    core::HealthTracker* health = options_.health;
-    add_route("/healthz", [this, health](const Request&) -> http::Response {
-      return serve_cached(healthz_cache_, [health] {
-        if (health == nullptr) {
-          return http::Response{200, "text/plain; charset=utf-8", "ok\n"};
-        }
-        obs::Recorder::instance().flush();
-        const core::HealthState state = health->overall();
-        return http::Response{state == core::HealthState::failing ? 503 : 200,
-                              "text/plain; charset=utf-8",
-                              health->healthz_text()};
-      });
+  });
+  core::HealthTracker* health = options_.health;
+  add_ops_route("/healthz", [this, health](const Request&) -> http::Response {
+    return serve_cached(healthz_cache_, [health] {
+      if (health == nullptr) {
+        return http::Response{200, "text/plain; charset=utf-8", "ok\n"};
+      }
+      obs::Recorder::instance().flush();
+      const core::HealthState state = health->overall();
+      return http::Response{state == core::HealthState::failing ? 503 : 200,
+                            "text/plain; charset=utf-8",
+                            health->healthz_text()};
     });
-  }
-  if (options_.slo != nullptr && routes_.find("/slo") == routes_.end()) {
+  });
+  if (options_.slo != nullptr) {
     obs::SloTracker* slo = options_.slo;
-    add_route("/slo", [this, slo](const Request&) -> http::Response {
+    add_ops_route("/slo", [this, slo](const Request&) -> http::Response {
       return serve_cached(slo_cache_, [slo] {
         obs::Recorder::instance().flush();
         return http::Response{200, "application/x-ndjson",
@@ -337,17 +283,14 @@ void Gateway::install_builtin_routes() {
       });
     });
   }
-  if (routes_.find("/debug/flight") == routes_.end()) {
-    add_route("/debug/flight", [](const Request&) -> http::Response {
-      if (!obs::flight_enabled()) {
-        return {404, "text/plain; charset=utf-8",
-                "flight recorder disabled\n"};
-      }
-      obs::Recorder::instance().flush();
-      return {200, "application/x-ndjson",
-              obs::FlightRecorder::instance().dump_jsonl()};
-    });
-  }
+  add_ops_route("/debug/flight", [](const Request&) -> http::Response {
+    if (!obs::flight_enabled()) {
+      return {404, "text/plain; charset=utf-8", "flight recorder disabled\n"};
+    }
+    obs::Recorder::instance().flush();
+    return {200, "application/x-ndjson",
+            obs::FlightRecorder::instance().dump_jsonl()};
+  });
 }
 
 namespace {

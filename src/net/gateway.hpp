@@ -23,10 +23,8 @@
 // its own EventLoop, ConnManager, BatchRunner, CompletionQueue and timer
 // wheel; the only shared mutable state is the thread pool and the metrics
 // registry (both already concurrent). The kernel spreads connections
-// across the listeners by 4-tuple hash (SO_REUSEPORT); where that is
-// unavailable (or single_acceptor is set) reactor 0 accepts alone and
-// round-robins fds to the other loops through their wakeup path. Reactor
-// threads pin cluster-first using the sysfs topology probe.
+// across the listeners by 4-tuple hash (SO_REUSEPORT). Reactor threads pin
+// cluster-first using the sysfs topology probe.
 //
 // Loop count: Options::loops, else REDUNDANCY_GATEWAY_LOOPS (strict
 // decimal, 1..64, loudly ignored otherwise), else min(max(cores/2,1), 8).
@@ -36,9 +34,12 @@
 // Route handlers run on pool workers and return an http::Response; the
 // built-in demo routes put the paper's redundancy patterns directly on the
 // serving path (hedged sequential alternatives with the result cache,
-// N-of-M voting). /metrics, /healthz and /slo are served in-process from a
-// short-TTL cached render, so a scrape storm costs at most one render per
-// TTL instead of stalling request I/O behind the registry walk.
+// N-of-M voting). The built-in ops routes /metrics, /healthz and /slo are
+// served in-process from a short-TTL cached render, so a scrape storm costs
+// at most one render per TTL instead of stalling request I/O behind the
+// registry walk; /debug/flight dumps the flight recorder. Only the routes
+// the caller added are scored against Options::slo — a scraper polling the
+// ops routes never becomes an SLO class of its own.
 #pragma once
 
 #include <atomic>
@@ -90,9 +91,10 @@ class Gateway {
     /// When set, /healthz folds this tracker's verdict-derived state in
     /// (503 on failing) instead of the plain liveness answer.
     core::HealthTracker* health = nullptr;
-    /// When set, every completed request is scored against its path's SLO
-    /// class (status < 500 and within the latency target = good) and the
-    /// gateway serves `GET /slo` with the tracker's windowed snapshot.
+    /// When set, every completed request on a caller-added route is scored
+    /// against its path's SLO class (status < 500 and within the latency
+    /// target = good) and the gateway serves `GET /slo` with the tracker's
+    /// windowed snapshot.
     obs::SloTracker* slo = nullptr;
     /// Reactor count. 0 = REDUNDANCY_GATEWAY_LOOPS, else the core-derived
     /// default (see file comment). 1 disables all sharding machinery.
@@ -100,9 +102,6 @@ class Gateway {
     /// Pin reactor threads cluster-first via the topology probe (only when
     /// loops > 1; pinning is best-effort and never fails start()).
     bool pin_reactors = true;
-    /// Force the single-acceptor fallback even where SO_REUSEPORT works —
-    /// reactor 0 accepts and round-robins fds to the other loops.
-    bool single_acceptor = false;
     /// TTL of the cached /metrics//healthz//slo renders; 0 renders every
     /// scrape (the classic behaviour).
     std::uint64_t ops_cache_ttl_ms = 100;
@@ -116,11 +115,11 @@ class Gateway {
 
   /// Register a handler for an exact path. Before start() only.
   void add_route(std::string path, Handler handler) {
-    routes_[std::move(path)] = std::move(handler);
+    routes_[std::move(path)] = Route{std::move(handler), /*scored=*/true};
   }
 
-  /// Bind, install /metrics + /healthz, spawn the loop threads. False when
-  /// a socket or backend could not be set up. Ignores SIGPIPE.
+  /// Bind, install the ops routes, spawn the loop threads. False when a
+  /// socket or event loop could not be set up. Ignores SIGPIPE.
   bool start();
 
   /// Stop every loop, close every connection, and wait for in-flight jobs
@@ -136,11 +135,10 @@ class Gateway {
   }
   /// Reactor count actually running (resolved at start()).
   [[nodiscard]] std::size_t loops() const noexcept { return reactors_.size(); }
-  /// The event-loop backend the reactors actually run (resolved at
-  /// start(): automatic → uring/epoll/poll by probe + env knob).
+  /// Always epoll. Kept only because perfbench compiles against it; it goes
+  /// once a benchmark change drops that use.
   [[nodiscard]] EventLoop::Backend backend() const noexcept {
-    return reactors_.empty() ? EventLoop::Backend::automatic
-                             : reactors_.front()->loop->backend();
+    return EventLoop::Backend::epoll;
   }
   /// Jobs created minus jobs completed/dropped, summed over all reactors
   /// (for tests; exact once the loops are stopped).
@@ -159,6 +157,13 @@ class Gateway {
   }
 
  private:
+  struct Route {
+    Handler handler;
+    /// Scored against Options::slo: true for caller-added routes, false
+    /// for the built-in ops routes.
+    bool scored = true;
+  };
+
   /// One front-door shard: everything a loop thread touches, owned by it.
   struct Reactor {
     std::size_t index = 0;
@@ -168,10 +173,6 @@ class Gateway {
     CompletionQueue completions;
     std::thread thread;
     std::atomic<std::uint64_t> jobs_inflight{0};
-    /// Fallback-acceptor handoff: fds pushed by reactor 0, adopted on this
-    /// loop's wake path. Cold (accept-rate) path — a mutex is fine.
-    std::mutex adopt_mutex;
-    std::vector<int> adopt_queue;
   };
 
   struct Job : CompletionNode {
@@ -179,7 +180,7 @@ class Gateway {
     std::uint64_t seq = 0;      ///< pipeline slot within the connection
     Reactor* reactor = nullptr; ///< owning loop: completions go only here
     Request request;
-    const Handler* handler = nullptr;  ///< owned by routes_, outlives the job
+    const Route* route = nullptr;  ///< owned by routes_, outlives the job
     http::Response response;
     std::uint64_t t0_ns = 0;  ///< arrival timestamp (SLO/flight latency)
   };
@@ -197,15 +198,15 @@ class Gateway {
                   const http::Request& request);
   void run_job(Job* job) noexcept;
   void drain_completions(Reactor& reactor);
-  void drain_adoptions(Reactor& reactor);
+  /// Install a built-in ops route unless the caller registered that path.
+  void add_ops_route(std::string path, Handler handler);
   void install_builtin_routes();
   http::Response serve_cached(OpsCache& cache,
                               const std::function<http::Response()>& render);
 
   Options options_;
-  std::map<std::string, Handler, std::less<>> routes_;
+  std::map<std::string, Route, std::less<>> routes_;
   std::vector<std::unique_ptr<Reactor>> reactors_;
-  std::atomic<std::size_t> round_robin_{0};
   OpsCache metrics_cache_;
   OpsCache healthz_cache_;
   OpsCache slo_cache_;

@@ -1,21 +1,19 @@
-// net::http — the minimal HTTP/1.1 framing shared by every socket server
-// in the tree.
+// net::http — the minimal HTTP/1.1 framing of the tree's one socket server.
 //
-// Two components speak HTTP on real sockets: the obs::HttpExporter scrape
-// endpoint (one connection at a time, Connection: close) and the
-// net::Gateway serving path (thousands of keep-alive connections through
-// the event loop). Both need exactly the same small slice of the
-// protocol — a request head, an optional Content-Length body, a response
-// head — and nothing else. This header is that slice, written as pure
-// functions over byte buffers so it is trivially testable and owns no I/O:
+// net::Gateway speaks HTTP on real sockets — the serving path (thousands of
+// keep-alive connections through the event loop) and the live-telemetry
+// ops endpoint alike. It needs exactly a small slice of the protocol — a
+// request head, an optional Content-Length body, a response head — and
+// nothing else. This header is that slice, written as pure functions over
+// byte buffers so it is trivially testable and owns no I/O:
 //
 //   * parse_request() consumes one request from the front of a buffer and
 //     reports incomplete / ok / bad / too_large. Incremental by design:
 //     callers append recv()'d bytes and re-parse; a request split across
 //     any number of reads parses identically to one delivered whole
 //     (the gateway's partial-read state machine leans on this).
-//   * response_head() serializes the status line + the three headers both
-//     servers emit (Content-Type, Content-Length, Connection).
+//   * response_head() serializes the status line + the three headers every
+//     response carries (Content-Type, Content-Length, Connection).
 //   * query_param() pulls "key=value" integers out of a query string
 //     ("/traces?n=32", "/fast?x=1234").
 //
@@ -70,14 +68,14 @@ struct ParseResult {
 /// Parse one request *head* from the front of `buffer`: ok as soon as the
 /// \r\n\r\n terminator and a well-formed request line are buffered, without
 /// waiting for any declared body (`consumed` covers the head only; the
-/// body view stays empty, content_length reports the declaration). This is
-/// the exporter's contract — it answers GETs and never reads bodies.
-/// `max_request_bytes` caps the head (0 = unlimited); a terminator still
-/// missing once the buffer passed the cap is too_large. Request-smuggling
-/// guard: a Content-Length that fails to parse as a plain decimal (signs,
-/// comma lists, overflow), a *repeated* Content-Length header (even with an
-/// identical value), or any Transfer-Encoding header (chunked framing is
-/// unimplemented) is bad — the caller answers 400 and closes.
+/// body view stays empty, content_length reports the declaration);
+/// parse_request() builds on it. `max_request_bytes` caps the head (0 =
+/// unlimited); a terminator still missing once the buffer passed the cap is
+/// too_large. Request-smuggling guard: a Content-Length that fails to parse
+/// as a plain decimal (signs, comma lists, overflow), a *repeated*
+/// Content-Length header (even with an identical value), or any
+/// Transfer-Encoding header (chunked framing is unimplemented) is bad — the
+/// caller answers 400 and closes.
 [[nodiscard]] ParseResult parse_head(std::string_view buffer,
                                      std::size_t max_request_bytes = 0);
 
@@ -88,8 +86,8 @@ struct ParseResult {
 [[nodiscard]] ParseResult parse_request(std::string_view buffer,
                                         std::size_t max_request_bytes = 0);
 
-/// Standard reason phrase for the status codes the servers emit (unknown
-/// codes fall back to "OK", matching the previous exporter behaviour).
+/// Standard reason phrase for the status codes the gateway emits (unknown
+/// codes fall back to "OK").
 [[nodiscard]] const char* reason_phrase(int status) noexcept;
 
 /// "HTTP/1.1 <status> <phrase>\r\nContent-Type: ...\r\nContent-Length:

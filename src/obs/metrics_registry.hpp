@@ -12,7 +12,7 @@
 // log2 `le` buckets plus `_sum`/`_count` — sorted by (family, label) so the
 // output is byte-deterministic regardless of registration order. Any
 // Prometheus scraper or promtool can consume a metrics_*.prom artifact (or a
-// live `GET /metrics` scrape from obs::HttpExporter) directly.
+// live `GET /metrics` scrape from net::Gateway) directly.
 #pragma once
 
 #include <iosfwd>

@@ -3,13 +3,13 @@
 // The Recorder drains per-thread buffers into every attached sink under one
 // sink lock, so sink implementations see events one batch at a time and need
 // no internal synchronisation beyond their own state — except RingTraceSink,
-// which is also read concurrently by the HTTP exporter thread and guards its
-// ring itself. Four implementations:
+// which is also read concurrently by the live-telemetry gateway's route
+// handlers and guards its ring itself. Four implementations:
 //
 //   JsonlTraceSink   — one JSON object per line (schema: EXPERIMENTS.md);
 //                      the machine-readable trace artifact (*.trace.jsonl).
 //   RingTraceSink    — bounded ring of the most recent *root* spans, served
-//                      live by obs::HttpExporter as `GET /traces?n=K`.
+//                      live by the telemetry gateway as `GET /traces?n=K`.
 //   CollectingSink   — keeps the records in memory; what tests assert on.
 //   NullSink         — counts and drops; the overhead-measurement baseline.
 #pragma once
@@ -78,8 +78,9 @@ class JsonlTraceSink final : public TraceSink {
 };
 
 /// Bounded ring of the most recent root spans, kept as ready-to-serve JSONL
-/// lines. The Recorder writes under the sink lock while the HTTP exporter
-/// thread reads tail() concurrently, so the ring carries its own mutex.
+/// lines. The Recorder writes under the sink lock while the telemetry
+/// gateway's route handlers read tail() concurrently, so the ring carries
+/// its own mutex.
 class RingTraceSink final : public TraceSink {
  public:
   explicit RingTraceSink(std::size_t capacity = 256);

@@ -7,6 +7,7 @@
 #include <exception>
 
 #include "obs/obs.hpp"
+#include "util/env.hpp"
 #include "util/topology.hpp"
 
 namespace redundancy::util {
@@ -638,31 +639,18 @@ std::size_t ThreadPool::shared_size_from_env() noexcept {
       std::max<std::size_t>(std::thread::hardware_concurrency(), 8);
   const char* env = std::getenv("REDUNDANCY_THREADS");
   if (env == nullptr) return fallback;
-  // Strict parse: decimal digits only (no sign, whitespace, or suffix),
-  // value in [1, 1024]. Anything else is loudly rejected — a silently
-  // mis-sized pool is exactly the kind of configuration fault this library
-  // exists to catch elsewhere.
-  std::size_t value = 0;
-  bool valid = *env != '\0';
-  for (const char* p = env; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') {
-      valid = false;
-      break;
-    }
-    value = value * 10 + static_cast<std::size_t>(*p - '0');
-    if (value > 1024) {
-      valid = false;
-      break;
-    }
-  }
-  if (!valid || value == 0) {
+  // Strict parse, value in [1, 1024]. Anything else is loudly rejected — a
+  // silently mis-sized pool is exactly the kind of configuration fault this
+  // library exists to catch elsewhere.
+  const std::optional<std::uint64_t> value = parse_decimal(env, 1, 1024);
+  if (!value) {
     std::fprintf(stderr,
                  "[redundancy] REDUNDANCY_THREADS='%s' is not a valid thread "
                  "count (expected an integer in 1..1024); using %zu threads\n",
                  env, fallback);
     return fallback;
   }
-  return value;
+  return static_cast<std::size_t>(*value);
 }
 
 ThreadPool& ThreadPool::shared() {

@@ -143,15 +143,13 @@ TEST(GatewayStress, CompletionsRacingLoopShutdown) {
 
 TEST(GatewayStress, MultiLoopCompletionsRacingStop) {
   // The multi-reactor variant of the shutdown race: M client threads spread
-  // over N loops (alternating rounds exercise both the SO_REUSEPORT shard
-  // path and the single-acceptor adopt-queue handoff), workers pushing
-  // completions to per-loop queues while stop() tears all the loops down.
+  // over N SO_REUSEPORT loops, workers pushing completions to per-loop
+  // queues while stop() tears all the loops down.
   // Correctness = zero jobs left in flight on any loop and no
   // touch-after-free across the per-reactor teardown (TSan would flag it).
   for (int round = 0; round < 10; ++round) {
     Gateway::Options options;
     options.loops = 3;
-    options.single_acceptor = (round % 2 == 1);
     Gateway gateway{options};
     gateway.add_route("/work",
                       [](const Gateway::Request& req) -> http::Response {

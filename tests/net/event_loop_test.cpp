@@ -1,10 +1,6 @@
-// EventLoop tests run against EVERY backend the host supports (io_uring
-// where the kernel allows it, epoll, and the poll fallback) wherever the
-// behaviour must be identical: readiness dispatch, cross-thread wake, timer
-// delivery, the cycle hook, and the remove-during-dispatch guarantee the
-// fd-indexed table provides. On the uring backend these exercise the
-// one-shot POLL_ADD readiness emulation, not the completion-mode path
-// (conn_manager_test covers that end to end).
+// EventLoop tests: readiness dispatch, cross-thread wake, timer delivery,
+// the cycle hook, interest changes, and the remove-during-dispatch
+// guarantee the fd-indexed table provides.
 #include "net/event_loop.hpp"
 
 #include <unistd.h>
@@ -14,23 +10,9 @@
 #include <atomic>
 #include <functional>
 #include <thread>
-#include <vector>
 
 namespace redundancy::net {
 namespace {
-
-std::vector<EventLoop::Backend> backends_under_test() {
-#ifdef __linux__
-  std::vector<EventLoop::Backend> backends{EventLoop::Backend::epoll,
-                                           EventLoop::Backend::poll};
-  if (EventLoop::uring_supported()) {
-    backends.push_back(EventLoop::Backend::uring);
-  }
-  return backends;
-#else
-  return {EventLoop::Backend::poll};
-#endif
-}
 
 struct Pipe {
   int read_fd = -1;
@@ -62,104 +44,89 @@ struct CountingHandler final : IoHandler {
   }
 };
 
-TEST(EventLoop, DispatchesReadableFdOnBothBackends) {
-  for (const EventLoop::Backend backend : backends_under_test()) {
-    EventLoop::Options options;
-    options.backend = backend;
-    EventLoop loop{options};
-    ASSERT_TRUE(loop.ok());
+TEST(EventLoop, DispatchesReadableFd) {
+  EventLoop loop;
+  ASSERT_TRUE(loop.ok());
 
-    Pipe pipe;
-    CountingHandler handler;
-    handler.fn = [&](std::uint32_t events) {
-      EXPECT_TRUE(events & kReadable);
-      pipe.drain();
-      loop.stop();
-    };
-    ASSERT_TRUE(loop.add(pipe.read_fd, kReadable, &handler));
-    pipe.poke();
-    loop.run();
-    EXPECT_EQ(handler.calls, 1);
-    loop.remove(pipe.read_fd);
-  }
+  Pipe pipe;
+  CountingHandler handler;
+  handler.fn = [&](std::uint32_t events) {
+    EXPECT_TRUE(events & kReadable);
+    pipe.drain();
+    loop.stop();
+  };
+  ASSERT_TRUE(loop.add(pipe.read_fd, kReadable, &handler));
+  pipe.poke();
+  loop.run();
+  EXPECT_EQ(handler.calls, 1);
+  loop.remove(pipe.read_fd);
 }
 
 TEST(EventLoop, WakeRunsWakeHandlerFromAnotherThread) {
-  for (const EventLoop::Backend backend : backends_under_test()) {
-    EventLoop::Options options;
-    options.backend = backend;
-    EventLoop loop{options};
-    ASSERT_TRUE(loop.ok());
+  EventLoop loop;
+  ASSERT_TRUE(loop.ok());
 
-    std::atomic<int> wakes{0};
-    loop.set_wake_handler([&] {
-      wakes.fetch_add(1);
-      loop.stop();
-    });
-    std::thread runner{[&] { loop.run(); }};
-    while (!loop.running()) std::this_thread::yield();
-    loop.wake();
-    runner.join();
-    EXPECT_GE(wakes.load(), 1);
-  }
+  std::atomic<int> wakes{0};
+  loop.set_wake_handler([&] {
+    wakes.fetch_add(1);
+    loop.stop();
+  });
+  std::thread runner{[&] { loop.run(); }};
+  while (!loop.running()) std::this_thread::yield();
+  loop.wake();
+  runner.join();
+  EXPECT_GE(wakes.load(), 1);
 }
 
 TEST(EventLoop, TimerFiresThroughOwnerHandler) {
-  for (const EventLoop::Backend backend : backends_under_test()) {
-    EventLoop::Options options;
-    options.backend = backend;
-    options.timer_tick_ms = 1;
-    options.idle_timeout_ms = 5;
-    EventLoop loop{options};
-    ASSERT_TRUE(loop.ok());
+  EventLoop::Options options;
+  options.timer_tick_ms = 1;
+  options.idle_timeout_ms = 5;
+  EventLoop loop{options};
+  ASSERT_TRUE(loop.ok());
 
-    CountingHandler handler;
-    TimerWheel::Timer timer{&handler};
-    handler.fn = [&](std::uint32_t events) {
-      EXPECT_EQ(events, 0u);  // timer fires deliver empty event sets
-      loop.stop();
-    };
-    loop.timers().arm(timer, monotonic_ms(), 20);
-    const std::uint64_t t0 = monotonic_ms();
-    loop.run();
-    EXPECT_EQ(handler.calls, 1);
-    EXPECT_GE(monotonic_ms() - t0, 19u);
-  }
+  CountingHandler handler;
+  TimerWheel::Timer timer{&handler};
+  handler.fn = [&](std::uint32_t events) {
+    EXPECT_EQ(events, 0u);  // timer fires deliver empty event sets
+    loop.stop();
+  };
+  loop.timers().arm(timer, monotonic_ms(), 20);
+  const std::uint64_t t0 = monotonic_ms();
+  loop.run();
+  EXPECT_EQ(handler.calls, 1);
+  EXPECT_GE(monotonic_ms() - t0, 19u);
 }
 
 TEST(EventLoop, RemoveDuringDispatchSkipsStaleReadiness) {
   // Two ready fds in one wait batch; the first handler removes the second
   // fd. The stale readiness record must be skipped — this is the
   // use-after-close hazard the fd-indexed table is designed against.
-  for (const EventLoop::Backend backend : backends_under_test()) {
-    EventLoop::Options options;
-    options.backend = backend;
-    EventLoop loop{options};
-    ASSERT_TRUE(loop.ok());
+  EventLoop loop;
+  ASSERT_TRUE(loop.ok());
 
-    Pipe a, b;
-    CountingHandler ha, hb;
-    // Dispatch order within a batch is backend-defined, so each handler
-    // removes the *other* fd: exactly one may run, whichever comes first.
-    ha.fn = [&](std::uint32_t) {
-      a.drain();
-      loop.remove(b.read_fd);
-      loop.stop();
-    };
-    hb.fn = [&](std::uint32_t) {
-      b.drain();
-      loop.remove(a.read_fd);
-      loop.stop();
-    };
-    ASSERT_TRUE(loop.add(a.read_fd, kReadable, &ha));
-    ASSERT_TRUE(loop.add(b.read_fd, kReadable, &hb));
-    a.poke();
-    b.poke();
-    loop.run();
-    EXPECT_EQ(ha.calls + hb.calls, 1);
-    loop.remove(a.read_fd);
+  Pipe a, b;
+  CountingHandler ha, hb;
+  // Dispatch order within a batch is up to epoll, so each handler
+  // removes the *other* fd: exactly one may run, whichever comes first.
+  ha.fn = [&](std::uint32_t) {
+    a.drain();
     loop.remove(b.read_fd);
-  }
+    loop.stop();
+  };
+  hb.fn = [&](std::uint32_t) {
+    b.drain();
+    loop.remove(a.read_fd);
+    loop.stop();
+  };
+  ASSERT_TRUE(loop.add(a.read_fd, kReadable, &ha));
+  ASSERT_TRUE(loop.add(b.read_fd, kReadable, &hb));
+  a.poke();
+  b.poke();
+  loop.run();
+  EXPECT_EQ(ha.calls + hb.calls, 1);
+  loop.remove(a.read_fd);
+  loop.remove(b.read_fd);
 }
 
 TEST(EventLoop, CycleHandlerRunsEveryIteration) {
@@ -176,38 +143,31 @@ TEST(EventLoop, CycleHandlerRunsEveryIteration) {
 }
 
 TEST(EventLoop, ModifyChangesInterestSet) {
-  for (const EventLoop::Backend backend : backends_under_test()) {
-    EventLoop::Options options;
-    options.backend = backend;
-    options.idle_timeout_ms = 5;
-    EventLoop loop{options};
-    ASSERT_TRUE(loop.ok());
+  EventLoop::Options options;
+  options.idle_timeout_ms = 5;
+  EventLoop loop{options};
+  ASSERT_TRUE(loop.ok());
 
-    Pipe pipe;
-    CountingHandler handler;
-    int iterations = 0;
-    handler.fn = [&](std::uint32_t) { FAIL() << "interest was cleared"; };
-    ASSERT_TRUE(loop.add(pipe.read_fd, kReadable, &handler));
-    ASSERT_TRUE(loop.modify(pipe.read_fd, 0));  // deaf to readability
-    pipe.poke();
-    loop.set_cycle_handler([&] {
-      if (++iterations == 3) loop.stop();
-    });
-    loop.run();
-    EXPECT_EQ(handler.calls, 0);
-    loop.remove(pipe.read_fd);
-  }
+  Pipe pipe;
+  CountingHandler handler;
+  int iterations = 0;
+  handler.fn = [&](std::uint32_t) { FAIL() << "interest was cleared"; };
+  ASSERT_TRUE(loop.add(pipe.read_fd, kReadable, &handler));
+  ASSERT_TRUE(loop.modify(pipe.read_fd, 0));  // deaf to readability
+  pipe.poke();
+  loop.set_cycle_handler([&] {
+    if (++iterations == 3) loop.stop();
+  });
+  loop.run();
+  EXPECT_EQ(handler.calls, 0);
+  loop.remove(pipe.read_fd);
 }
 
-TEST(EventLoop, EpollRequestedOffLinuxFailsClosed) {
-  EventLoop::Options options;
-  options.backend = EventLoop::Backend::epoll;
-  EventLoop loop{options};
-#ifdef __linux__
-  EXPECT_TRUE(loop.ok());
-#else
-  EXPECT_FALSE(loop.ok());
-#endif
+TEST(EventLoop, KeptBackendNamesReportEpoll) {
+  // perfbench still compiles against the backend names and records them
+  // in its host fingerprint: the loop is always epoll.
+  EXPECT_STREQ(EventLoop::backend_name(EventLoop::Backend::epoll), "epoll");
+  EXPECT_FALSE(EventLoop::uring_supported());
 }
 
 TEST(EventLoop, StopBeforeRunReturnsImmediately) {

@@ -110,6 +110,34 @@ TEST(Gateway, SloRouteAbsentWhenNoTrackerAttached) {
   gateway.stop();
 }
 
+TEST(Gateway, OpsRoutesAreNotScoredAsSloClasses) {
+  // The tracker auto-registers every class it is fed. Scraping the ops
+  // routes must not make them classes: a scraper polling /healthz would
+  // otherwise feed slo:/healthz verdicts into the /healthz it polls.
+  obs::SloTracker slo;
+  Gateway::Options options;
+  options.slo = &slo;
+  options.ops_cache_ttl_ms = 0;  // every /slo scrape renders fresh
+  Gateway gateway{options};
+  install_demo_routes(gateway);
+  ASSERT_TRUE(gateway.start());
+  ASSERT_EQ(http_get(gateway.port(), "/echo?x=1").status, 200);
+  const char* const ops[] = {"/metrics", "/healthz", "/slo", "/debug/flight"};
+  for (const char* route : ops) {
+    EXPECT_NE(http_get(gateway.port(), route).status, 0) << route;
+  }
+
+  const Reply reply = http_get(gateway.port(), "/slo");
+  ASSERT_EQ(reply.status, 200);
+  EXPECT_NE(reply.body.find("\"class\":\"/echo\""), std::string::npos);
+  for (const char* route : ops) {
+    EXPECT_EQ(reply.body.find("\"class\":\"" + std::string{route} + "\""),
+              std::string::npos)
+        << route;
+  }
+  gateway.stop();
+}
+
 TEST(Gateway, DebugFlightServesTheBlackBoxWhenEnabled) {
   Gateway gateway;
   install_demo_routes(gateway);

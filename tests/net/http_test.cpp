@@ -1,7 +1,7 @@
-// net::http parser/serializer unit tests: the framing contract both the
-// obs::HttpExporter and the net::Gateway rely on, exercised as pure
-// functions over byte buffers — including the split-across-reads
-// incrementality the gateway's partial-read state machine depends on.
+// net::http parser/serializer unit tests: the framing contract net::Gateway
+// relies on, exercised as pure functions over byte buffers — including the
+// split-across-reads incrementality the gateway's partial-read state
+// machine depends on.
 #include "net/http.hpp"
 
 #include <gtest/gtest.h>

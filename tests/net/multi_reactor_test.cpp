@@ -1,6 +1,5 @@
-// Multi-reactor gateway tests: SO_REUSEPORT loop sharding, the
-// single-acceptor fallback's round-robin fd handoff, response pipelining
-// with out-of-order completions, vectored send coalescing, the
+// Multi-reactor gateway tests: SO_REUSEPORT loop sharding, response
+// pipelining with out-of-order completions, vectored send coalescing, the
 // REDUNDANCY_GATEWAY_LOOPS knob, and the cached ops-route renders — all
 // over real loopback sockets.
 #include <gtest/gtest.h>
@@ -36,8 +35,8 @@ TEST(MultiReactor, ServesAcrossTwoLoops) {
   ASSERT_EQ(gateway.loops(), 2u);
   ASSERT_NE(gateway.port(), 0);
 
-  // Many short-lived connections: the kernel (or the fallback round-robin)
-  // spreads them over both loops; every one must be served correctly.
+  // Many short-lived connections: the kernel spreads them over both loops;
+  // every one must be served correctly.
   std::atomic<int> correct{0};
   std::vector<std::thread> clients;
   for (int c = 0; c < 4; ++c) {
@@ -99,41 +98,6 @@ TEST(MultiReactor, SingleLoopKeepsUnlabelledSeries) {
   // The classic single-reactor series name, no loop label.
   EXPECT_NE(metrics.body.find("gateway_accepted_total "), std::string::npos);
   gateway.stop();
-}
-
-TEST(MultiReactor, FallbackAcceptorRoundRobinsConnections) {
-  Gateway::Options options;
-  options.loops = 2;
-  options.single_acceptor = true;  // force the no-SO_REUSEPORT path
-  Gateway gateway{options};
-  install_demo_routes(gateway);
-  ASSERT_TRUE(gateway.start());
-
-  const std::uint64_t before0 =
-      obs::counter("gateway.accepted", "loop=0").total();
-  const std::uint64_t before1 =
-      obs::counter("gateway.accepted", "loop=1").total();
-
-  // Four connections, one round trip each (the round trip proves the
-  // adopting loop actually owns and serves the fd).
-  std::vector<int> fds;
-  for (int c = 0; c < 4; ++c) {
-    const int fd = connect_loopback(gateway.port());
-    ASSERT_GE(fd, 0);
-    ASSERT_TRUE(send_all(fd, "GET /echo?x=" + std::to_string(c) +
-                                 " HTTP/1.1\r\n\r\n"));
-    const Reply reply = read_response(fd);
-    ASSERT_TRUE(reply.complete);
-    EXPECT_EQ(reply.body, std::to_string(c) + "\n");
-    fds.push_back(fd);
-  }
-  for (const int fd : fds) ::close(fd);
-
-  // Strict alternation: 4 accepts → 2 per loop.
-  EXPECT_EQ(obs::counter("gateway.accepted", "loop=0").total() - before0, 2u);
-  EXPECT_EQ(obs::counter("gateway.accepted", "loop=1").total() - before1, 2u);
-  gateway.stop();
-  EXPECT_EQ(gateway.jobs_inflight(), 0u);
 }
 
 TEST(Gateway, LoopCountComesFromEnvKnob) {

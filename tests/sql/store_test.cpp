@@ -10,11 +10,19 @@
 namespace redundancy::sql {
 namespace {
 
-using Factory = StorePtr (*)();
+// The parameter carries the engine's name because test discovery names each
+// case after the printed parameter: a bare factory pointer would print as an
+// address that changes with every build and every run.
+struct Engine {
+  const char* name;
+  StorePtr (*make)();
+};
 
-class EngineTest : public ::testing::TestWithParam<Factory> {
+void PrintTo(const Engine& engine, std::ostream* os) { *os << engine.name; }
+
+class EngineTest : public ::testing::TestWithParam<Engine> {
  protected:
-  StorePtr store_ = GetParam()();
+  StorePtr store_ = GetParam().make();
 };
 
 TEST_P(EngineTest, CreateInsertSelect) {
@@ -107,7 +115,7 @@ TEST_P(EngineTest, ErrorsAreTyped) {
 }
 
 TEST_P(EngineTest, DigestIsOrderInsensitiveAndStateSensitive) {
-  auto other = GetParam()();
+  auto other = GetParam().make();
   ASSERT_TRUE(store_->create_table("t", {"id", "qty"}).has_value());
   ASSERT_TRUE(other->create_table("t", {"id", "qty"}).has_value());
   ASSERT_TRUE(store_->insert("t", {1, 10}).has_value());
@@ -121,9 +129,9 @@ TEST_P(EngineTest, DigestIsOrderInsensitiveAndStateSensitive) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, EngineTest,
-                         ::testing::Values(&make_vector_store,
-                                           &make_btree_store,
-                                           &make_log_store));
+                         ::testing::Values(Engine{"vector", &make_vector_store},
+                                           Engine{"btree", &make_btree_store},
+                                           Engine{"log", &make_log_store}));
 
 // --- differential property test ---------------------------------------------
 
