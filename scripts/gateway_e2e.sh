@@ -117,6 +117,22 @@ grep -q 'gateway_accepted_total{loop="1"}' "${OUT_DIR}/metrics_loops2.prom"
 grep -q 'gateway_requests_total{loop="0"}' "${OUT_DIR}/metrics_loops2.prom"
 grep -q 'gateway_requests_total{loop="1"}' "${OUT_DIR}/metrics_loops2.prom"
 
+# /echo is a short leaf: once 32 runs in a row stay under the 5 us inline
+# budget it runs on the loops. A run on a pool worker left cold by the
+# curl processes above can overrun the budget and restart that streak, so
+# keep-alive bursts of /echo follow until the loops report inline runs.
+inline_total() {
+  curl -sf "localhost:${PORT}/metrics" |
+    awk '/^gateway_inline_requests_total/ { n += $NF } END { print n + 0 }'
+}
+echo_burst=()
+for i in $(seq 1 64); do echo_burst+=("localhost:${PORT}/echo?x=${i}"); done
+for burst in $(seq 1 20); do
+  [ "$(inline_total)" -gt 0 ] && break
+  curl -sf "${echo_burst[@]}" > /dev/null
+done
+test "$(inline_total)" -gt 0
+
 kill "${server}"
 wait "${server}"   # exit code re-checks zero jobs in flight
 trap - EXIT

@@ -178,48 +178,67 @@ void ConnManager::on_readable(Conn& conn) {
     teardown(conn);  // EOF or hard error
     return;
   }
-  if (can_parse(conn)) try_parse(conn);
+  try_parse(conn);
 }
 
 bool ConnManager::can_parse(const Conn& conn) const noexcept {
   if (conn.state == ConnState::draining || conn.no_more_requests) return false;
-  if (conn.slots.size() >= options_.max_pipeline) return false;
-  // Lockstep (max_pipeline == 1) also waits for the previous response to
-  // leave the socket before parsing the next request — the historical
-  // single-request-in-flight discipline the unit tests pin down.
-  return options_.max_pipeline > 1 || conn.flushq.empty();
+  // A request holds its slot until its response has left the socket, so a
+  // lockstep connection (max_pipeline == 1) parses the next request only
+  // after the previous response is flushed — the historical
+  // single-request-in-flight discipline the unit tests pin down — and a
+  // pipelining peer that stops reading cannot make responses pile up.
+  return conn.slots.size() + conn.unsent < options_.max_pipeline;
 }
 
 void ConnManager::try_parse(Conn& conn) {
+  const std::uint64_t id = conn.id;
+  while (can_parse(conn) && conn.in_off < conn.in.size()) {
+    const std::size_t consumed = parse_pass(conn);
+    // A handler may have torn the connection down; flushes cannot have.
+    if (conns_.find(id) == conns_.end()) return;
+    flush_conn(conn);
+    if (conns_.find(id) == conns_.end() || consumed == 0) return;
+  }
+}
+
+std::size_t ConnManager::parse_pass(Conn& conn) {
+  const std::uint64_t id = conn.id;
+  std::size_t consumed = 0;
+  conn.parsing = true;
   while (can_parse(conn)) {
-    const http::ParseResult r =
-        http::parse_request(conn.in, options_.max_request_bytes);
-    switch (r.status) {
-      case http::ParseStatus::incomplete:
-        // Deliberately no timer refresh: the idle deadline covers the
-        // *whole* request, so trickled bytes never extend it (slow loris).
-        return;
-      case http::ParseStatus::bad:
-        bad_requests_->add();
-        respond_now(conn, 400, "bad request\n");
-        return;
-      case http::ParseStatus::too_large:
-        bad_requests_->add();
-        respond_now(conn, 431, "request too large\n");
-        return;
-      case http::ParseStatus::ok:
-        break;
+    const http::ParseResult r = http::parse_request(
+        std::string_view{conn.in}.substr(conn.in_off),
+        options_.max_request_bytes);
+    if (r.status == http::ParseStatus::incomplete) {
+      // Deliberately no timer refresh: the idle deadline covers the
+      // *whole* request, so trickled bytes never extend it (slow loris).
+      break;
     }
+    if (r.status != http::ParseStatus::ok) {
+      bad_requests_->add();
+      if (r.status == http::ParseStatus::bad) {
+        respond_now(conn, 400, "bad request\n");
+      } else {
+        respond_now(conn, 431, "request too large\n");
+      }
+      break;
+    }
+    // Consumed by advancing the offset; the request's views stay valid
+    // through the handler call because `in` is only compacted (and only
+    // appended to) between passes.
+    conn.in_off += r.consumed;
+    ++consumed;
     requests_->add();
     in_hwm_ = std::max(r.consumed, in_hwm_ - in_hwm_ / 16);
     if (inflight_ >= options_.max_inflight) {
       shed_inflight_->add();
       respond_now(conn, 503, "overloaded\n");
-      return;
+      break;
     }
     if (!handler_) {
       respond_now(conn, 500, "no handler\n");
-      return;
+      break;
     }
     Slot slot;
     slot.seq = conn.next_seq++;
@@ -228,23 +247,24 @@ void ConnManager::try_parse(Conn& conn) {
     if (slot.close_after) conn.no_more_requests = true;
     conn.slots.push_back(std::move(slot));
     ++inflight_;
-    update_state(conn);     // reading → dispatched: cancel the idle timer
-    update_interest(conn);  // pipeline full → stop reading (backpressure)
-    // Consume the request BEFORE the handler runs: an inline respond()
-    // re-enters try_parse via the flush path, and must only ever see the
-    // pipelined tail. swap keeps the parsed views (which point into the old
-    // buffer) valid for the duration of the handler call.
-    std::string request_bytes;
-    request_bytes.swap(conn.in);
-    conn.in.assign(request_bytes, r.consumed, std::string::npos);
-    const std::uint64_t id = conn.id;  // an inline respond() may destroy conn
+    update_state(conn);  // reading → dispatched: cancel the idle timer
     dispatching_seq_ = conn.slots.back().seq;
     handler_(id, r.request);
     dispatching_seq_ = 0;
-    // conn may now be gone or in any state (an inline handler may have
-    // already responded — and even served pipelined follow-ups).
-    if (conns_.find(id) == conns_.end()) return;
+    if (conns_.find(id) == conns_.end()) return consumed;
   }
+  conn.parsing = false;
+  // Compact once per pass, and only when the parsed prefix outweighs the
+  // rest: every byte is moved at most once more than it is parsed, however
+  // many passes a long pipelined burst takes.
+  if (conn.in_off == conn.in.size()) {
+    conn.in.clear();
+    conn.in_off = 0;
+  } else if (conn.in_off * 2 >= conn.in.size()) {
+    conn.in.erase(0, conn.in_off);
+    conn.in_off = 0;
+  }
+  return consumed;
 }
 
 void ConnManager::respond(std::uint64_t conn_id, http::Response response) {
@@ -319,6 +339,7 @@ void ConnManager::respond_now(Conn& conn, int status, std::string body) {
 void ConnManager::promote(Conn& conn) {
   while (!conn.slots.empty() && conn.slots.front().answered) {
     Slot& slot = conn.slots.front();
+    ++conn.unsent;
     const bool close_after = slot.close_after;
     if (slot.body.empty()) {
       conn.flushq.push_back({std::move(slot.head), true, close_after});
@@ -331,7 +352,7 @@ void ConnManager::promote(Conn& conn) {
 }
 
 void ConnManager::flush_or_defer(Conn& conn) {
-  if (conn.flushq.empty()) return;
+  if (conn.flushq.empty() || conn.parsing) return;
   if (batching_) {
     if (!conn.in_dirty) {
       conn.in_dirty = true;
@@ -339,7 +360,7 @@ void ConnManager::flush_or_defer(Conn& conn) {
     }
     return;
   }
-  flush_conn(conn);
+  flush_and_resume(conn);
 }
 
 void ConnManager::begin_batch() { batching_ = true; }
@@ -347,12 +368,12 @@ void ConnManager::begin_batch() { batching_ = true; }
 void ConnManager::flush_batch() {
   batching_ = false;
   // Index loop, id re-lookup each step: a flush may tear its connection
-  // down (or, via an inline parse, dirty another one mid-iteration).
+  // down (or, via a resumed parse, answer another one mid-iteration).
   for (std::size_t i = 0; i < dirty_.size(); ++i) {
     auto it = conns_.find(dirty_[i]);
     if (it == conns_.end()) continue;
     it->second->in_dirty = false;
-    flush_conn(*it->second);
+    flush_and_resume(*it->second);
   }
   dirty_.clear();
 }
@@ -402,8 +423,14 @@ void ConnManager::flush_conn(Conn& conn) {
   }
   update_state(conn);
   update_interest(conn);
+}
+
+void ConnManager::flush_and_resume(Conn& conn) {
+  const std::uint64_t id = conn.id;
+  flush_conn(conn);
   // Pipelined bytes may already hold the next request.
-  if (!conn.in.empty() && can_parse(conn)) try_parse(conn);
+  const auto it = conns_.find(id);
+  if (it != conns_.end()) try_parse(*it->second);
 }
 
 void ConnManager::advance_flush(Conn& conn, std::size_t n) {
@@ -413,6 +440,7 @@ void ConnManager::advance_flush(Conn& conn, std::size_t n) {
     const Chunk& chunk = conn.flushq.front();
     conn.flush_off -= chunk.data.size();
     if (chunk.end_of_response) {
+      --conn.unsent;
       responses_->add();
       if (chunk.close_after) conn.close_now = true;
     }
@@ -422,7 +450,7 @@ void ConnManager::advance_flush(Conn& conn, std::size_t n) {
 
 void ConnManager::on_writable(Conn& conn) {
   if (conn.flushq.empty()) return;
-  flush_conn(conn);
+  flush_and_resume(conn);
 }
 
 void ConnManager::update_state(Conn& conn) {
@@ -463,8 +491,7 @@ void ConnManager::update_interest(Conn& conn) {
   } else {
     if (conn.want_write) want |= kWritable;
     if (!conn.no_more_requests &&
-        conn.slots.size() < options_.max_pipeline &&
-        (options_.max_pipeline > 1 || conn.flushq.empty())) {
+        conn.slots.size() + conn.unsent < options_.max_pipeline) {
       want |= kReadable;
     }
   }
@@ -477,6 +504,7 @@ void ConnManager::start_drain(Conn& conn) {
   conn.state = ConnState::draining;
   state_draining_->add();
   conn.in.clear();
+  conn.in_off = 0;
   ::shutdown(conn.fd, SHUT_WR);
   loop_.modify(conn.fd, kReadable);
   conn.interest = kReadable;

@@ -13,11 +13,14 @@
 //                 partial reads — a slow-loris client dribbling one byte
 //                 per tick cannot hold a slot past the deadline.
 //   * dispatched: up to `max_pipeline` complete requests handed to the
-//                 request handler (the gateway batches them into the
-//                 engine). Once the pipeline is full, read interest is
+//                 request handler (the gateway answers short routes on the
+//                 spot and batches the rest into the engine). A request
+//                 holds its pipeline slot until its response has left the
+//                 socket; once the pipeline is full, read interest is
 //                 dropped — further pipelined bytes stay buffered but
 //                 unparsed, so a client cannot force unbounded in-flight
-//                 work; no timer runs (the handler owns its own latency).
+//                 work or response buffering; no timer runs (the handler
+//                 owns its own latency).
 //   * writing:    flushing responses. Responses may settle out of order
 //                 but are sent strictly in request order: each dispatched
 //                 request holds a sequence-numbered slot, and only the
@@ -30,6 +33,12 @@
 //   * draining:   response sent with Connection: close — shutdown(SHUT_WR)
 //                 then discard input until EOF (or a drain deadline), the
 //                 lingering close that lets the peer read the final bytes.
+//
+// Parsing runs in passes, iterated and never recursed: a pass dispatches
+// every buffered request the pipeline admits, consuming each by advancing
+// an offset into the input buffer, and ends in one vectored flush of the
+// responses the handler gave inline during it. A respond() for a
+// connection inside its own pass only queues; the pass flushes.
 //
 // Admission control happens at the two edges: accept() sheds beyond
 // max_connections (accept-then-close, cheapest possible refusal), and a
@@ -84,10 +93,10 @@ class ConnManager final : public IoHandler {
     int sndbuf_bytes = 0;
     /// Set SO_REUSEPORT before bind so N reactors can share one port.
     bool reuseport = false;
-    /// Parsed-but-unanswered requests allowed per connection. 1 (the
-    /// default) is the classic lockstep: one request in flight, reads
-    /// paused until its response is flushed. >1 enables pipelining —
-    /// responses still go out in request order.
+    /// Parsed requests whose responses have not yet left the socket,
+    /// allowed per connection. 1 (the default) is the classic lockstep:
+    /// one request in flight, reads paused until its response is flushed.
+    /// >1 enables pipelining — responses still go out in request order.
     std::size_t max_pipeline = 1;
     /// Label spec for this manager's gateway.* metrics ("loop=0" renders
     /// `{loop="0"}`); empty = the unlabelled single-loop series.
@@ -103,9 +112,11 @@ class ConnManager final : public IoHandler {
   /// Invoked on the loop thread once per parsed request. The Request's
   /// views are valid only for the duration of the call — copy what the
   /// handler needs. The handler must eventually cause respond(conn_id,...)
-  /// on the loop thread (or the connection dies by timeout/teardown).
-  /// During the call dispatching_seq() names the request's pipeline slot;
-  /// handlers that defer must capture it for the 3-arg respond().
+  /// on the loop thread (or the connection dies by timeout/teardown); it
+  /// may do so before returning, and that response leaves with the rest of
+  /// the parse pass. During the call dispatching_seq() names the request's
+  /// pipeline slot; handlers that defer must capture it for the 3-arg
+  /// respond().
   using RequestHandler =
       util::UniqueFunction<void(std::uint64_t conn_id,
                                 const http::Request& request)>;
@@ -195,12 +206,15 @@ class ConnManager final : public IoHandler {
     bool close_now = false;         ///< close response flushed: drain next
     bool want_write = false;        ///< last flush hit EAGAIN
     bool in_dirty = false;          ///< queued in the batch dirty list
+    bool parsing = false;           ///< inside a parse pass: it flushes
     std::uint32_t interest = kReadable;  ///< current epoll interest (cached)
     std::uint64_t next_seq = 1;
     std::string in;
+    std::size_t in_off = 0;    ///< parsed bytes at the front of `in`
     std::deque<Slot> slots;    ///< dispatched requests, parse order
     std::deque<Chunk> flushq;  ///< response bytes ready for the wire
     std::size_t flush_off = 0;  ///< sent bytes of flushq.front()
+    std::size_t unsent = 0;     ///< responses in flushq not fully sent
     TimerWheel::Timer timer;   ///< detaches itself on Conn destruction
   };
 
@@ -213,18 +227,26 @@ class ConnManager final : public IoHandler {
   void on_timeout(Conn& conn);
   /// May this connection parse + dispatch another request right now?
   [[nodiscard]] bool can_parse(const Conn& conn) const noexcept;
-  /// Parse as many buffered requests as admission and the pipeline allow.
+  /// Run parse passes until the buffer, admission or the pipeline stops
+  /// them; each pass ends in one flush. May tear the connection down.
   void try_parse(Conn& conn);
+  /// One pass: dispatch what the pipeline admits, then compact the input.
+  /// Returns the requests consumed; the caller flushes.
+  std::size_t parse_pass(Conn& conn);
   /// Queue a locally-generated response (400/408/431/503) and close after.
   void respond_now(Conn& conn, int status, std::string body);
   /// Move the contiguous answered slot prefix onto the flush queue.
   void promote(Conn& conn);
   /// Flush queued responses (vectored sendmsg until empty or EAGAIN); may
-  /// tear the connection down — callers re-find by id afterwards.
+  /// tear the connection down — callers re-find by id afterwards. Never
+  /// parses.
   void flush_conn(Conn& conn);
+  /// flush_conn, then parse the requests the flush freed the pipeline for.
+  void flush_and_resume(Conn& conn);
   /// Pop fully-sent chunks after a successful send of `n` bytes.
   void advance_flush(Conn& conn, std::size_t n);
-  /// Flush now, or mark dirty inside a begin_batch()/flush_batch() window.
+  /// Flush now; or leave it to the connection's parse pass; or mark the
+  /// connection dirty inside a begin_batch()/flush_batch() window.
   void flush_or_defer(Conn& conn);
   /// Recompute the priority-derived state; on a transition, bump the state
   /// counter and re-arm the state's deadline (idle/write) or cancel it.

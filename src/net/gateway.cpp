@@ -72,6 +72,8 @@ bool Gateway::start() {
     if (n > 1) conn.metric_label = "loop=" + std::to_string(i);
     if (i > 0) conn.port = reactors_.front()->manager->port();
     reactor->manager = std::make_unique<ConnManager>(*reactor->loop, conn);
+    reactor->inline_requests =
+        &obs::counter("gateway.inline_requests", conn.metric_label);
     reactor->batch = std::make_unique<util::BatchRunner>(options_.pool);
     // Route jobs take route-level locks (the demo routes serialize their
     // pattern instances): a pattern's helping wait must never run one
@@ -151,44 +153,89 @@ void Gateway::stop() {
   // zeros post-shutdown. start() clears the vector before rebuilding.
 }
 
+void Gateway::Placement::observe(std::uint64_t wall_ns,
+                                 bool submitted) noexcept {
+  if (submitted) {
+    fans_out_.store(true, std::memory_order_relaxed);
+    streak_.store(0, std::memory_order_relaxed);
+    return;
+  }
+  const std::uint32_t streak = streak_.load(std::memory_order_relaxed);
+  if (wall_ns >= kInlineBudgetNs) {
+    if (streak != 0) streak_.store(0, std::memory_order_relaxed);
+  } else if (streak < kInlineStreak) {
+    // Concurrent pool runs may race this increment; the streak only needs
+    // to be roughly consecutive, not exact.
+    streak_.store(streak + 1, std::memory_order_relaxed);
+  }
+}
+
 void Gateway::on_request(Reactor& reactor, std::uint64_t conn_id,
                          const http::Request& request) {
   const auto it = routes_.find(request.path);
+  const std::uint64_t seq = reactor.manager->dispatching_seq();
   if (it == routes_.end()) {
     // Inline 404, addressed by pipeline slot: with pipelining, earlier
     // requests of this connection may still be on workers, and "oldest
     // unanswered" would be the wrong one.
     reactor.manager->respond(
-        conn_id, reactor.manager->dispatching_seq(),
-        {404, "text/plain; charset=utf-8", "not found\n"});
+        conn_id, seq, {404, "text/plain; charset=utf-8", "not found\n"});
     return;
   }
-  auto* job = new Job;
-  job->conn_id = conn_id;
-  job->seq = reactor.manager->dispatching_seq();
-  job->reactor = &reactor;
-  job->request.method = std::string{request.method};
-  job->request.path = std::string{request.path};
-  job->request.query = std::string{request.query};
-  job->request.body = std::string{request.body};
-  job->route = &it->second;
-  job->t0_ns = obs::now_ns();
+  Route& route = it->second;
+  const std::uint64_t t0_ns = obs::now_ns();
   if (obs::flight_enabled()) {
     // Arrival breadcrumb: a crash dump shows what was *in flight*, not
     // only what completed. a=0 marks arrival (completion carries status).
     obs::FlightRecorder::instance().record(obs::FlightKind::gateway,
-                                           job->request.path, 0, 0, 0, true);
+                                           request.path, 0, 0, 0, true);
   }
+  Request owned{std::string{request.method}, std::string{request.path},
+                std::string{request.query}, std::string{request.body}};
+  if (route.placement.on_loop()) {
+    // A short leaf: answering here saves the loop → worker → loop trip,
+    // and the response leaves with this parse pass's flush.
+    http::Response response = run_route(route, owned);
+    reactor.inline_requests->add();
+    settle(route, owned.path, response.status, t0_ns);
+    reactor.manager->respond(conn_id, seq, std::move(response));
+    return;
+  }
+  auto* job = new Job;
+  job->conn_id = conn_id;
+  job->seq = seq;
+  job->reactor = &reactor;
+  job->request = std::move(owned);
+  job->route = &route;
+  job->t0_ns = t0_ns;
   reactor.jobs_inflight.fetch_add(1, std::memory_order_relaxed);
   reactor.batch->add([this, job] { run_job(job); });
 }
 
-void Gateway::run_job(Job* job) noexcept {
+http::Response Gateway::run_route(Route& route,
+                                  const Request& request) noexcept {
+  // A route that already fans out is on the pool for good: its runs skip
+  // the measurement and write nothing shared.
+  const bool learning = !route.placement.fans_out();
+  const std::uint64_t submitted0 =
+      learning ? util::ThreadPool::submitted_by_this_thread() : 0;
+  const std::uint64_t t0 = learning ? obs::now_ns() : 0;
+  http::Response response;
   try {
-    job->response = job->route->handler(job->request);
+    response = route.handler(request);
   } catch (...) {
-    job->response = {500, "text/plain; charset=utf-8", "handler error\n"};
+    response = {500, "text/plain; charset=utf-8", "handler error\n"};
   }
+  if (learning) {
+    route.placement.observe(
+        obs::now_ns() - t0,
+        util::ThreadPool::submitted_by_this_thread() != submitted0);
+  }
+  return response;
+}
+
+void Gateway::run_job(Job* job) noexcept {
+  job->response = run_route(*job->route, job->request);
   // Publish (and wake the OWNING reactor only) before the inflight
   // decrement: once jobs_inflight hits zero during stop(), every job is
   // reachable from its queue and no worker touches a loop again.
@@ -207,25 +254,32 @@ void Gateway::drain_completions(Reactor& reactor) {
   while (node != nullptr) {
     CompletionNode* next = node->next;
     auto* job = static_cast<Job*>(node);
-    const int status = job->response.status;
-    const std::uint64_t latency_ns = obs::now_ns() - job->t0_ns;
-    if (options_.slo != nullptr && job->route->scored) {
-      // The request class is the exact route path; 5xx is an availability
-      // error regardless of latency, anything else is judged against the
-      // class's latency target.
-      options_.slo->observe(job->request.path, latency_ns, status < 500);
-    }
-    if (obs::flight_enabled()) {
-      obs::FlightRecorder::instance().record(
-          obs::FlightKind::gateway, job->request.path, 0,
-          static_cast<std::uint64_t>(status), latency_ns, status < 500);
-    }
+    settle(*job->route, job->request.path, job->response.status, job->t0_ns);
     reactor.manager->respond(job->conn_id, job->seq,
                              std::move(job->response));
     delete job;
     node = next;
   }
   reactor.manager->flush_batch();
+}
+
+void Gateway::settle(const Route& route, const std::string& path, int status,
+                     std::uint64_t t0_ns) {
+  const bool flight = obs::flight_enabled();
+  const bool scored = options_.slo != nullptr && route.scored;
+  if (!flight && !scored) return;
+  const std::uint64_t latency_ns = obs::now_ns() - t0_ns;
+  if (scored) {
+    // The request class is the exact route path; 5xx is an availability
+    // error regardless of latency, anything else is judged against the
+    // class's latency target.
+    options_.slo->observe(path, latency_ns, status < 500);
+  }
+  if (flight) {
+    obs::FlightRecorder::instance().record(
+        obs::FlightKind::gateway, path, 0, static_cast<std::uint64_t>(status),
+        latency_ns, status < 500);
+  }
 }
 
 http::Response Gateway::serve_cached(
@@ -244,8 +298,10 @@ http::Response Gateway::serve_cached(
 }
 
 void Gateway::add_ops_route(std::string path, Handler handler) {
-  routes_.try_emplace(std::move(path), Route{std::move(handler),
-                                             /*scored=*/false});
+  const auto [it, inserted] = routes_.try_emplace(std::move(path));
+  if (!inserted) return;  // the caller's own route wins
+  it->second.handler = std::move(handler);
+  it->second.scored = false;
 }
 
 void Gateway::install_builtin_routes() {

@@ -7,8 +7,10 @@
 //   Reactor i (loop thread)          ThreadPool workers (shared)
 //   ───────────────────────          ──────────────────────────────
 //   own SO_REUSEPORT listener
-//   accept / read / parse
-//     └─ per request: heap Job, task into reactor i's BatchRunner
+//   accept / read / parse pass
+//     ├─ short leaf route: run handler here; answer leaves with the
+//     │  pass's one flush
+//     └─ otherwise: heap Job, task into reactor i's BatchRunner
 //   cycle handler: ONE submit_batch per loop iteration ───▶ run handler
 //                                                          (redundancy
 //                                                           patterns)
@@ -31,15 +33,25 @@
 // With one loop the gateway is byte-for-byte the classic single-reactor:
 // no loop= metric labels, no pinning, no pipelining changes.
 //
-// Route handlers run on pool workers and return an http::Response; the
-// built-in demo routes put the paper's redundancy patterns directly on the
-// serving path (hedged sequential alternatives with the result cache,
-// N-of-M voting). The built-in ops routes /metrics, /healthz and /slo are
-// served in-process from a short-TTL cached render, so a scrape storm costs
-// at most one render per TTL instead of stalling request I/O behind the
-// registry walk; /debug/flight dumps the flight recorder. Only the routes
-// the caller added are scored against Options::slo — a scraper polling the
-// ops routes never becomes an SLO class of its own.
+// Route handlers return an http::Response; the built-in demo routes put the
+// paper's redundancy patterns directly on the serving path (hedged
+// sequential alternatives with the result cache, N-of-M voting). Where a
+// handler runs is learned from the route's own runs, with no option: every
+// route starts on the pool, and after kInlineStreak consecutive runs that
+// each took under kInlineBudgetNs and queued no pool work it runs on the
+// reactor that parsed the request, its response leaving with that parse
+// pass's flush. One inline run over budget sends the route back to the
+// pool; a route that ever queues pool work (a fan-out such as /vote or
+// /fast) stays there for good. Both paths score the request against
+// Options::slo and leave a flight-recorder record the same way, and the
+// per-loop counter gateway.inline_requests counts the inline runs.
+//
+// The built-in ops routes /metrics, /healthz and /slo are served from a
+// short-TTL cached render, so a scrape storm costs at most one render per
+// TTL; /debug/flight dumps the flight recorder. They are placed like any
+// other route. Only the routes the caller added are scored against
+// Options::slo — a scraper polling the ops routes never becomes an SLO
+// class of its own.
 #pragma once
 
 #include <atomic>
@@ -63,6 +75,7 @@ class HealthTracker;
 }  // namespace redundancy::core
 
 namespace redundancy::obs {
+class Counter;
 class SloTracker;
 }  // namespace redundancy::obs
 
@@ -79,9 +92,19 @@ class Gateway {
     std::string body;
   };
 
-  /// Runs on a pool worker; must be callable concurrently. Throwing yields
-  /// a 500 for that request only.
+  /// Runs on a pool worker or, once the route has shown it is a short leaf,
+  /// on the reactor that parsed the request (see the file comment); must be
+  /// callable concurrently. Throwing yields a 500 for that request only.
   using Handler = std::function<http::Response(const Request&)>;
+
+  /// Placement thresholds. A handler that finishes in under
+  /// kInlineBudgetNs costs its loop less than the two cross-thread wake-ups
+  /// a pool hop adds (loop → worker, worker → loop), so kInlineStreak
+  /// consecutive such runs with no pool submission move a route onto the
+  /// loop; since one inline run over budget moves it back, a misjudged
+  /// handler blocks its loop at most once per kInlineStreak + 1 runs.
+  static constexpr std::uint64_t kInlineBudgetNs = 5'000;
+  static constexpr std::uint32_t kInlineStreak = 32;
 
   struct Options {
     ConnManager::Options conn;
@@ -115,7 +138,10 @@ class Gateway {
 
   /// Register a handler for an exact path. Before start() only.
   void add_route(std::string path, Handler handler) {
-    routes_[std::move(path)] = Route{std::move(handler), /*scored=*/true};
+    Route& route = routes_[std::move(path)];
+    route.handler = std::move(handler);
+    route.scored = true;
+    route.placement.reset();
   }
 
   /// Bind, install the ops routes, spawn the loop threads. False when a
@@ -157,11 +183,39 @@ class Gateway {
   }
 
  private:
+  /// Where a route runs, learned from its runs. Read by the reactors on
+  /// every request. Written by pool runs only while the route is still
+  /// earning its streak, by inline runs only when one overruns the budget,
+  /// and never by runs of a route that fans out, so in steady state the
+  /// line stays shared-clean.
+  class Placement {
+   public:
+    [[nodiscard]] bool on_loop() const noexcept {
+      return !fans_out() &&
+             streak_.load(std::memory_order_relaxed) >= kInlineStreak;
+    }
+    [[nodiscard]] bool fans_out() const noexcept {
+      return fans_out_.load(std::memory_order_relaxed);
+    }
+    /// Learn from one run: its handler wall time and whether it queued
+    /// pool work.
+    void observe(std::uint64_t wall_ns, bool submitted) noexcept;
+    void reset() noexcept {
+      streak_.store(0, std::memory_order_relaxed);
+      fans_out_.store(false, std::memory_order_relaxed);
+    }
+
+   private:
+    std::atomic<std::uint32_t> streak_{0};  ///< consecutive short leaf runs
+    std::atomic<bool> fans_out_{false};     ///< queued pool work: pool for good
+  };
+
   struct Route {
     Handler handler;
     /// Scored against Options::slo: true for caller-added routes, false
     /// for the built-in ops routes.
     bool scored = true;
+    Placement placement;
   };
 
   /// One front-door shard: everything a loop thread touches, owned by it.
@@ -173,6 +227,7 @@ class Gateway {
     CompletionQueue completions;
     std::thread thread;
     std::atomic<std::uint64_t> jobs_inflight{0};
+    obs::Counter* inline_requests = nullptr;  ///< gateway.inline_requests
   };
 
   struct Job : CompletionNode {
@@ -180,14 +235,14 @@ class Gateway {
     std::uint64_t seq = 0;      ///< pipeline slot within the connection
     Reactor* reactor = nullptr; ///< owning loop: completions go only here
     Request request;
-    const Route* route = nullptr;  ///< owned by routes_, outlives the job
+    Route* route = nullptr;     ///< owned by routes_, outlives the job
     http::Response response;
     std::uint64_t t0_ns = 0;  ///< arrival timestamp (SLO/flight latency)
   };
 
   /// One cached ops-route render (/metrics, /healthz, /slo). Handlers run
-  /// on pool workers, hence the mutex; within ttl_ms of the last render
-  /// every scrape is served from the cache.
+  /// concurrently (pool workers and loops), hence the mutex; within ttl_ms
+  /// of the last render every scrape is served from the cache.
   struct OpsCache {
     std::mutex mutex;
     http::Response response;
@@ -196,8 +251,16 @@ class Gateway {
 
   void on_request(Reactor& reactor, std::uint64_t conn_id,
                   const http::Request& request);
+  /// Run the handler on the calling thread (loop or worker): a throw
+  /// becomes a 500, and the run teaches the route's placement.
+  static http::Response run_route(Route& route,
+                                  const Request& request) noexcept;
   void run_job(Job* job) noexcept;
   void drain_completions(Reactor& reactor);
+  /// Score a finished request against Options::slo and leave its
+  /// completion record in the flight recorder — inline and pool alike.
+  void settle(const Route& route, const std::string& path, int status,
+              std::uint64_t t0_ns);
   /// Install a built-in ops route unless the caller registered that path.
   void add_ops_route(std::string path, Handler handler);
   void install_builtin_routes();

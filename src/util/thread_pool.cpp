@@ -19,6 +19,9 @@ namespace {
 // recursive fan-out cache-local and contention-free.
 thread_local ThreadPool* tls_pool = nullptr;
 thread_local std::size_t tls_index = 0;
+// Tasks this thread has put on any pool's queues (see
+// ThreadPool::submitted_by_this_thread).
+thread_local std::uint64_t tls_submitted = 0;
 
 // Sticky per-thread submitter cookie: external submitters are spread over
 // the injector lanes round-robin at first submission and then stay on
@@ -240,6 +243,10 @@ std::size_t ThreadPool::home_lane() const noexcept {
 
 bool ThreadPool::on_worker_thread() const noexcept { return tls_pool == this; }
 
+std::uint64_t ThreadPool::submitted_by_this_thread() noexcept {
+  return tls_submitted;
+}
+
 void ThreadPool::post(Task task) {
   TaskNode* node = alloc_node(std::move(task));
   enqueue_chain(node, node, 1);
@@ -269,6 +276,7 @@ void ThreadPool::enqueue_chain(TaskNode* head, TaskNode* tail,
   // parking worker's recheck (Dekker handshake — see worker_loop).
   const std::size_t depth =
       pending_.fetch_add(n, std::memory_order_seq_cst) + n;
+  tls_submitted += n;
   if (tls_pool == this) {
     // Worker fan-out: straight into our own deque, where thieves (woken by
     // the chain below) redistribute it. No lock at all on this path.

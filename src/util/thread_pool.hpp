@@ -319,6 +319,12 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
+  /// Tasks the calling thread has queued on any ThreadPool so far (post,
+  /// submit, submit_batch, run_all, submit_first_wins). Read before and
+  /// after a call, it tells whether that call fanned out: the gateway uses
+  /// it to keep routes that submit work off its loop threads.
+  [[nodiscard]] static std::uint64_t submitted_by_this_thread() noexcept;
+
   /// Number of external-submission lanes (power of two).
   [[nodiscard]] std::size_t injector_lanes() const noexcept {
     return lane_mask_ + 1;

@@ -1,6 +1,7 @@
 // TSan stress for the gateway's cross-thread hand-back machinery: the
-// MPSC CompletionQueue under producer herds, the wakeup-fd path, and
-// engine completions racing loop shutdown. Run under
+// MPSC CompletionQueue under producer herds, the wakeup-fd path, engine
+// completions racing loop shutdown, and route placement flipping between
+// pool workers and the loops under load. Run under
 // -DREDUNDANCY_SANITIZE=thread (ctest -L stress).
 #include <gtest/gtest.h>
 
@@ -14,6 +15,7 @@
 #include "net/completion_queue.hpp"
 #include "net/event_loop.hpp"
 #include "net/gateway.hpp"
+#include "obs/metrics_registry.hpp"
 
 namespace redundancy::net {
 namespace {
@@ -22,6 +24,16 @@ struct Item : CompletionNode {
   int producer = 0;
   int seq = 0;
 };
+
+/// gateway.inline_requests summed over every loop's series.
+std::uint64_t inline_requests_total() {
+  std::uint64_t total = 0;
+  for (const auto& [key, value] :
+       obs::MetricsRegistry::instance().counter_totals()) {
+    if (key.rfind("gateway.inline_requests", 0) == 0) total += value;
+  }
+  return total;
+}
 
 TEST(CompletionQueueStress, ManyProducersOneConsumerNothingLostFifoPerProducer) {
   constexpr int kProducers = 4;
@@ -187,6 +199,94 @@ TEST(GatewayStress, MultiLoopCompletionsRacingStop) {
     stop_clients.store(true, std::memory_order_release);
     for (auto& t : clients) t.join();
   }
+}
+
+TEST(GatewayStress, PlacementFlipsUnderLoadWhileStopRaces) {
+  // The route's runs come in phases: a streak of short runs long enough to
+  // move it onto the loops, then one run over budget that sends it back to
+  // the pool. M clients pipeline two requests at a time over 2 loops, so a
+  // connection's pipeline holds pool-run and loop-run requests at once,
+  // and stop() lands while completions are still in flight. Every response
+  // a client reads must be its own, in request order, and no job may be
+  // left in flight.
+  constexpr int kClients = 4;
+  constexpr std::uint64_t kPhase = Gateway::kInlineStreak + 8;
+  std::uint64_t inline_runs = 0;
+  for (int round = 0; round < 6; ++round) {
+    Gateway::Options options;
+    options.loops = 2;
+    options.conn.max_pipeline = 4;
+    Gateway gateway{options};
+    std::atomic<std::uint64_t> runs{0};
+    gateway.add_route(
+        "/phase", [&runs](const Gateway::Request& req) -> http::Response {
+          if (runs.fetch_add(1, std::memory_order_relaxed) % kPhase == 0) {
+            const auto until = std::chrono::steady_clock::now() +
+                               std::chrono::microseconds(20);
+            while (std::chrono::steady_clock::now() < until) {
+            }
+          }
+          return {200, "text/plain; charset=utf-8", req.query + "\n"};
+        });
+    const std::uint64_t inline_before = inline_requests_total();
+    ASSERT_TRUE(gateway.start());
+
+    std::atomic<bool> stop_clients{false};
+    std::atomic<int> wrong{0};
+    std::atomic<int> answered{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        const int fd = loopback::connect_loopback(gateway.port());
+        if (fd < 0) return;
+        const auto target = [c](int i) {
+          return "c=" + std::to_string(c) + "&i=" + std::to_string(i);
+        };
+        for (int i = 0; !stop_clients.load(std::memory_order_acquire);
+             i += 2) {
+          if (!loopback::send_all(fd, "GET /phase?" + target(i) +
+                                          " HTTP/1.1\r\n\r\nGET /phase?" +
+                                          target(i + 1) +
+                                          " HTTP/1.1\r\n\r\n")) {
+            break;
+          }
+          bool complete = true;
+          for (int k = 0; k < 2 && complete; ++k) {
+            const loopback::Reply reply = loopback::read_response(fd);
+            complete = reply.complete;  // false: the gateway stopped
+            if (!complete) break;
+            if (reply.status != 200 || reply.body != target(i + k) + "\n") {
+              wrong.fetch_add(1, std::memory_order_relaxed);
+            }
+            answered.fetch_add(1, std::memory_order_relaxed);
+          }
+          if (!complete) break;
+        }
+        ::close(fd);
+      });
+    }
+    // Stop once the route has run on the loops at least once (a sanitizer
+    // build takes longer to string 32 short runs together), while pool
+    // jobs are still in flight.
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    do {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    } while (inline_requests_total() == inline_before &&
+             std::chrono::steady_clock::now() < deadline);
+    gateway.stop();
+    EXPECT_EQ(gateway.jobs_inflight(), 0u);
+    for (std::size_t loop = 0; loop < 2; ++loop) {
+      EXPECT_EQ(gateway.jobs_inflight(loop), 0u);
+    }
+    stop_clients.store(true, std::memory_order_release);
+    for (auto& t : clients) t.join();
+    EXPECT_EQ(wrong.load(), 0);
+    EXPECT_GT(answered.load(), 0);
+    inline_runs += inline_requests_total() - inline_before;
+  }
+  // The phases did move the route onto the loops.
+  EXPECT_GT(inline_runs, 0u);
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 
 #include "core/health.hpp"
 #include "net/loopback_client.hpp"
+#include "obs/metrics_registry.hpp"
 #include "obs/obs.hpp"
 #include "obs/slo.hpp"
 
@@ -25,6 +26,66 @@ using loopback::http_get;
 using loopback::read_response;
 using loopback::Reply;
 using loopback::send_all;
+
+/// gateway.inline_requests summed over every loop's series: how many
+/// handlers ran on a reactor instead of a pool worker.
+std::uint64_t inline_requests() {
+  std::uint64_t total = 0;
+  for (const auto& [key, value] :
+       obs::MetricsRegistry::instance().counter_totals()) {
+    if (key.rfind("gateway.inline_requests", 0) == 0) total += value;
+  }
+  return total;
+}
+
+/// One keep-alive round trip on `fd`; reports whether the handler ran on
+/// the loop.
+Reply round_trip(int fd, const std::string& target, bool* ran_inline) {
+  const std::uint64_t before = inline_requests();
+  if (!send_all(fd, "GET " + target + " HTTP/1.1\r\n\r\n")) return Reply{};
+  Reply reply = read_response(fd);
+  *ran_inline = inline_requests() != before;
+  return reply;
+}
+
+/// Send `target` until a run lands on the loop. Returns the requests sent,
+/// or 0 when none of `limit` runs did.
+int promote(int fd, const std::string& target, int limit = 5000) {
+  for (int sent = 1; sent <= limit; ++sent) {
+    bool ran_inline = false;
+    if (!round_trip(fd, target, &ran_inline).complete) return 0;
+    if (ran_inline) return sent;
+  }
+  return 0;
+}
+
+// Sanitizer builds slow pool runs of even a trivial handler past the
+// inline budget now and then, and each such run restarts the streak; under
+// ThreadSanitizer a long test process can stop fitting the budget at all.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+
+/// promote() for tests that need a route on the loop: a sanitizer build
+/// whose timing never lets the route earn it skips the test.
+#define PROMOTE_OR_SKIP(fd, target)                                        \
+  do {                                                                     \
+    if (promote((fd), (target)) == 0) {                                    \
+      ::close(fd);                                                         \
+      if (kSanitized) {                                                    \
+        GTEST_SKIP() << (target) << " never fit the inline budget here";   \
+      }                                                                    \
+      FAIL() << (target) << " never moved onto the loop";                  \
+    }                                                                      \
+  } while (false)
+
+Gateway::Options one_loop() {
+  Gateway::Options options;
+  options.loops = 1;
+  return options;
+}
 
 TEST(Gateway, ServesDemoRoutesThroughTheEngine) {
   Gateway gateway;
@@ -239,6 +300,184 @@ TEST(Gateway, StopWithRequestsInFlightSettlesCleanly) {
   gateway.stop();  // the /slow job is still on a worker
   EXPECT_EQ(gateway.jobs_inflight(), 0u);
   ::close(fd);
+}
+
+TEST(Gateway, ShortLeafRouteMovesOntoTheLoop) {
+  Gateway gateway{one_loop()};
+  gateway.add_route("/const", [](const Gateway::Request&) -> http::Response {
+    return {200, "text/plain; charset=utf-8", "c\n"};
+  });
+  ASSERT_TRUE(gateway.start());
+  const int fd = connect_loopback(gateway.port());
+  ASSERT_GE(fd, 0);
+  const std::uint64_t before = inline_requests();
+  constexpr std::uint64_t kRequests = 1000;
+  for (std::uint64_t i = 0; i < kRequests; ++i) {
+    ASSERT_TRUE(send_all(fd, "GET /const HTTP/1.1\r\n\r\n"));
+    const Reply reply = read_response(fd);
+    ASSERT_TRUE(reply.complete);
+    ASSERT_EQ(reply.body, "c\n");
+  }
+  const std::uint64_t ran_inline = inline_requests() - before;
+  // Placement starts cold: the first kInlineStreak runs are pool runs.
+  EXPECT_LE(ran_inline, kRequests - Gateway::kInlineStreak);
+  if (!kSanitized) {
+    EXPECT_GT(ran_inline, kRequests / 2);
+  }
+  PROMOTE_OR_SKIP(fd, "/const");
+  ::close(fd);
+  gateway.stop();
+  EXPECT_EQ(gateway.jobs_inflight(), 0u);
+}
+
+TEST(Gateway, FanOutAndSlowRoutesStayOnThePool) {
+  Gateway gateway{one_loop()};
+  install_demo_routes(gateway);
+  gateway.add_route("/sleepy", [](const Gateway::Request&) -> http::Response {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    return {200, "text/plain; charset=utf-8", "zz\n"};
+  });
+  ASSERT_TRUE(gateway.start());
+  const int fd = connect_loopback(gateway.port());
+  ASSERT_GE(fd, 0);
+  const std::uint64_t before = inline_requests();
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(send_all(fd, "GET /vote?x=" + std::to_string(i) +
+                                 " HTTP/1.1\r\n\r\n"));
+    ASSERT_EQ(read_response(fd).status, 200);
+    ASSERT_TRUE(send_all(fd, "GET /sleepy HTTP/1.1\r\n\r\n"));
+    ASSERT_EQ(read_response(fd).body, "zz\n");
+  }
+  // /vote queues its variants on the pool; /sleepy never fits the budget.
+  EXPECT_EQ(inline_requests() - before, 0u);
+  ::close(fd);
+  gateway.stop();
+}
+
+TEST(Gateway, OverBudgetInlineRunSendsTheRouteBackToThePool) {
+  std::atomic<bool> slow_next{false};
+  Gateway gateway{one_loop()};
+  gateway.add_route("/flip",
+                    [&slow_next](const Gateway::Request&) -> http::Response {
+                      if (slow_next.exchange(false)) {
+                        std::this_thread::sleep_for(
+                            std::chrono::milliseconds(1));
+                      }
+                      return {200, "text/plain; charset=utf-8", "f\n"};
+                    });
+  ASSERT_TRUE(gateway.start());
+  const int fd = connect_loopback(gateway.port());
+  ASSERT_GE(fd, 0);
+  // The slow run lands on the loop only if the run before it stayed under
+  // budget; a sanitizer build can miss that now and then, so retry.
+  bool slow_ran_inline = false;
+  for (int attempt = 0; attempt < 20 && !slow_ran_inline; ++attempt) {
+    PROMOTE_OR_SKIP(fd, "/flip");
+    slow_next.store(true);
+    ASSERT_EQ(round_trip(fd, "/flip", &slow_ran_inline).body, "f\n");
+  }
+  if (!slow_ran_inline && kSanitized) {
+    ::close(fd);
+    GTEST_SKIP() << "no promoted run stayed within the inline budget here";
+  }
+  ASSERT_TRUE(slow_ran_inline);
+  bool next_ran_inline = true;
+  ASSERT_EQ(round_trip(fd, "/flip", &next_ran_inline).body, "f\n");
+  EXPECT_FALSE(next_ran_inline);
+  ::close(fd);
+  gateway.stop();
+  EXPECT_EQ(gateway.jobs_inflight(), 0u);
+}
+
+TEST(Gateway, InlineHandlerThatThrowsGets500AndTheConnectionKeepsServing) {
+  Gateway gateway{one_loop()};
+  gateway.add_route("/maybe", [](const Gateway::Request& req) -> http::Response {
+    if (http::query_param(req.query, "boom")) {
+      throw std::runtime_error{"handler bug"};
+    }
+    return {200, "text/plain; charset=utf-8", "m\n"};
+  });
+  ASSERT_TRUE(gateway.start());
+  const int fd = connect_loopback(gateway.port());
+  ASSERT_GE(fd, 0);
+  bool threw_inline = false;
+  for (int attempt = 0; attempt < 20 && !threw_inline; ++attempt) {
+    PROMOTE_OR_SKIP(fd, "/maybe");
+    ASSERT_EQ(round_trip(fd, "/maybe?boom=1", &threw_inline).status, 500);
+  }
+  if (!threw_inline && kSanitized) {
+    ::close(fd);
+    GTEST_SKIP() << "no promoted run stayed within the inline budget here";
+  }
+  EXPECT_TRUE(threw_inline);
+  bool ran_inline = false;
+  const Reply after = round_trip(fd, "/maybe", &ran_inline);
+  EXPECT_EQ(after.status, 200);
+  EXPECT_EQ(after.body, "m\n");
+  ::close(fd);
+  gateway.stop();
+}
+
+TEST(Gateway, InlineRequestsAreScoredOnceAndRecordedInFlight) {
+  obs::SloTracker slo;
+  slo.register_class("/scored", {/*latency_slo_ns=*/50'000'000, 0.99});
+  Gateway::Options options = one_loop();
+  options.slo = &slo;
+  options.ops_cache_ttl_ms = 0;
+  Gateway gateway{options};
+  gateway.add_route("/scored", [](const Gateway::Request&) -> http::Response {
+    return {200, "text/plain; charset=utf-8", "s\n"};
+  });
+  ASSERT_TRUE(gateway.start());
+  const int fd = connect_loopback(gateway.port());
+  ASSERT_GE(fd, 0);
+  const int promoted_after = promote(fd, "/scored");
+  if (promoted_after == 0) {
+    ::close(fd);
+    if (kSanitized) GTEST_SKIP() << "/scored never fit the inline budget here";
+    FAIL() << "/scored never moved onto the loop";
+  }
+  // Up to 400 more requests (two flight records each, inside one ring)
+  // until 20 of them ran on the loop; a sanitizer build may demote the
+  // route on the way and earn the loop again.
+  if (obs::kCompiledIn) obs::FlightRecorder::instance().enable();
+  int sent = 0;
+  int ran_inline = 0;
+  while (sent < 400 && ran_inline < 20) {
+    bool on_loop = false;
+    ASSERT_TRUE(round_trip(fd, "/scored", &on_loop).complete);
+    ++sent;
+    ran_inline += on_loop ? 1 : 0;
+  }
+  ::close(fd);
+  if (ran_inline == 0 && kSanitized) {
+    GTEST_SKIP() << "/scored never stayed within the inline budget here";
+  }
+  ASSERT_GT(ran_inline, 0);
+
+  // Pool and inline runs together: every request scored exactly once.
+  const Reply scored = http_get(gateway.port(), "/slo");
+  ASSERT_EQ(scored.status, 200);
+  EXPECT_NE(scored.body.find("\"total\":" +
+                             std::to_string(promoted_after + sent)),
+            std::string::npos)
+      << scored.body;
+
+  if (obs::kCompiledIn) {
+    // One completion record (a = status) per request since the recorder
+    // was enabled, whichever thread ran the handler.
+    const Reply flight = http_get(gateway.port(), "/debug/flight");
+    ASSERT_EQ(flight.status, 200);
+    const std::string record = "\"name\":\"/scored\",\"a\":200,";
+    int completions = 0;
+    for (std::size_t at = flight.body.find(record); at != std::string::npos;
+         at = flight.body.find(record, at + 1)) {
+      ++completions;
+    }
+    EXPECT_EQ(completions, sent);
+    obs::FlightRecorder::instance().disable();
+  }
+  gateway.stop();
 }
 
 TEST(Gateway, RestartAfterStop) {

@@ -61,7 +61,9 @@ TEST(ObsHistogram, BucketBoundsArePowersOfTwo) {
   for (std::uint64_t v : {1ull, 2ull, 3ull, 100ull, 4096ull, 1'000'000ull}) {
     const std::size_t b = Histogram::bucket_of(v);
     EXPECT_LE(v, HistogramSnapshot::bucket_bound(b)) << v;
-    if (b > 0) EXPECT_GT(v, HistogramSnapshot::bucket_bound(b - 1)) << v;
+    if (b > 0) {
+      EXPECT_GT(v, HistogramSnapshot::bucket_bound(b - 1)) << v;
+    }
   }
 }
 

@@ -55,7 +55,9 @@ TEST_P(RngBelowTest, StaysBelowBoundAndCoversRange) {
     ASSERT_LT(v, bound);
     seen.insert(v);
   }
-  if (bound <= 16) EXPECT_EQ(seen.size(), bound);  // all values hit
+  if (bound <= 16) {
+    EXPECT_EQ(seen.size(), bound);  // all values hit
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Bounds, RngBelowTest,

@@ -125,7 +125,9 @@ TEST(VmFuzz, DeterministicReplay) {
     auto ra = a.run(0, {});
     auto rb = b.run(0, {});
     EXPECT_EQ(ra.has_value(), rb.has_value());
-    if (ra.has_value()) EXPECT_EQ(ra.value(), rb.value());
+    if (ra.has_value()) {
+      EXPECT_EQ(ra.value(), rb.value());
+    }
   }
 }
 
