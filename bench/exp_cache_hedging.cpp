@@ -239,12 +239,6 @@ void write_json(const std::vector<std::pair<std::string, Series>>& all) {
 }  // namespace
 
 int main() {
-  if (!core::kCacheCompiledIn) {
-    std::printf("exp_cache_hedging: built with REDUNDANCY_CACHE_OFF; "
-                "nothing to measure -> SKIP\n");
-    return 0;
-  }
-
   const ZipfSampler zipf;
   const std::size_t capacity = zipf.head_keys(kTargetMass);
 

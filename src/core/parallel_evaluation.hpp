@@ -5,378 +5,181 @@
 // the architecture of N-version programming, N-copy data diversity, process
 // replicas, and N-variant data.
 //
-// Threaded execution fans out on the shared work-stealing pool. Ballots
-// complete out of order; the caller joins them collectively (helping with
-// queued work while it waits) and accounts each ballot exactly once after it
-// lands. With Adjudication::incremental the caller additionally re-votes on
-// the ballots that have arrived so far — padding the missing ones with
-// failure placeholders so the electorate size stays fixed — and returns as
+// Label, cache, metrics, the late-leg fold and the verdict event come from
+// PatternCore (core/pattern_core.hpp); a variant that throws is a crash
+// ballot in every mode (core/race.hpp, run_leg). With Concurrency::threaded
+// the electorate fans out on the shared work-stealing pool as one batch and
+// the caller joins it (helping with queued work while it waits); after the
+// barrier it accounts each ballot on its own thread. With
+// Adjudication::incremental the legs race instead: the caller re-votes on
+// the ballots that have arrived so far, padding the missing ones with
+// failure placeholders so the electorate size stays fixed, and returns as
 // soon as the voter reaches a success verdict. Stragglers then finish in the
 // background; their execution cost is folded into the metrics on the next
 // call.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
-#include <functional>
-#include <memory>
-#include <mutex>
+#include <algorithm>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/concurrency.hpp"
-#include "core/metrics.hpp"
-#include "core/redundancy_cache.hpp"
-#include "core/variant.hpp"
+#include "core/pattern_core.hpp"
 #include "core/voters.hpp"
-#include "obs/obs.hpp"
-#include "util/checksum.hpp"
-#include "util/thread_pool.hpp"
 
 namespace redundancy::core {
 
 template <typename In, typename Out>
-class ParallelEvaluation {
+class ParallelEvaluation : public PatternCore<In, Out> {
  public:
   ParallelEvaluation(std::vector<Variant<In, Out>> variants, Voter<Out> voter,
                      Concurrency mode = Concurrency::sequential,
                      Adjudication adjudication = Adjudication::join_all)
-      : variants_(std::make_shared<std::vector<Variant<In, Out>>>(
-            std::move(variants))),
+      : PatternCore<In, Out>("parallel_evaluation",
+                             Legs<In, Out>{std::move(variants), {}, false,
+                                           "variant"},
+                             false),
         voter_(std::move(voter)),
         mode_(mode),
-        adjudication_(adjudication),
-        deferred_(std::make_shared<Deferred>()) {}
-
-  /// Label under which spans, adjudication events, and registry metrics are
-  /// emitted (techniques set their own: "nvp", "process_replicas", ...).
-  void set_obs_label(std::string label) {
-    obs_label_ = std::move(label);
-    label_salt_ = util::fnv1a(obs_label_);
-    lat_hist_ = nullptr;
-    req_counter_ = nullptr;
-  }
-
-  /// Memoize adjudicated verdicts keyed by (technique, input digest). Only
-  /// sound for deterministic variant sets: a cached verdict replays the
-  /// adjudication the electorate produced the first time. Invalidated by
-  /// rejuvenation/microreboot epochs, invalidate_cache(), and the TTL.
-  void enable_cache(CacheConfig config = {}) {
-    static_assert(util::is_digestible_v<In>,
-                  "enable_cache needs a digestible input type (integral, "
-                  "string, float, vector/optional/pair of those)");
-    if (config.label.empty() || config.label == "cache") {
-      config.label = obs_label_;
-    }
-    cache_ = std::make_unique<RedundancyCache<Out>>(std::move(config));
-  }
-  void disable_cache() noexcept { cache_.reset(); }
-  [[nodiscard]] RedundancyCache<Out>* cache() noexcept { return cache_.get(); }
-  void invalidate_cache() noexcept {
-    if (cache_) cache_->invalidate_all();
-  }
+        adjudication_(adjudication) {}
 
   /// Run every variant on `input` and adjudicate the ballots (through the
   /// result cache when one is enabled — a hit skips the electorate and the
   /// voter entirely and performs no heap allocation).
   Result<Out> run(const In& input) {
-    if constexpr (util::is_digestible_v<In>) {
-      if (cache_) {
-        const std::uint64_t t0 = obs::now_ns();
-        bool executed = false;
-        Result<Out> verdict =
-            cache_->get_or_run(cache_key(input), [&]() -> Result<Out> {
-              executed = true;
-              return run_uncached(input);
-            });
-        if (!executed) {  // cache hit or coalesced onto another run
-          ++metrics_.requests;
-          account_observability(t0, verdict.has_value());
+    return this->serve(input, [&](obs::SpanContext ctx) -> Result<Out> {
+      if (mode_ == Concurrency::threaded &&
+          adjudication_ == Adjudication::incremental) {
+        // The race's legs may outlive this call, so they need their own
+        // copy of the input; fall back to join_all for move-only inputs.
+        if constexpr (std::is_copy_constructible_v<In>) {
+          return run_incremental(input, ctx);
         }
-        return verdict;
       }
-    }
-    return run_uncached(input);
+      std::vector<Ballot<Out>> ballots = collect(input, ctx);
+      ++this->metrics_.adjudications;
+      Result<Out> verdict = voter_(ballots);
+      std::size_t failed = 0;
+      for (const auto& b : ballots) failed += b.result.has_value() ? 0 : 1;
+      this->record_verdict(ctx, {.electorate = ballots.size(),
+                                 .seen = ballots.size(),
+                                 .failed = failed},
+                           verdict);
+      this->conclude(verdict, failed > 0);
+      return verdict;
+    });
   }
 
  private:
-  Result<Out> run_uncached(const In& input) {
-    fold_deferred();
-    ++metrics_.requests;
-    obs::ScopedSpan span{obs_label_};
-    const std::uint64_t t0 = obs::enabled() ? obs::now_ns() : 0;
-    Result<Out> verdict = [&]() -> Result<Out> {
-      if (mode_ == Concurrency::threaded &&
-          adjudication_ == Adjudication::incremental) {
-        // Incremental adjudication may outlive this call, so it needs its
-        // own copy of the input; fall back to join_all for move-only inputs.
-        if constexpr (std::is_copy_constructible_v<In>) {
-          return run_incremental(input);
-        }
-      }
-      auto ballots = collect(input);
-      ++metrics_.adjudications;
-      Result<Out> v = voter_(ballots);
-      if (span.active()) {
-        obs::AdjudicationEvent event;
-        event.technique = obs_label_;
-        event.electorate = ballots.size();
-        event.ballots_seen = ballots.size();
-        event.ballots_failed = failed_count(ballots);
-        event.accepted = v.has_value();
-        event.verdict = v.has_value() ? "ok" : v.error().describe();
-        obs::record_adjudication(span.context(), std::move(event));
-      }
-      finish(v, any_failed(ballots));
-      return v;
-    }();
-    if (t0 != 0) account_observability(t0, verdict.has_value());
-    span.set_ok(verdict.has_value());
-    return verdict;
-  }
-
- public:
-  /// Expose raw ballots (used by techniques that post-process divergence,
-  /// e.g. process replicas reporting which replica diverged). Always joins
-  /// every variant, regardless of the adjudication mode.
-  std::vector<Ballot<Out>> collect(const In& input) {
-    fold_deferred();
-    const std::size_t n = variants_->size();
-    // Variant spans parent on the caller's span (run()'s, or whatever the
-    // caller has ambient) — passed explicitly so the edge survives stealing.
-    const obs::SpanContext ctx = obs::current_context();
+  /// Every variant's ballot, in variant order: a barrier over the whole
+  /// electorate. Threaded, the legs go to the pool as one batch (one
+  /// wake-up, one pending update) and fill their slots in whatever order
+  /// they finish; nothing is accounted until after the barrier, so the
+  /// bookkeeping touches ballots only on this thread. The slot array is
+  /// member scratch and the task closures fit the Task inline buffer, so
+  /// after warm-up the fan-out performs no heap allocation beyond the
+  /// ballot vector.
+  std::vector<Ballot<Out>> collect(const In& input, obs::SpanContext ctx) {
+    const std::size_t n = this->width();
     std::vector<Ballot<Out>> ballots;
     ballots.reserve(n);
     if (mode_ == Concurrency::threaded) {
-      // Fan out once, join collectively: slots fill in whatever order the
-      // variants finish, and nothing is accounted until after the barrier,
-      // so the bookkeeping below touches ballots only on this thread. The
-      // slot array is member scratch (collect() runs on the owner thread
-      // only) and the task closures capture four words + a span context, so
-      // they live in the Task inline buffer — after warm-up the fan-out
-      // itself costs no heap allocation beyond the task vector.
-      std::vector<std::optional<Ballot<Out>>>& slots = slots_scratch_;
+      std::vector<std::optional<LegOutcome<Out>>>& slots = slots_scratch_;
       slots.assign(n, std::nullopt);
       for (std::size_t i = 0; i < n; ++i) {
-        batch_.add([this, i, &slots, &input, ctx] {
-          const Variant<In, Out>& v = (*variants_)[i];
-          obs::ScopedSpan vspan{"variant", ctx};
-          vspan.set_detail(v.name);
-          slots[i].emplace(Ballot<Out>{i, v.name, v(input)});
-          vspan.set_ok(slots[i]->result.has_value());
+        this->batch_.add([this, i, &slots, &input, ctx] {
+          run_leg(this->legs(), i, input, ctx, slots[i]);
         });
       }
-      // One submission epoch for the whole electorate: one wake-up, one
-      // pending update, and the builder's storage is reused next call.
-      batch_.run_and_wait();
-      for (std::size_t i = 0; i < n; ++i) {
-        account((*variants_)[i]);
-        if (!slots[i]->result.has_value()) ++metrics_.variant_failures;
-        ballots.push_back(std::move(*slots[i]));
+      this->batch_.run_and_wait();
+      for (auto& slot : slots) {
+        this->account_leg(*slot);
+        ballots.push_back(std::move(slot->ballot));
       }
       slots.clear();
     } else {
+      std::optional<LegOutcome<Out>> slot;
       for (std::size_t i = 0; i < n; ++i) {
-        account((*variants_)[i]);
-        obs::ScopedSpan vspan{"variant", ctx};
-        vspan.set_detail((*variants_)[i].name);
-        Result<Out> r = (*variants_)[i](input);
-        vspan.set_ok(r.has_value());
-        if (!r.has_value()) ++metrics_.variant_failures;
-        ballots.push_back({i, (*variants_)[i].name, std::move(r)});
+        LegOutcome<Out>& leg = run_leg(this->legs(), i, input, ctx, slot);
+        this->account_leg(leg);
+        ballots.push_back(std::move(leg.ballot));
       }
     }
     return ballots;
   }
 
-  [[nodiscard]] const Metrics& metrics() const noexcept {
-    fold_deferred();
-    return metrics_;
-  }
-  void reset_metrics() noexcept {
-    fold_deferred();
-    metrics_.reset();
-  }
-  [[nodiscard]] std::size_t width() const noexcept { return variants_->size(); }
-
- private:
-  /// Work accounted by stragglers after an incremental early return. Folded
-  /// into metrics_ lazily so metrics stay a plain struct on the hot path.
-  struct Deferred {
-    std::atomic<std::size_t> executions{0};
-    std::atomic<std::size_t> failures{0};
-    std::atomic<double> cost{0.0};
-  };
-
-  /// Everything a straggler variant may touch after the caller has returned.
-  struct IncrementalState {
-    IncrementalState(const In& in,
-                     std::shared_ptr<std::vector<Variant<In, Out>>> vs,
-                     std::shared_ptr<Deferred> d, std::size_t n)
-        : input(in),
-          variants(std::move(vs)),
-          deferred(std::move(d)),
-          arrived(n) {}
-
-    const In input;
-    std::shared_ptr<std::vector<Variant<In, Out>>> variants;
-    std::shared_ptr<Deferred> deferred;
-    std::vector<std::optional<Ballot<Out>>> arrived;
-    std::size_t arrived_count = 0;
-    std::size_t done = 0;
-    bool caller_gone = false;
-    std::mutex m;
-    std::condition_variable cv;
-    util::CancellationToken token;
-  };
-
-  Result<Out> run_incremental(const In& input) {
-    const std::size_t n = variants_->size();
-    auto& pool = util::ThreadPool::shared();
-    const obs::SpanContext ctx = obs::current_context();
-    auto st =
-        std::make_shared<IncrementalState>(input, variants_, deferred_, n);
-    for (std::size_t i = 0; i < n; ++i) {
-      batch_.add([st, i, ctx] {
-        if (st->token.cancelled()) {
-          // Skipped before starting: no work done, nothing to account.
-          std::lock_guard lock(st->m);
-          ++st->done;
-          return;
-        }
-        const Variant<In, Out>& v = (*st->variants)[i];
-        Result<Out> r = [&] {
-          obs::ScopedSpan vspan{"variant", ctx};
-          vspan.set_detail(v.name);
-          Result<Out> out = v(st->input);
-          vspan.set_ok(out.has_value());
-          return out;
-        }();
-        std::unique_lock lock(st->m);
-        ++st->done;
-        if (st->caller_gone) {
-          // The verdict is already out; fold this work in later.
-          st->deferred->executions.fetch_add(1, std::memory_order_relaxed);
-          st->deferred->cost.fetch_add(v.cost, std::memory_order_relaxed);
-          if (!r.has_value()) {
-            st->deferred->failures.fetch_add(1, std::memory_order_relaxed);
-          }
-          return;
-        }
-        st->arrived[i].emplace(Ballot<Out>{i, v.name, std::move(r)});
-        ++st->arrived_count;
-        lock.unlock();
-        st->cv.notify_all();
-      });
-    }
-    // Fire-and-forget as one batch: stragglers may outlive this call, but
-    // the submission epoch (wake-up + bookkeeping) is still paid once.
-    batch_.dispatch();
+  Result<Out> run_incremental(const In& input, obs::SpanContext ctx) {
+    const std::size_t n = this->width();
+    auto race = this->race(input, ctx);
+    race.post_batch([](std::size_t) { return true; });
 
     std::optional<Result<Out>> early;
-    std::size_t last_voted = 0;
+    std::size_t voted = 0;
     std::size_t rounds = 0;
-    std::unique_lock lock(st->m);
-    pool.help_until(lock, st->cv, [&] {
-      if (st->done == n) return true;
-      if (st->arrived_count > last_voted) {
-        last_voted = st->arrived_count;
-        ++metrics_.adjudications;
-        ++rounds;
-        Result<Out> v = voter_(padded_ballots(*st, n));
-        if (ctx.active()) {
-          record_incremental_vote(ctx, *st, n, rounds, v);
-        }
-        if (v.has_value()) {
-          early.emplace(std::move(v));
-          return true;
-        }
-      }
-      return false;
+    race.wait([&](std::span<const LegOutcome<Out>> arrived) {
+      // Once every ballot is in, the full vote below decides.
+      if (arrived.size() == n || arrived.size() == voted) return false;
+      voted = arrived.size();
+      ++rounds;
+      ++this->metrics_.adjudications;
+      Result<Out> v = voter_(padded(arrived, n));
+      // A success verdict short-circuits the join: everything not yet in is
+      // cancelled (or finishes as an unobserved straggler).
+      this->record_verdict(ctx, {.electorate = n,
+                                 .seen = voted,
+                                 .failed = failed_count<Out>(arrived),
+                                 .unfinished = v.has_value() ? n - voted : 0,
+                                 .round = rounds},
+                           v);
+      if (!v.has_value()) return false;
+      early.emplace(std::move(v));
+      return true;
     });
 
-    // Account every ballot that made it in before we leave; stragglers go
-    // through the Deferred counters instead.
-    bool failed_seen = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!st->arrived[i].has_value()) continue;
-      account((*variants_)[i]);
-      if (!st->arrived[i]->result.has_value()) {
-        ++metrics_.variant_failures;
-        failed_seen = true;
-      }
-    }
-
+    std::vector<LegOutcome<Out>> arrived = race.close();
+    for (const auto& leg : arrived) this->account_leg(leg);
+    const bool failed_seen = failed_count<Out>(arrived) > 0;
     if (early.has_value()) {
-      st->caller_gone = true;
-      st->token.cancel();
-      lock.unlock();
-      Result<Out> verdict = std::move(*early);
-      finish(verdict, failed_seen);
-      return verdict;
+      this->conclude(*early, failed_seen);
+      return std::move(*early);
     }
 
-    // All variants finished without an early success: vote the full set.
+    // Every variant finished without an early success: vote the full set.
+    std::sort(arrived.begin(), arrived.end(), [](const auto& a, const auto& b) {
+      return a.index() < b.index();
+    });
     std::vector<Ballot<Out>> ballots;
-    ballots.reserve(st->arrived_count);
-    for (auto& slot : st->arrived) {
-      if (slot.has_value()) ballots.push_back(std::move(*slot));
-    }
-    lock.unlock();
-    ++metrics_.adjudications;
+    ballots.reserve(arrived.size());
+    for (auto& leg : arrived) ballots.push_back(std::move(leg.ballot));
+    ++this->metrics_.adjudications;
     Result<Out> verdict = voter_(ballots);
-    if (ctx.active()) {
-      obs::AdjudicationEvent event;
-      event.technique = obs_label_;
-      event.round = rounds + 1;
-      event.electorate = n;
-      event.ballots_seen = ballots.size();
-      event.ballots_failed = failed_count(ballots);
-      event.accepted = verdict.has_value();
-      event.verdict = verdict.has_value() ? "ok" : verdict.error().describe();
-      obs::record_adjudication(ctx, std::move(event));
-    }
-    finish(verdict, failed_seen);
+    this->record_verdict(ctx, {.electorate = n,
+                               .seen = ballots.size(),
+                               .failed = failed_count<Out>(arrived),
+                               .round = rounds + 1},
+                         verdict);
+    this->conclude(verdict, failed_seen);
     return verdict;
   }
 
-  /// Emit the adjudication event for one incremental revote round. Called
-  /// with the state lock held, so `done`/`arrived` reads are consistent.
-  void record_incremental_vote(obs::SpanContext ctx,
-                               const IncrementalState& st, std::size_t n,
-                               std::size_t round, const Result<Out>& v) {
-    obs::AdjudicationEvent event;
-    event.technique = obs_label_;
-    event.round = round;
-    event.electorate = n;
-    event.ballots_seen = st.arrived_count;
-    for (const auto& slot : st.arrived) {
-      if (slot.has_value() && !slot->result.has_value()) {
-        ++event.ballots_failed;
-      }
-    }
-    event.accepted = v.has_value();
-    event.verdict = v.has_value() ? "ok" : v.error().describe();
-    // A success verdict short-circuits the join: everything not yet done is
-    // cancelled (or finishes as an unobserved straggler).
-    if (v.has_value()) event.stragglers_cancelled = n - st.done;
-    obs::record_adjudication(ctx, std::move(event));
-  }
-
-  /// Arrived ballots plus failure placeholders for the rest, so the voter
-  /// sees the full electorate size (a strict majority of n stays a strict
-  /// majority once every ballot is in).
-  static std::vector<Ballot<Out>> padded_ballots(const IncrementalState& st,
-                                                 std::size_t n) {
+  /// Arrived ballots plus failure placeholders for the rest, in variant
+  /// order, so the voter sees the full electorate size (a strict majority
+  /// of n stays a strict majority once every ballot is in).
+  std::vector<Ballot<Out>> padded(std::span<const LegOutcome<Out>> arrived,
+                                  std::size_t n) const {
     std::vector<Ballot<Out>> ballots;
     ballots.reserve(n);
     for (std::size_t i = 0; i < n; ++i) {
-      if (st.arrived[i].has_value()) {
-        ballots.push_back(*st.arrived[i]);
+      const auto it =
+          std::find_if(arrived.begin(), arrived.end(),
+                       [i](const auto& leg) { return leg.index() == i; });
+      if (it != arrived.end()) {
+        ballots.push_back(it->ballot);
       } else {
-        ballots.push_back({i, (*st.variants)[i].name,
+        ballots.push_back({i, this->legs().variants[i].name,
                            failure(FailureKind::unavailable,
                                    "ballot not yet available")});
       }
@@ -384,81 +187,10 @@ class ParallelEvaluation {
     return ballots;
   }
 
-  static bool any_failed(const std::vector<Ballot<Out>>& ballots) {
-    for (const auto& b : ballots) {
-      if (!b.result.has_value()) return true;
-    }
-    return false;
-  }
-
-  static std::size_t failed_count(const std::vector<Ballot<Out>>& ballots) {
-    std::size_t failed = 0;
-    for (const auto& b : ballots) {
-      if (!b.result.has_value()) ++failed;
-    }
-    return failed;
-  }
-
-  /// Always-on (sampling-independent) registry metrics for one request.
-  /// References are resolved lazily and cached: the registry lookup locks.
-  void account_observability(std::uint64_t t0, bool ok) {
-    if (lat_hist_ == nullptr) {
-      lat_hist_ = &obs::histogram("technique.request_ns", obs_label_);
-      req_counter_ = &obs::counter("technique.requests", obs_label_);
-      fail_counter_ = &obs::counter("technique.unrecovered", obs_label_);
-    }
-    lat_hist_->record(obs::now_ns() - t0);
-    req_counter_->add();
-    if (!ok) fail_counter_->add();
-  }
-
-  void finish(const Result<Out>& verdict, bool failed_seen) {
-    if (verdict.has_value()) {
-      if (failed_seen) ++metrics_.recoveries;
-    } else {
-      ++metrics_.unrecovered;
-    }
-  }
-
-  void account(const Variant<In, Out>& v) {
-    ++metrics_.variant_executions;
-    metrics_.cost_units += v.cost;
-  }
-
-  void fold_deferred() const noexcept {
-    const std::size_t ex =
-        deferred_->executions.exchange(0, std::memory_order_relaxed);
-    const std::size_t fl =
-        deferred_->failures.exchange(0, std::memory_order_relaxed);
-    const double cost = deferred_->cost.exchange(0.0, std::memory_order_relaxed);
-    metrics_.variant_executions += ex;
-    metrics_.variant_failures += fl;
-    metrics_.cost_units += cost;
-  }
-
-  /// (technique, input) cache key: the obs label salts the input digest so
-  /// two engines sharing one process never collide on equal inputs.
-  [[nodiscard]] std::uint64_t cache_key(const In& input) const noexcept {
-    util::Digest64 d;
-    d.update(label_salt_);
-    d.update(input);
-    return d.value();
-  }
-
-  std::shared_ptr<std::vector<Variant<In, Out>>> variants_;
   Voter<Out> voter_;
   Concurrency mode_;
   Adjudication adjudication_;
-  std::shared_ptr<Deferred> deferred_;
-  std::unique_ptr<RedundancyCache<Out>> cache_;
-  std::vector<std::optional<Ballot<Out>>> slots_scratch_;
-  util::BatchRunner batch_;  ///< reusable fan-out builder (owner thread only)
-  mutable Metrics metrics_;
-  std::uint64_t label_salt_ = util::fnv1a("parallel_evaluation");
-  std::string obs_label_ = "parallel_evaluation";
-  obs::Histogram* lat_hist_ = nullptr;
-  obs::Counter* req_counter_ = nullptr;
-  obs::Counter* fail_counter_ = nullptr;
+  std::vector<std::optional<LegOutcome<Out>>> slots_scratch_;
 };
 
 }  // namespace redundancy::core

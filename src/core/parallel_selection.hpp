@@ -7,36 +7,32 @@
 // al.): a failed acting component is discarded and its spare takes over, so
 // redundancy is progressively consumed.
 //
-// With Options::concurrency == Concurrency::threaded the components fan out
-// on the shared pool through submit_first_wins: the first result to *arrive*
-// and pass its acceptance test is returned immediately, the shared
-// cancellation token skips components that have not started, and stragglers
-// finish in the background. Selection is therefore by completion time rather
-// than by component priority — the latency-optimal reading of Figure 1(b).
-// Straggler bookkeeping (failed acceptance tests, disables, cost) is folded
-// into the metrics on the next call.
+// Label, cache, metrics, the late-leg fold and the verdict event come from
+// PatternCore (core/pattern_core.hpp); a component that throws is a crash
+// ballot in every mode. With Options::concurrency == Concurrency::threaded
+// the enabled components race on the shared pool (core/race.hpp): the first
+// result to *arrive* and pass its acceptance test is returned immediately,
+// closing the race cancels components that have not started, and
+// stragglers finish in the background. Selection is therefore by completion
+// time rather than by component priority — the latency-optimal reading of
+// Figure 1(b). Recoveries and the verdict event count this call's own
+// components; a straggler's failure folds into the metrics (and disables
+// its component) on the next call.
 #pragma once
 
-#include <atomic>
-#include <functional>
-#include <memory>
+#include <cstddef>
 #include <optional>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/concurrency.hpp"
-#include "core/metrics.hpp"
-#include "core/redundancy_cache.hpp"
-#include "core/variant.hpp"
-#include "obs/obs.hpp"
-#include "util/checksum.hpp"
-#include "util/thread_pool.hpp"
+#include "core/pattern_core.hpp"
 
 namespace redundancy::core {
 
 template <typename In, typename Out>
-class ParallelSelection {
+class ParallelSelection : public PatternCore<In, Out> {
  public:
   struct Checked {
     Variant<In, Out> variant;
@@ -57,311 +53,106 @@ class ParallelSelection {
 
   explicit ParallelSelection(std::vector<Checked> components,
                              Options options = {})
-      : components_(std::make_shared<std::vector<Checked>>(
-            std::move(components))),
-        options_(options),
-        pending_(std::make_shared<Pending>(components_->size())) {}
-
-  /// Label under which spans, adjudication events, and registry metrics are
-  /// emitted (techniques set their own: "self_checking", ...).
-  void set_obs_label(std::string label) {
-    obs_label_ = std::move(label);
-    label_salt_ = util::fnv1a(obs_label_);
-    lat_hist_ = nullptr;
-    req_counter_ = nullptr;
-  }
-
-  /// Memoize selected results keyed by (technique, input digest). Only sound
-  /// for deterministic components; note a cached verdict also skips the
-  /// acceptance tests, so disable_on_failure bookkeeping only advances on
-  /// misses.
-  void enable_cache(CacheConfig config = {}) {
-    static_assert(util::is_digestible_v<In>,
-                  "enable_cache needs a digestible input type (integral, "
-                  "string, float, vector/optional/pair of those)");
-    if (config.label.empty() || config.label == "cache") {
-      config.label = obs_label_;
-    }
-    cache_ = std::make_unique<RedundancyCache<Out>>(std::move(config));
-  }
-  void disable_cache() noexcept { cache_.reset(); }
-  [[nodiscard]] RedundancyCache<Out>* cache() noexcept { return cache_.get(); }
-  void invalidate_cache() noexcept {
-    if (cache_) cache_->invalidate_all();
-  }
+      : PatternCore<In, Out>("parallel_selection",
+                             legs_of(std::move(components)),
+                             options.disable_on_failure),
+        options_(options) {}
 
   Result<Out> run(const In& input) {
-    if constexpr (util::is_digestible_v<In>) {
-      if (cache_) {
-        const std::uint64_t t0 = obs::now_ns();
-        bool executed = false;
-        Result<Out> verdict =
-            cache_->get_or_run(cache_key(input), [&]() -> Result<Out> {
-              executed = true;
-              return run_adjudicated(input);
-            });
-        if (!executed) {  // cache hit or coalesced onto another run
-          ++metrics_.requests;
-          account_observability(t0, verdict.has_value());
-        }
-        return verdict;
-      }
-    }
-    return run_adjudicated(input);
-  }
-
- private:
-  Result<Out> run_adjudicated(const In& input) {
-    fold_pending();
-    ++metrics_.requests;
-    obs::ScopedSpan span{obs_label_};
-    const std::uint64_t t0 = obs::enabled() ? obs::now_ns() : 0;
-    Result<Out> verdict = [&] {
+    return this->serve(input, [&](obs::SpanContext ctx) {
       if (options_.concurrency == Concurrency::threaded) {
         if constexpr (std::is_copy_constructible_v<In>) {
-          return run_threaded(input);
+          return run_threaded(input, ctx);
         }
       }
-      return run_sequential(input);
-    }();
-    if (t0 != 0) account_observability(t0, verdict.has_value());
-    span.set_ok(verdict.has_value());
-    return verdict;
+      return run_sequential(input, ctx);
+    });
   }
 
- public:
   /// Index of the component whose result was last selected.
   [[nodiscard]] std::size_t acting() const noexcept { return acting_; }
   [[nodiscard]] std::size_t alive() const noexcept {
-    fold_pending();
+    this->fold();
     std::size_t n = 0;
-    for (const auto& c : *components_) n += c.variant.enabled ? 1 : 0;
+    for (const auto& v : this->legs().variants) n += v.enabled ? 1 : 0;
     return n;
   }
   /// Re-enable every component (e.g. after repair / redeployment).
   void reinstate_all() noexcept {
-    fold_pending();
-    for (auto& c : *components_) c.variant.enabled = true;
-  }
-
-  [[nodiscard]] const Metrics& metrics() const noexcept {
-    fold_pending();
-    return metrics_;
-  }
-  void reset_metrics() noexcept {
-    fold_pending();
-    metrics_.reset();
+    this->fold();
+    for (auto& v : this->legs().variants) v.enabled = true;
   }
 
  private:
-  /// Bookkeeping written by straggler components after an early return,
-  /// folded into metrics_/enabled flags on the next call from the owner.
-  struct Pending {
-    explicit Pending(std::size_t n) : failed(n) {}
-    std::vector<std::atomic<bool>> failed;
-    std::atomic<std::size_t> executions{0};
-    std::atomic<std::size_t> failures{0};
-    std::atomic<std::size_t> adjudications{0};
-    std::atomic<double> cost{0.0};
-  };
+  static Legs<In, Out> legs_of(std::vector<Checked> components) {
+    Legs<In, Out> legs{{}, {}, true, "component"};
+    for (Checked& c : components) {
+      legs.variants.push_back(std::move(c.variant));
+      legs.checks.push_back(std::move(c.check));
+    }
+    return legs;
+  }
 
-  Result<Out> run_sequential(const In& input) {
-    const obs::SpanContext ctx = obs::current_context();
+  Result<Out> run_sequential(const In& input, obs::SpanContext ctx) {
     Result<Out> selected =
         failure(FailureKind::no_alternatives, "all components disabled");
-    bool have = false;
-    bool any_failed = false;
+    std::optional<std::size_t> winner;
     std::size_t executed = 0;
     std::size_t failed = 0;
-    for (std::size_t i = 0; i < components_->size(); ++i) {
-      auto& c = (*components_)[i];
-      if (!c.variant.enabled) continue;
-      if (options_.lazy && have) break;
-      ++metrics_.variant_executions;
-      metrics_.cost_units += c.variant.cost;
-      obs::ScopedSpan cspan{"component", ctx};
-      cspan.set_detail(c.variant.name);
-      Result<Out> r = c.variant(input);
-      ++metrics_.adjudications;
+    std::optional<LegOutcome<Out>> slot;
+    for (std::size_t i = 0; i < this->width(); ++i) {
+      if (!this->legs().variants[i].enabled) continue;
+      if (options_.lazy && winner) break;
+      LegOutcome<Out>& leg = run_leg(this->legs(), i, input, ctx, slot);
+      this->account_leg(leg);
       ++executed;
-      const bool pass = r.has_value() && c.check(input, r.value());
-      cspan.set_ok(pass);
-      if (pass) {
-        if (!have) {
-          selected = std::move(r);
-          have = true;
-          acting_ = i;
-        }
-      } else {
-        ++metrics_.variant_failures;
+      if (!leg.ok()) {
         ++failed;
-        any_failed = true;
-        if (options_.disable_on_failure) {
-          c.variant.enabled = false;
-          ++metrics_.disabled_components;
-        }
+      } else if (!winner) {
+        selected = std::move(leg.ballot.result);
+        winner = i;
+        acting_ = i;
       }
     }
-    if (have) {
-      if (any_failed) ++metrics_.recoveries;
-    } else {
-      ++metrics_.unrecovered;
-      if (selected.has_value()) {
-        selected = failure(FailureKind::no_alternatives, "no passing component");
-      }
-    }
-    if (ctx.active()) {
-      obs::AdjudicationEvent event;
-      event.technique = obs_label_;
-      event.electorate = components_->size();
-      event.ballots_seen = executed;
-      event.ballots_failed = failed;
-      event.accepted = have;
-      event.verdict = have ? "ok" : "no passing component";
-      if (have) event.winner = (*components_)[acting_].variant.name;
-      obs::record_adjudication(ctx, std::move(event));
-    }
+    this->record_verdict(
+        ctx, {.electorate = this->width(), .seen = executed, .failed = failed},
+        selected, winner);
+    this->conclude(selected, failed > 0);
     return selected;
   }
 
-  Result<Out> run_threaded(const In& input) {
-    // Everything a straggler may touch after run() returns: its own copy of
-    // the input plus shared ownership of the components and the fold-later
-    // counters.
-    struct Shared {
-      Shared(const In& in, std::shared_ptr<std::vector<Checked>> cs,
-             std::shared_ptr<Pending> p, obs::SpanContext c)
-          : input(in),
-            components(std::move(cs)),
-            pending(std::move(p)),
-            ctx(c) {}
-      const In input;
-      std::shared_ptr<std::vector<Checked>> components;
-      std::shared_ptr<Pending> pending;
-      const obs::SpanContext ctx;  ///< one copy per run, not per task
-    };
-    auto sh =
-        std::make_shared<Shared>(input, components_, pending_,
-                                 obs::current_context());
-    const obs::SpanContext ctx = sh->ctx;
-
-    // Raw lambdas (shared state + index: 24 bytes), so neither the task nor
-    // the first-wins wrapper around it spills out of the Task inline buffer.
-    auto task_for = [&sh](std::size_t i) {
-      return [sh, i](const util::CancellationToken&) -> std::optional<Out> {
-        const Checked& c = (*sh->components)[i];
-        Pending& p = *sh->pending;
-        p.executions.fetch_add(1, std::memory_order_relaxed);
-        p.cost.fetch_add(c.variant.cost, std::memory_order_relaxed);
-        obs::ScopedSpan cspan{"component", sh->ctx};
-        cspan.set_detail(c.variant.name);
-        Result<Out> r = c.variant(sh->input);
-        p.adjudications.fetch_add(1, std::memory_order_relaxed);
-        if (r.has_value() && c.check(sh->input, r.value())) {
-          return std::move(r).take();
-        }
-        cspan.set_ok(false);
-        p.failures.fetch_add(1, std::memory_order_relaxed);
-        p.failed[i].store(true, std::memory_order_release);
-        return std::nullopt;
-      };
-    };
-    std::vector<decltype(task_for(0))> tasks;
-    std::vector<std::size_t> index_of;  // task slot -> component index
-    for (std::size_t i = 0; i < components_->size(); ++i) {
-      if (!(*components_)[i].variant.enabled) continue;
-      index_of.push_back(i);
-      tasks.push_back(task_for(i));
-    }
-    if (tasks.empty()) {
-      ++metrics_.unrecovered;
+  Result<Out> run_threaded(const In& input, obs::SpanContext ctx) {
+    auto race = this->race(input, ctx);
+    const std::size_t eligible = race.post_batch(
+        [this](std::size_t i) { return this->legs().variants[i].enabled; });
+    if (eligible == 0) {
+      ++this->metrics_.unrecovered;
       return failure(FailureKind::no_alternatives, "all components disabled");
     }
-
-    const std::size_t eligible = tasks.size();
-    auto fw = util::ThreadPool::shared().submit_first_wins<Out>(std::move(tasks));
-    const std::size_t failures_folded = fold_pending();
-    const bool won = fw.value.has_value();
-    if (won) acting_ = index_of[fw.winner];
-    if (ctx.active()) {
-      // Selection is by completion time: the verdict is the first passing
-      // ballot, everything not yet executed was cancelled.
-      obs::AdjudicationEvent event;
-      event.technique = obs_label_;
-      event.electorate = eligible;
-      event.ballots_seen = fw.executed;
-      event.ballots_failed = failures_folded;
-      event.accepted = won;
-      event.verdict = won ? "ok" : "no passing component";
-      if (won) event.winner = (*components_)[acting_].variant.name;
-      event.stragglers_cancelled = eligible - fw.executed;
-      obs::record_adjudication(ctx, std::move(event));
-    }
-    if (won) {
-      if (failures_folded > 0) ++metrics_.recoveries;
-      return Result<Out>{std::move(*fw.value)};
-    }
-    ++metrics_.unrecovered;
-    return failure(FailureKind::no_alternatives, "no passing component");
+    std::optional<std::size_t> winner;
+    race.wait(first_passing<Out>(winner));
+    std::vector<LegOutcome<Out>> arrived = race.close();
+    for (const auto& leg : arrived) this->account_leg(leg);
+    const std::size_t failed = failed_count<Out>(arrived);
+    Result<Out> verdict =
+        winner ? std::move(arrived[*winner].ballot.result)
+            : failure(FailureKind::no_alternatives, "no passing component");
+    if (winner) acting_ = arrived[*winner].index();
+    // Selection is by completion time: the verdict is the first passing
+    // ballot, everything not yet in was cancelled.
+    this->record_verdict(ctx,
+                         {.electorate = eligible,
+                          .seen = arrived.size(),
+                          .failed = failed,
+                          .unfinished = eligible - arrived.size()},
+                         verdict,
+                         winner ? std::optional{acting_} : std::nullopt);
+    this->conclude(verdict, failed > 0);
+    return verdict;
   }
 
-  /// Fold straggler bookkeeping into metrics_ and the enabled flags. Only
-  /// the owning thread touches metrics_ and `enabled`, so this is race-free
-  /// as long as run()/metrics() are not called concurrently (they never
-  /// were). Returns the number of failures folded in.
-  std::size_t fold_pending() const noexcept {
-    Pending& p = *pending_;
-    const std::size_t ex = p.executions.exchange(0, std::memory_order_relaxed);
-    const std::size_t fl = p.failures.exchange(0, std::memory_order_relaxed);
-    const std::size_t ad =
-        p.adjudications.exchange(0, std::memory_order_relaxed);
-    const double cost = p.cost.exchange(0.0, std::memory_order_relaxed);
-    metrics_.variant_executions += ex;
-    metrics_.variant_failures += fl;
-    metrics_.adjudications += ad;
-    metrics_.cost_units += cost;
-    for (std::size_t i = 0; i < p.failed.size(); ++i) {
-      if (!p.failed[i].exchange(false, std::memory_order_acq_rel)) continue;
-      auto& c = (*components_)[i];
-      if (options_.disable_on_failure && c.variant.enabled) {
-        c.variant.enabled = false;
-        ++metrics_.disabled_components;
-      }
-    }
-    return fl;
-  }
-
-  /// Always-on (sampling-independent) registry metrics for one request.
-  void account_observability(std::uint64_t t0, bool ok) {
-    if (lat_hist_ == nullptr) {
-      lat_hist_ = &obs::histogram("technique.request_ns", obs_label_);
-      req_counter_ = &obs::counter("technique.requests", obs_label_);
-      fail_counter_ = &obs::counter("technique.unrecovered", obs_label_);
-    }
-    lat_hist_->record(obs::now_ns() - t0);
-    req_counter_->add();
-    if (!ok) fail_counter_->add();
-  }
-
-  /// (technique, input) cache key — see ParallelEvaluation::cache_key.
-  [[nodiscard]] std::uint64_t cache_key(const In& input) const noexcept {
-    util::Digest64 d;
-    d.update(label_salt_);
-    d.update(input);
-    return d.value();
-  }
-
-  std::shared_ptr<std::vector<Checked>> components_;
   Options options_;
-  std::shared_ptr<Pending> pending_;
-  std::unique_ptr<RedundancyCache<Out>> cache_;
-  mutable Metrics metrics_;
   std::size_t acting_ = 0;
-  std::uint64_t label_salt_ = util::fnv1a("parallel_selection");
-  std::string obs_label_ = "parallel_selection";
-  obs::Histogram* lat_hist_ = nullptr;
-  obs::Counter* req_counter_ = nullptr;
-  obs::Counter* fail_counter_ = nullptr;
 };
 
 }  // namespace redundancy::core

@@ -33,10 +33,6 @@
 // counters (cache.hits / misses / coalesced / admits / rejects / evictions /
 // invalidations) carrying the cache's technique= label, so they render
 // byte-deterministically alongside the other technique series.
-//
-// -DREDUNDANCY_CACHE_OFF=ON compiles the layer down to a pass-through stub
-// (mirroring REDUNDANCY_OBS_NOOP): get_or_run() invokes the miss path
-// directly and the optimizer deletes the rest.
 #pragma once
 
 #include <atomic>
@@ -95,45 +91,6 @@ struct CacheStatsSnapshot {
     return total > 0.0 ? static_cast<double>(hits) / total : 0.0;
   }
 };
-
-#ifdef REDUNDANCY_CACHE_OFF
-inline constexpr bool kCacheCompiledIn = false;
-
-/// Pass-through stub: identical API, no storage, no coalescing. get_or_run
-/// always executes; the optimizer folds the layer away.
-template <typename Out>
-class RedundancyCache {
- public:
-  explicit RedundancyCache(CacheConfig config = {}) : config_(std::move(config)) {}
-
-  std::optional<Result<Out>> lookup(std::uint64_t) noexcept {
-    return std::nullopt;
-  }
-  void store(std::uint64_t, const Result<Out>&) noexcept {}
-
-  template <typename Fn>
-  Result<Out> get_or_run(std::uint64_t, Fn&& run) {
-    return std::forward<Fn>(run)();
-  }
-  template <typename Fn>
-  Result<Out> get_or_run(std::uint64_t, const util::CancellationToken&,
-                         Fn&& run) {
-    return std::forward<Fn>(run)();
-  }
-
-  void invalidate_all() noexcept {}
-  void clear() noexcept {}
-  [[nodiscard]] std::size_t size() const noexcept { return 0; }
-  [[nodiscard]] std::size_t shard_count() const noexcept { return 1; }
-  [[nodiscard]] CacheStatsSnapshot stats() const noexcept { return {}; }
-  [[nodiscard]] const CacheConfig& config() const noexcept { return config_; }
-
- private:
-  CacheConfig config_;
-};
-
-#else
-inline constexpr bool kCacheCompiledIn = true;
 
 namespace cache_detail {
 
@@ -492,7 +449,5 @@ class RedundancyCache {
   obs::Counter& evictions_;
   obs::Counter& invalidations_;
 };
-
-#endif  // REDUNDANCY_CACHE_OFF
 
 }  // namespace redundancy::core

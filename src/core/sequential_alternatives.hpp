@@ -6,46 +6,39 @@
 // (Randell 1975), retry blocks, registry-based recovery, and dynamic service
 // substitution.
 //
-// Two hot-path additions on top of the classic scheme:
+// Label, result cache (enable_cache: a hit skips every alternative and the
+// acceptance test, see core/redundancy_cache.hpp), metrics, the late-leg
+// fold and the verdict event come from PatternCore
+// (core/pattern_core.hpp); an alternative that throws is a crash ballot in
+// every mode.
 //
-//   * Result cache (enable_cache): adjudicated verdicts are memoized by
-//     (technique, input digest); a hit skips every alternative and the
-//     acceptance test. See core/redundancy_cache.hpp.
-//   * Hedged execution (Options::Hedge): instead of waiting for the primary
-//     to fail or time out, the next alternative is launched as soon as the
-//     primary has been running longer than a latency budget derived live
-//     from the technique's own obs::Histogram (multiplier × p-quantile of
-//     observed alternative latencies). First result to pass the acceptance
-//     test wins; the shared CancellationToken skips alternatives that have
-//     not started, and stragglers fold their bookkeeping into the metrics on
-//     the next call — the same discipline the parallel patterns use. Hedging
-//     engages only for stateless blocks (no rollback installed): concurrent
-//     alternatives cannot share a restore point.
+// Hedged execution (Options::Hedge): instead of waiting for the primary to
+// fail or time out, the next alternative is launched as soon as the primary
+// has been running longer than a latency budget derived live from the
+// technique's own obs::Histogram (multiplier × p-quantile of observed
+// alternative latencies). The alternatives race on the shared pool
+// (core/race.hpp), one leg added per expired budget or failed attempt; the
+// first result to pass the acceptance test wins, closing the race cancels
+// alternatives that have not started, and stragglers fold their bookkeeping
+// into the metrics on the next call — the same discipline the parallel
+// patterns use. Hedging engages only for stateless blocks (no rollback
+// installed): concurrent alternatives cannot share a restore point.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
+#include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <string>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "core/metrics.hpp"
-#include "core/redundancy_cache.hpp"
-#include "core/variant.hpp"
-#include "obs/obs.hpp"
-#include "util/checksum.hpp"
-#include "util/thread_pool.hpp"
+#include "core/pattern_core.hpp"
 
 namespace redundancy::core {
 
 template <typename In, typename Out>
-class SequentialAlternatives {
+class SequentialAlternatives : public PatternCore<In, Out> {
  public:
   struct Options {
     /// Invoked before every alternative after the first — the recovery-block
@@ -76,72 +69,29 @@ class SequentialAlternatives {
 
   SequentialAlternatives(std::vector<Variant<In, Out>> alternatives,
                          AcceptanceTest<In, Out> accept, Options options = {})
-      : alternatives_(std::make_shared<std::vector<Variant<In, Out>>>(
-            std::move(alternatives))),
-        accept_(std::make_shared<AcceptanceTest<In, Out>>(std::move(accept))),
-        options_(std::move(options)),
-        pending_(std::make_shared<Pending>()) {}
-
-  /// Label under which spans, adjudication events, and registry metrics are
-  /// emitted (techniques set their own: "recovery_blocks", ...).
-  void set_obs_label(std::string label) {
-    obs_label_ = std::move(label);
-    label_salt_ = util::fnv1a(obs_label_);
-    lat_hist_ = nullptr;
-    req_counter_ = nullptr;
-    alt_hist_ = nullptr;
-  }
-
-  /// Memoize adjudicated verdicts keyed by (technique, input digest). Only
-  /// sound for deterministic alternative sets.
-  void enable_cache(CacheConfig config = {}) {
-    static_assert(util::is_digestible_v<In>,
-                  "enable_cache needs a digestible input type (integral, "
-                  "string, float, vector/optional/pair of those)");
-    if (config.label.empty() || config.label == "cache") {
-      config.label = obs_label_;
-    }
-    cache_ = std::make_unique<RedundancyCache<Out>>(std::move(config));
-  }
-  void disable_cache() noexcept { cache_.reset(); }
-  [[nodiscard]] RedundancyCache<Out>* cache() noexcept { return cache_.get(); }
-  void invalidate_cache() noexcept {
-    if (cache_) cache_->invalidate_all();
-  }
+      : PatternCore<In, Out>("sequential_alternatives",
+                             Legs<In, Out>{std::move(alternatives),
+                                           {std::move(accept)},
+                                           false,
+                                           "alternative"},
+                             false),
+        options_(std::move(options)) {}
 
   Result<Out> run(const In& input) {
-    if constexpr (util::is_digestible_v<In>) {
-      if (cache_) {
-        const std::uint64_t t0 = obs::now_ns();
-        bool executed = false;
-        Result<Out> verdict =
-            cache_->get_or_run(cache_key(input), [&]() -> Result<Out> {
-              executed = true;
-              return run_uncached(input);
-            });
-        if (!executed) {  // cache hit or coalesced onto another run
-          ++metrics_.requests;
-          account_observability(t0, verdict.has_value());
+    return this->serve(input, [&](obs::SpanContext ctx) {
+      if (options_.hedge.enabled && !options_.rollback) {
+        // The race's legs may outlive this call, so they need their own
+        // copy of the input.
+        if constexpr (std::is_copy_constructible_v<In>) {
+          return run_hedged(input, ctx);
         }
-        return verdict;
       }
-    }
-    return run_uncached(input);
+      return run_sequential(input, ctx);
+    });
   }
 
   /// Index of the alternative whose result was last accepted.
   [[nodiscard]] std::size_t last_used() const noexcept { return last_used_; }
-  [[nodiscard]] const Metrics& metrics() const noexcept {
-    fold_pending();
-    return metrics_;
-  }
-  void reset_metrics() noexcept {
-    fold_pending();
-    metrics_.reset();
-  }
-  [[nodiscard]] std::size_t width() const noexcept {
-    return alternatives_->size();
-  }
 
   /// Install or update the hedging policy after construction. Hedging still
   /// only engages when no rollback is installed and In is copyable.
@@ -154,7 +104,7 @@ class SequentialAlternatives {
   /// latency histogram, clamped; the fallback until min_samples landed.
   [[nodiscard]] std::uint64_t hedge_budget_ns() {
     const typename Options::Hedge& h = options_.hedge;
-    obs::Histogram& hist = alternative_histogram();
+    obs::Histogram& hist = this->leg_latency();
     if (hist.count() < h.min_samples) return h.fallback_budget_ns;
     const double p = hist.snapshot().percentile(h.quantile);
     auto budget = static_cast<std::uint64_t>(p * h.multiplier);
@@ -164,352 +114,112 @@ class SequentialAlternatives {
   }
 
  private:
-  /// Bookkeeping written by hedge stragglers after an early return, folded
-  /// into metrics_ on the next call from the owner thread.
-  struct Pending {
-    std::atomic<std::size_t> executions{0};
-    std::atomic<std::size_t> failures{0};
-    std::atomic<std::size_t> adjudications{0};
-    std::atomic<double> cost{0.0};
-  };
-
-  Result<Out> run_uncached(const In& input) {
-    if (options_.hedge.enabled && !options_.rollback) {
-      // Hedging needs its own copy of the input: stragglers may touch it
-      // after run() returns.
-      if constexpr (std::is_copy_constructible_v<In>) {
-        return run_hedged(input);
-      }
-    }
-    return run_sequential(input);
-  }
-
-  Result<Out> run_sequential(const In& input) {
-    fold_pending();
-    ++metrics_.requests;
-    obs::ScopedSpan span{obs_label_};
-    const obs::SpanContext ctx = span.context();
-    const std::uint64_t t0 = obs::enabled() ? obs::now_ns() : 0;
+  Result<Out> run_sequential(const In& input, obs::SpanContext ctx) {
     const std::size_t limit = attempt_limit();
     Failure last = failure(FailureKind::no_alternatives, "no alternatives");
     std::size_t attempted = 0;
     std::size_t failed = 0;
+    std::optional<LegOutcome<Out>> slot;
     for (std::size_t i = 0; i < limit; ++i) {
-      const Variant<In, Out>& alt = (*alternatives_)[i];
-      if (!alt.enabled) continue;
+      if (!this->legs().variants[i].enabled) continue;
       if (i > 0 && options_.rollback) {
         options_.rollback();
-        ++metrics_.rollbacks;
+        ++this->metrics_.rollbacks;
       }
-      ++metrics_.variant_executions;
-      metrics_.cost_units += alt.cost;
-      obs::ScopedSpan aspan{"alternative", ctx};
-      aspan.set_detail(alt.name);
-      const std::uint64_t a0 = obs::now_ns();
-      Result<Out> r = alt(input);
-      alternative_histogram().record(obs::now_ns() - a0);
+      LegOutcome<Out>& leg =
+          run_leg(this->legs(), i, input, ctx, slot, &this->leg_latency());
+      this->account_leg(leg);
       ++attempted;
-      if (!r.has_value()) {
-        ++metrics_.variant_failures;
-        ++failed;
-        aspan.set_ok(false);
-        last = r.error();
-        continue;
-      }
-      ++metrics_.adjudications;
-      if ((*accept_)(input, r.value())) {
-        if (i > 0) ++metrics_.recoveries;
+      if (leg.ok()) {
         last_used_ = i;
-        record_verdict(ctx, limit, attempted, failed, true, alt.name);
-        if (t0 != 0) account_observability(t0, true);
-        span.set_ok(true);
-        return r;
+        Result<Out> verdict = std::move(leg.ballot.result);
+        this->record_verdict(
+            ctx, {.electorate = limit, .seen = attempted, .failed = failed},
+            verdict, i);
+        this->conclude(verdict, i > 0);
+        return verdict;
       }
-      ++metrics_.variant_failures;
       ++failed;
-      aspan.set_ok(false);
-      last = failure(FailureKind::acceptance_failed,
-                     "rejected result of " + alt.name);
+      last = leg.ballot.result.error();
     }
-    ++metrics_.unrecovered;
-    record_verdict(ctx, limit, attempted, failed, false, last.describe());
-    if (t0 != 0) account_observability(t0, false);
-    span.set_ok(false);
-    return Result<Out>{failure(FailureKind::no_alternatives, last.describe(),
-                               last.cause)};
+    return exhausted(
+        ctx, {.electorate = limit, .seen = attempted, .failed = failed}, last);
   }
 
-  /// Everything a hedged straggler may touch after run() returns.
-  struct HedgeShared {
-    HedgeShared(const In& in,
-                std::shared_ptr<std::vector<Variant<In, Out>>> alts,
-                std::shared_ptr<AcceptanceTest<In, Out>> acc,
-                std::shared_ptr<Pending> p, obs::SpanContext c,
-                obs::Histogram* hist)
-        : input(in),
-          alternatives(std::move(alts)),
-          accept(std::move(acc)),
-          pending(std::move(p)),
-          ctx(c),
-          alt_hist(hist) {}
-
-    const In input;
-    std::shared_ptr<std::vector<Variant<In, Out>>> alternatives;
-    std::shared_ptr<AcceptanceTest<In, Out>> accept;
-    std::shared_ptr<Pending> pending;
-    const obs::SpanContext ctx;
-    obs::Histogram* alt_hist;  ///< registry-owned; outlives every straggler
-
-    std::mutex m;
-    std::condition_variable cv;
-    std::optional<Result<Out>> winner;
-    std::size_t winner_index = static_cast<std::size_t>(-1);
-    std::size_t launched = 0;
-    std::size_t settled = 0;  ///< finished or skipped-by-cancellation
-    std::size_t failed = 0;   ///< settled without a passing result
-    std::optional<Failure> last_error;
-    util::CancellationToken token;
-  };
-
-  Result<Out> run_hedged(const In& input) {
-    fold_pending();
-    ++metrics_.requests;
-    obs::ScopedSpan span{obs_label_};
-    const std::uint64_t t0 = obs::enabled() ? obs::now_ns() : 0;
-    auto& pool = util::ThreadPool::shared();
-    auto sh = std::make_shared<HedgeShared>(input, alternatives_, accept_,
-                                            pending_, span.context(),
-                                            &alternative_histogram());
-
+  Result<Out> run_hedged(const In& input, obs::SpanContext ctx) {
     // Eligible alternatives in priority order, honouring max_attempts.
     const std::size_t limit = attempt_limit();
     std::vector<std::size_t> eligible;
     eligible.reserve(limit);
     for (std::size_t i = 0; i < limit; ++i) {
-      if ((*alternatives_)[i].enabled) eligible.push_back(i);
+      if (this->legs().variants[i].enabled) eligible.push_back(i);
     }
     if (eligible.empty()) {
-      ++metrics_.unrecovered;
-      record_verdict(sh->ctx, limit, 0, 0, false, "no alternatives");
-      if (t0 != 0) account_observability(t0, false);
-      span.set_ok(false);
-      return Result<Out>{
-          failure(FailureKind::no_alternatives, "no alternatives")};
+      return exhausted(
+          ctx, {.electorate = limit},
+          failure(FailureKind::no_alternatives, "no alternatives"));
     }
 
-    std::size_t next = 0;
-    launch(pool, sh, eligible[next++]);
-
-    std::unique_lock lock(sh->m);
+    auto race = this->race(input, ctx, &this->leg_latency());
+    race.post(eligible.front());
+    std::size_t next = 1;
+    std::optional<std::size_t> winner;
     for (;;) {
       const bool more = next < eligible.size();
       // The budget is re-read from the live histogram at every hedge point,
       // so it adapts as latency observations accumulate mid-burst.
       const std::uint64_t deadline =
           more ? obs::now_ns() + hedge_budget_ns() : 0;
-      bool hedge_fire = false;
-      pool.help_until(lock, sh->cv, [&] {
-        if (sh->winner.has_value()) return true;
-        if (sh->settled == sh->launched) return true;  // all outcomes in
-        if (more && obs::now_ns() >= deadline) {
-          hedge_fire = true;
-          return true;
-        }
-        return false;
-      });
-      if (sh->winner.has_value()) break;
-      if (sh->settled == sh->launched && !more) break;  // exhausted
-      if (hedge_fire || sh->settled == sh->launched) {
-        // Budget elapsed (hedge) or everything launched so far already
-        // failed (classic sequential fallthrough): activate the next
-        // alternative. metrics_.hedges counts only true hedges.
-        if (hedge_fire) ++metrics_.hedged_launches;
-        lock.unlock();
-        launch(pool, sh, eligible[next++]);
-        lock.lock();
-      }
+      const bool expired = race.wait(first_passing<Out>(winner), deadline);
+      if (winner || !more) break;
+      // Budget elapsed (a hedge) or everything launched so far already
+      // failed (the classic sequential fall-through): activate the next
+      // alternative. Only true hedges count as hedged launches.
+      if (expired) ++this->metrics_.hedged_launches;
+      race.post(eligible[next++]);
     }
 
-    const bool won = sh->winner.has_value();
-    const std::size_t attempted = sh->settled;
-    const std::size_t failed = sh->failed;
-    Result<Out> verdict = won ? std::move(*sh->winner)
-                              : Result<Out>{failure(
-                                    FailureKind::no_alternatives,
-                                    sh->last_error
-                                        ? sh->last_error->describe()
-                                        : "no passing alternative")};
-    if (won) {
-      last_used_ = sh->winner_index;
-      sh->token.cancel();  // losers still queued are skipped
+    std::vector<LegOutcome<Out>> arrived = race.close();
+    for (const auto& leg : arrived) this->account_leg(leg);
+    const Tally tally{.electorate = eligible.size(),
+                      .seen = arrived.size(),
+                      .failed = failed_count<Out>(arrived),
+                      .unfinished = next - arrived.size()};
+    if (!winner) {
+      const auto last = std::find_if(arrived.rbegin(), arrived.rend(),
+                                     [](const auto& leg) { return !leg.ok(); });
+      return exhausted(ctx, tally,
+                       last != arrived.rend()
+                           ? last->ballot.result.error()
+                           : failure(FailureKind::no_alternatives,
+                                     "no passing alternative"));
     }
-    const std::size_t stragglers = sh->launched - sh->settled;
-    lock.unlock();
-
-    fold_pending();
-    if (won) {
-      if (failed > 0 || last_used_ != eligible.front()) ++metrics_.recoveries;
-    } else {
-      ++metrics_.unrecovered;
-    }
-    if (sh->ctx.active()) {
-      obs::AdjudicationEvent event;
-      event.technique = obs_label_;
-      event.electorate = eligible.size();
-      event.ballots_seen = attempted;
-      event.ballots_failed = failed;
-      event.accepted = won;
-      event.verdict = won ? "ok" : "no passing alternative";
-      if (won) event.winner = (*alternatives_)[last_used_].name;
-      event.stragglers_cancelled = stragglers;
-      obs::record_adjudication(sh->ctx, std::move(event));
-    }
-    if (t0 != 0) account_observability(t0, won);
-    span.set_ok(won);
+    LegOutcome<Out>& won = arrived[*winner];
+    last_used_ = won.index();
+    Result<Out> verdict = std::move(won.ballot.result);
+    this->record_verdict(ctx, tally, verdict, last_used_);
+    this->conclude(verdict, tally.failed > 0 || last_used_ != eligible.front());
     return verdict;
   }
 
-  /// Post one alternative onto the pool as a hedge leg. The task owns a
-  /// shared_ptr to everything it touches: it may settle after run() returned.
-  void launch(util::ThreadPool& pool, const std::shared_ptr<HedgeShared>& sh,
-              std::size_t index) {
-    {
-      std::lock_guard lock(sh->m);
-      ++sh->launched;
-    }
-    pool.post(util::ThreadPool::Task{[sh, index] {
-      if (sh->token.cancelled()) {
-        std::lock_guard lock(sh->m);
-        ++sh->settled;
-        ++sh->failed;
-        sh->cv.notify_all();
-        return;
-      }
-      const Variant<In, Out>& alt = (*sh->alternatives)[index];
-      Pending& p = *sh->pending;
-      p.executions.fetch_add(1, std::memory_order_relaxed);
-      p.cost.fetch_add(alt.cost, std::memory_order_relaxed);
-      obs::ScopedSpan aspan{"alternative", sh->ctx};
-      aspan.set_detail(alt.name);
-      const std::uint64_t a0 = obs::now_ns();
-      Result<Out> r = [&]() -> Result<Out> {
-        try {
-          return alt(sh->input);
-        } catch (...) {
-          return Result<Out>{
-              failure(FailureKind::crash, "alternative threw")};
-        }
-      }();
-      sh->alt_hist->record(obs::now_ns() - a0);
-      bool pass = false;
-      Failure why = failure(FailureKind::no_alternatives);
-      if (r.has_value()) {
-        p.adjudications.fetch_add(1, std::memory_order_relaxed);
-        pass = (*sh->accept)(sh->input, r.value());
-        if (!pass) {
-          why = failure(FailureKind::acceptance_failed,
-                        "rejected result of " + alt.name);
-        }
-      } else {
-        why = r.error();
-      }
-      aspan.set_ok(pass);
-      if (!pass) p.failures.fetch_add(1, std::memory_order_relaxed);
-      {
-        std::lock_guard lock(sh->m);
-        ++sh->settled;
-        if (pass) {
-          if (!sh->winner.has_value()) {
-            sh->winner.emplace(std::move(r));
-            sh->winner_index = index;
-            sh->token.cancel();
-          }
-        } else {
-          ++sh->failed;
-          sh->last_error.emplace(std::move(why));
-        }
-        sh->cv.notify_all();
-      }
-    }});
+  /// No alternative passed: the verdict carries the last failure seen.
+  Result<Out> exhausted(obs::SpanContext ctx, const Tally& tally,
+                        const Failure& last) {
+    Result<Out> verdict =
+        failure(FailureKind::no_alternatives, last.describe(), last.cause);
+    this->record_verdict(ctx, tally, verdict);
+    this->conclude(verdict, false);
+    return verdict;
   }
 
   [[nodiscard]] std::size_t attempt_limit() const noexcept {
     return options_.max_attempts == 0
-               ? alternatives_->size()
-               : std::min(options_.max_attempts, alternatives_->size());
+               ? this->width()
+               : std::min(options_.max_attempts, this->width());
   }
 
-  void fold_pending() const noexcept {
-    Pending& p = *pending_;
-    metrics_.variant_executions +=
-        p.executions.exchange(0, std::memory_order_relaxed);
-    metrics_.variant_failures +=
-        p.failures.exchange(0, std::memory_order_relaxed);
-    metrics_.adjudications +=
-        p.adjudications.exchange(0, std::memory_order_relaxed);
-    metrics_.cost_units += p.cost.exchange(0.0, std::memory_order_relaxed);
-  }
-
-  void record_verdict(obs::SpanContext ctx, std::size_t electorate,
-                      std::size_t attempted, std::size_t failed, bool accepted,
-                      const std::string& winner_or_verdict) {
-    if (!ctx.active()) return;
-    obs::AdjudicationEvent event;
-    event.technique = obs_label_;
-    event.electorate = electorate;
-    event.ballots_seen = attempted;
-    event.ballots_failed = failed;
-    event.accepted = accepted;
-    if (accepted) {
-      event.verdict = "ok";
-      event.winner = winner_or_verdict;
-    } else {
-      event.verdict = winner_or_verdict;
-    }
-    obs::record_adjudication(ctx, std::move(event));
-  }
-
-  /// Always-on (sampling-independent) registry metrics for one request.
-  void account_observability(std::uint64_t t0, bool ok) {
-    if (lat_hist_ == nullptr) {
-      lat_hist_ = &obs::histogram("technique.request_ns", obs_label_);
-      req_counter_ = &obs::counter("technique.requests", obs_label_);
-      fail_counter_ = &obs::counter("technique.unrecovered", obs_label_);
-    }
-    lat_hist_->record(obs::now_ns() - t0);
-    req_counter_->add();
-    if (!ok) fail_counter_->add();
-  }
-
-  /// Live per-alternative latency histogram the hedge budget derives from.
-  [[nodiscard]] obs::Histogram& alternative_histogram() {
-    if (alt_hist_ == nullptr) {
-      alt_hist_ = &obs::histogram("technique.alternative_ns", obs_label_);
-    }
-    return *alt_hist_;
-  }
-
-  /// (technique, input) cache key — see ParallelEvaluation::cache_key.
-  [[nodiscard]] std::uint64_t cache_key(const In& input) const noexcept {
-    util::Digest64 d;
-    d.update(label_salt_);
-    d.update(input);
-    return d.value();
-  }
-
-  std::shared_ptr<std::vector<Variant<In, Out>>> alternatives_;
-  std::shared_ptr<AcceptanceTest<In, Out>> accept_;
   Options options_;
-  std::shared_ptr<Pending> pending_;
-  std::unique_ptr<RedundancyCache<Out>> cache_;
-  mutable Metrics metrics_;
   std::size_t last_used_ = 0;
-  std::uint64_t label_salt_ = util::fnv1a("sequential_alternatives");
-  std::string obs_label_ = "sequential_alternatives";
-  obs::Histogram* lat_hist_ = nullptr;
-  obs::Counter* req_counter_ = nullptr;
-  obs::Counter* fail_counter_ = nullptr;
-  obs::Histogram* alt_hist_ = nullptr;
 };
 
 }  // namespace redundancy::core

@@ -31,12 +31,12 @@
 // builder the pattern executors use, so a steady-state variant fan-out
 // performs no allocation beyond recycled task nodes.
 //
-// Waiters (run_all, submit_first_wins, the incremental adjudication loop in
-// ParallelEvaluation) that are themselves pool workers *help*: while blocked
-// they steal and execute queued tasks, so nested fan-out on the shared pool
-// cannot deadlock even when every worker is itself waiting. External waiters
-// block instead — helping would let a slow stolen task delay an
-// already-decided early-return verdict.
+// Waiters (run_all, and the patterns' race in core/race.hpp) that are
+// themselves pool workers *help*: while blocked they steal and execute
+// queued tasks, so nested fan-out on the shared pool cannot deadlock even
+// when every worker is itself waiting. External waiters block instead —
+// helping would let a slow stolen task delay an already-decided
+// early-return verdict.
 //
 // When the obs:: layer is enabled the engine reports itself through the
 // metrics registry: pool.tasks_posted/executed/stolen/helped counters, a
@@ -54,7 +54,6 @@
 #include <future>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <thread>
 #include <vector>
@@ -154,16 +153,6 @@ class ThreadPool {
     forward,  ///< rethrow the first task exception in the waiting thread
   };
 
-  /// Outcome of submit_first_wins.
-  template <typename R>
-  struct FirstWins {
-    static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-    std::optional<R> value;     ///< the winning result, if any task produced one
-    std::size_t winner = npos;  ///< index of the winning task
-    std::size_t executed = 0;   ///< tasks that ran before cancellation took hold
-                                ///< (counted at the time the wait ended)
-  };
-
   /// Spawns `threads` workers (defaults to hardware concurrency, min 2).
   /// `injector_lanes` overrides the external-submission lane count (0 =
   /// derive a power of two from the worker count; 1 reproduces the PR-5
@@ -212,75 +201,6 @@ class ThreadPool {
     run_all(std::span<Task>{tasks}, policy);
   }
 
-  /// Submit every task and block until one returns an engaged optional (the
-  /// "first acceptable ballot") or all return nullopt. On a win the shared
-  /// CancellationToken is cancelled: queued tasks that have not started are
-  /// skipped, and stragglers already running finish in the background
-  /// without blocking the caller. Tasks must own (or share ownership of)
-  /// everything they touch, since they may outlive this call. F is any
-  /// callable `std::optional<R>(const CancellationToken&)` — pass raw
-  /// lambdas, not std::function, so the enqueued wrapper (shared state +
-  /// index + callable) stays inside the Task inline buffer. The whole
-  /// candidate set is submitted as one batch (one wake-up).
-  template <typename R, typename F>
-  FirstWins<R> submit_first_wins(std::vector<F> tasks) {
-    static_assert(
-        std::is_invocable_r_v<std::optional<R>, F&, const CancellationToken&>,
-        "first-wins tasks take the shared CancellationToken and return "
-        "std::optional<R>");
-    FirstWins<R> out;
-    const std::size_t n = tasks.size();
-    if (n == 0) return out;
-
-    struct State {
-      std::mutex m;
-      std::condition_variable cv;
-      std::optional<R> value;
-      std::size_t winner = FirstWins<R>::npos;
-      std::size_t settled = 0;   // tasks finished or skipped
-      std::size_t executed = 0;  // tasks that actually ran
-      CancellationToken token;
-    };
-    auto st = std::make_shared<State>();
-
-    std::vector<Task> wrapped;
-    wrapped.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      wrapped.emplace_back([st, i, fn = std::move(tasks[i])]() mutable {
-        std::optional<R> r;
-        const bool ran = !st->token.cancelled();
-        if (ran) {
-          try {
-            r = fn(st->token);
-          } catch (...) {
-            r.reset();  // a throwing candidate is a losing candidate
-          }
-        }
-        {
-          std::lock_guard lock(st->m);
-          if (ran) ++st->executed;
-          if (r.has_value() && st->winner == FirstWins<R>::npos) {
-            st->winner = i;
-            st->value = std::move(r);
-            st->token.cancel();
-          }
-          ++st->settled;
-        }
-        st->cv.notify_all();
-      });
-    }
-    submit_batch(wrapped);
-
-    std::unique_lock lock(st->m);
-    help_until(lock, st->cv, [&] {
-      return st->winner != FirstWins<R>::npos || st->settled == n;
-    });
-    out.value = st->value;  // winner is fixed once set; copy is race-free
-    out.winner = st->winner;
-    out.executed = st->executed;
-    return out;
-  }
-
   /// Steal one queued task and run it on the calling thread. Returns false
   /// if every deque (and the injector) was empty. A non-helpable task (see
   /// TaskNode::helpable) is never run here: it is handed back to the
@@ -289,16 +209,16 @@ class ThreadPool {
   /// deadlock on locks that frame holds.
   bool try_run_one();
 
-  /// Block until no task is queued or running — i.e. all stragglers from
-  /// first-wins / incremental-adjudication runs have settled. The caller
-  /// helps drain the queues while waiting.
+  /// Block until no task is queued or running — i.e. all stragglers of the
+  /// patterns' races have settled. The caller helps drain the queues while
+  /// waiting.
   void wait_idle();
 
   /// Wait until done() holds. A caller that is itself a worker of this pool
   /// helps with queued work instead of blocking (otherwise nested fan-out
   /// could leave every worker waiting on tasks nobody runs). An external
   /// caller just waits: helping would risk running a slow straggler inline
-  /// and missing an already-decided first-wins / incremental verdict.
+  /// and missing an already-decided early verdict (core/race.hpp).
   /// `lock` must be held on entry and is held again on return; done() is
   /// only evaluated under the lock.
   template <typename Pred>
@@ -320,7 +240,7 @@ class ThreadPool {
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
   /// Tasks the calling thread has queued on any ThreadPool so far (post,
-  /// submit, submit_batch, run_all, submit_first_wins). Read before and
+  /// submit, submit_batch, run_all). Read before and
   /// after a call, it tells whether that call fanned out: the gateway uses
   /// it to keep routes that submit work off its loop threads.
   [[nodiscard]] static std::uint64_t submitted_by_this_thread() noexcept;

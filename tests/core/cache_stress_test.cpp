@@ -18,7 +18,6 @@ namespace redundancy::core {
 namespace {
 
 TEST(CacheStress, CoalescingChurnWithCancellationsAndInvalidation) {
-  if (!kCacheCompiledIn) GTEST_SKIP() << "cache compiled out";
   CacheConfig cfg;
   cfg.capacity = 32;  // small: admission duels and evictions under load
   cfg.shards = 4;
@@ -75,7 +74,6 @@ TEST(CacheStress, CoalescingChurnWithCancellationsAndInvalidation) {
 }
 
 TEST(CacheStress, CancellationStormWakesEveryParkedWaiter) {
-  if (!kCacheCompiledIn) GTEST_SKIP() << "cache compiled out";
   CacheConfig cfg;
   cfg.label = "stress_cancel";
   RedundancyCache<int> cache{cfg};
@@ -130,7 +128,6 @@ TEST(CacheStress, CancellationStormWakesEveryParkedWaiter) {
 }
 
 TEST(CacheStress, PatternPoolWorkersCanWaitOnFlights) {
-  if (!kCacheCompiledIn) GTEST_SKIP() << "cache compiled out";
   // Waiters park through ThreadPool::help_until, so pool workers that miss
   // behind a leader keep helping with queued tasks instead of deadlocking.
   CacheConfig cfg;

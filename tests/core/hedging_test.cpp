@@ -263,16 +263,12 @@ TEST(Hedging, CachedHedgedEngineHitsSkipEveryAlternative) {
     EXPECT_EQ(r.value(), 11);
   }
   util::ThreadPool::shared().wait_idle();
-  if (kCacheCompiledIn) {
-    EXPECT_EQ(executions.load(), 1);  // one hedged miss, three hits
-    EXPECT_EQ(engine.metrics().requests, 4u);
-    engine.invalidate_cache();
-    (void)engine.run(10);
-    util::ThreadPool::shared().wait_idle();
-    EXPECT_GE(executions.load(), 2);  // invalidation forced a re-run
-  } else {
-    EXPECT_GE(executions.load(), 4);
-  }
+  EXPECT_EQ(executions.load(), 1);  // one hedged miss, three hits
+  EXPECT_EQ(engine.metrics().requests, 4u);
+  engine.invalidate_cache();
+  (void)engine.run(10);
+  util::ThreadPool::shared().wait_idle();
+  EXPECT_GE(executions.load(), 2);  // invalidation forced a re-run
 }
 
 }  // namespace

@@ -41,19 +41,14 @@ TEST(PatternCache, ParallelEvaluationHitSkipsTheElectorate) {
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(r.value(), 42);
   }
-  if (kCacheCompiledIn) {
-    EXPECT_EQ(executions.load(), 3);  // one miss ran the 3 variants, once
-    EXPECT_EQ(nvp.metrics().requests, 5u);
-    EXPECT_EQ(nvp.metrics().variant_executions, 3u);
-    ASSERT_NE(nvp.cache(), nullptr);
-    EXPECT_EQ(nvp.cache()->stats().hits, 4u);
-  } else {
-    EXPECT_EQ(executions.load(), 15);  // stub executes every request
-  }
+  EXPECT_EQ(executions.load(), 3);  // one miss ran the 3 variants, once
+  EXPECT_EQ(nvp.metrics().requests, 5u);
+  EXPECT_EQ(nvp.metrics().variant_executions, 3u);
+  ASSERT_NE(nvp.cache(), nullptr);
+  EXPECT_EQ(nvp.cache()->stats().hits, 4u);
 }
 
 TEST(PatternCache, DistinctInputsAndLabelsKeySeparately) {
-  if (!kCacheCompiledIn) GTEST_SKIP() << "cache compiled out";
   std::atomic<int> executions{0};
   auto nvp = make_nvp(executions);
   nvp.set_obs_label("pc_nvp_keys");
@@ -65,7 +60,6 @@ TEST(PatternCache, DistinctInputsAndLabelsKeySeparately) {
 }
 
 TEST(PatternCache, InvalidateCacheForcesReexecution) {
-  if (!kCacheCompiledIn) GTEST_SKIP() << "cache compiled out";
   std::atomic<int> executions{0};
   auto nvp = make_nvp(executions);
   nvp.set_obs_label("pc_nvp_inval");
@@ -79,7 +73,6 @@ TEST(PatternCache, InvalidateCacheForcesReexecution) {
 }
 
 TEST(PatternCache, RestartEpochInvalidatesPatternCaches) {
-  if (!kCacheCompiledIn) GTEST_SKIP() << "cache compiled out";
   std::atomic<int> executions{0};
   auto nvp = make_nvp(executions);
   nvp.set_obs_label("pc_nvp_epoch");
@@ -102,13 +95,10 @@ TEST(PatternCache, DisableCacheRestoresPlainExecution) {
   EXPECT_EQ(nvp.cache(), nullptr);
   (void)nvp.run(4);
   (void)nvp.run(4);
-  if (kCacheCompiledIn) {
-    EXPECT_EQ(executions.load(), 9);  // every post-disable run executes
-  }
+  EXPECT_EQ(executions.load(), 9);  // every post-disable run executes
 }
 
 TEST(PatternCache, FailedVerdictsAreRetriedNotMemoized) {
-  if (!kCacheCompiledIn) GTEST_SKIP() << "cache compiled out";
   // All variants disagree -> adjudication fails; the failure must not be
   // served from cache (default cache_failures=false), so a later fixed
   // electorate can succeed.
@@ -153,11 +143,9 @@ TEST(PatternCache, ParallelSelectionHitSkipsComponentsAndChecks) {
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(r.value(), 101);
   }
-  if (kCacheCompiledIn) {
-    EXPECT_EQ(executions.load(), 1);
-    EXPECT_EQ(checks.load(), 1);  // cached verdicts skip the acceptance test
-    EXPECT_EQ(selection.metrics().requests, 4u);
-  }
+  EXPECT_EQ(executions.load(), 1);
+  EXPECT_EQ(checks.load(), 1);  // cached verdicts skip the acceptance test
+  EXPECT_EQ(selection.metrics().requests, 4u);
 }
 
 TEST(PatternCache, SequentialAlternativesHitSkipsAlternatives) {
@@ -176,10 +164,8 @@ TEST(PatternCache, SequentialAlternativesHitSkipsAlternatives) {
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(r.value(), 9);
   }
-  if (kCacheCompiledIn) {
-    EXPECT_EQ(executions.load(), 1);
-    EXPECT_EQ(engine.metrics().requests, 3u);
-  }
+  EXPECT_EQ(executions.load(), 1);
+  EXPECT_EQ(engine.metrics().requests, 3u);
 }
 
 }  // namespace

@@ -80,21 +80,16 @@ TEST(RedundancyCache, MissRunsOnceThenHits) {
     ASSERT_TRUE(r.has_value());
     EXPECT_EQ(r.value(), 42);
   }
-  if (kCacheCompiledIn) {
-    EXPECT_EQ(runs.load(), 1);
-    const auto s = cache.stats();
-    EXPECT_EQ(s.misses, 1u);
-    EXPECT_EQ(s.hits, 4u);
-    EXPECT_EQ(s.admits, 1u);
-    EXPECT_EQ(cache.size(), 1u);
-    EXPECT_DOUBLE_EQ(s.hit_rate(), 0.8);
-  } else {
-    EXPECT_EQ(runs.load(), 5);  // stub always executes
-  }
+  EXPECT_EQ(runs.load(), 1);
+  const auto s = cache.stats();
+  EXPECT_EQ(s.misses, 1u);
+  EXPECT_EQ(s.hits, 4u);
+  EXPECT_EQ(s.admits, 1u);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_DOUBLE_EQ(s.hit_rate(), 0.8);
 }
 
 TEST(RedundancyCache, LookupAndStoreRoundTrip) {
-  if (!kCacheCompiledIn) GTEST_SKIP() << "cache compiled out";
   Cache cache{config("rc_roundtrip")};
   EXPECT_FALSE(cache.lookup(1).has_value());
   cache.store(1, Result<int>{10});
@@ -108,7 +103,6 @@ TEST(RedundancyCache, LookupAndStoreRoundTrip) {
 }
 
 TEST(RedundancyCache, FailuresAreNotCachedByDefault) {
-  if (!kCacheCompiledIn) GTEST_SKIP() << "cache compiled out";
   Cache cache{config("rc_fail_nocache")};
   int runs = 0;
   for (int i = 0; i < 3; ++i) {
@@ -124,7 +118,6 @@ TEST(RedundancyCache, FailuresAreNotCachedByDefault) {
 }
 
 TEST(RedundancyCache, FailuresCachedWhenOptedIn) {
-  if (!kCacheCompiledIn) GTEST_SKIP() << "cache compiled out";
   auto cfg = config("rc_fail_cache");
   cfg.cache_failures = true;
   Cache cache{cfg};
@@ -141,7 +134,6 @@ TEST(RedundancyCache, FailuresCachedWhenOptedIn) {
 }
 
 TEST(RedundancyCache, TtlExpiresEntries) {
-  if (!kCacheCompiledIn) GTEST_SKIP() << "cache compiled out";
   auto cfg = config("rc_ttl");
   cfg.ttl_ns = 2'000'000;  // 2ms
   Cache cache{cfg};
@@ -153,7 +145,6 @@ TEST(RedundancyCache, TtlExpiresEntries) {
 }
 
 TEST(RedundancyCache, InvalidateAllStrandsEveryEntry) {
-  if (!kCacheCompiledIn) GTEST_SKIP() << "cache compiled out";
   Cache cache{config("rc_inval_local")};
   cache.store(1, Result<int>{10});
   cache.store(2, Result<int>{20});
@@ -167,7 +158,6 @@ TEST(RedundancyCache, InvalidateAllStrandsEveryEntry) {
 }
 
 TEST(RedundancyCache, GlobalEpochAdvanceStrandsEveryCache) {
-  if (!kCacheCompiledIn) GTEST_SKIP() << "cache compiled out";
   Cache a{config("rc_inval_global_a")};
   Cache b{config("rc_inval_global_b")};
   a.store(1, Result<int>{10});
@@ -179,7 +169,6 @@ TEST(RedundancyCache, GlobalEpochAdvanceStrandsEveryCache) {
 }
 
 TEST(RedundancyCache, ClearDropsEntriesEagerly) {
-  if (!kCacheCompiledIn) GTEST_SKIP() << "cache compiled out";
   Cache cache{config("rc_clear")};
   cache.store(1, Result<int>{10});
   cache.store(2, Result<int>{20});
@@ -190,7 +179,6 @@ TEST(RedundancyCache, ClearDropsEntriesEagerly) {
 }
 
 TEST(RedundancyCache, TinyLfuAdmissionProtectsTheHotSet) {
-  if (!kCacheCompiledIn) GTEST_SKIP() << "cache compiled out";
   // One shard, capacity 2: hot keys A and B each requested three times, so
   // the sketch knows them; a one-hit-wonder scan must not displace them.
   Cache cache{config("rc_tinylfu", /*capacity=*/2, /*shards=*/1)};
@@ -218,7 +206,6 @@ TEST(RedundancyCache, TinyLfuAdmissionProtectsTheHotSet) {
 }
 
 TEST(RedundancyCache, RepeatedlyRequestedKeyEventuallyDisplacesVictim) {
-  if (!kCacheCompiledIn) GTEST_SKIP() << "cache compiled out";
   Cache cache{config("rc_admit_hot", /*capacity=*/2, /*shards=*/1)};
   for (int round = 0; round < 2; ++round) {
     (void)cache.get_or_run(100, [&]() -> Result<int> { return 1; });
@@ -238,7 +225,6 @@ TEST(RedundancyCache, RepeatedlyRequestedKeyEventuallyDisplacesVictim) {
 }
 
 TEST(RedundancyCache, ShardCountRoundsToPowerOfTwo) {
-  if (!kCacheCompiledIn) GTEST_SKIP() << "cache compiled out";
   Cache cache{config("rc_shards", /*capacity=*/1024, /*shards=*/5)};
   EXPECT_EQ(cache.shard_count(), 8u);
   // Tiny caches collapse to one shard rather than shards with capacity 0.
@@ -247,7 +233,6 @@ TEST(RedundancyCache, ShardCountRoundsToPowerOfTwo) {
 }
 
 TEST(RedundancyCache, SingleFlightCoalescesConcurrentMisses) {
-  if (!kCacheCompiledIn) GTEST_SKIP() << "cache compiled out";
   Cache cache{config("rc_coalesce")};
   std::atomic<int> runs{0};
   std::atomic<int> correct{0};
@@ -275,7 +260,6 @@ TEST(RedundancyCache, SingleFlightCoalescesConcurrentMisses) {
 }
 
 TEST(RedundancyCache, CoalescingOffRunsEveryRequest) {
-  if (!kCacheCompiledIn) GTEST_SKIP() << "cache compiled out";
   auto cfg = config("rc_nocoalesce");
   cfg.coalesce = false;
   cfg.cache_failures = false;
@@ -296,7 +280,6 @@ TEST(RedundancyCache, CoalescingOffRunsEveryRequest) {
 }
 
 TEST(RedundancyCache, CancelledWaiterLeavesWithoutTheVerdict) {
-  if (!kCacheCompiledIn) GTEST_SKIP() << "cache compiled out";
   Cache cache{config("rc_cancel")};
   std::atomic<bool> leader_in{false};
   std::atomic<bool> release_leader{false};
@@ -339,7 +322,6 @@ TEST(RedundancyCache, CancelledWaiterLeavesWithoutTheVerdict) {
 }
 
 TEST(RedundancyCache, LeaderExceptionReleasesWaiters) {
-  if (!kCacheCompiledIn) GTEST_SKIP() << "cache compiled out";
   Cache cache{config("rc_throw")};
   std::atomic<bool> leader_in{false};
   std::atomic<bool> release{false};
@@ -376,7 +358,6 @@ TEST(RedundancyCache, LeaderExceptionReleasesWaiters) {
 }
 
 TEST(RedundancyCache, HitPathPerformsZeroHeapAllocations) {
-  if (!kCacheCompiledIn) GTEST_SKIP() << "cache compiled out";
 #ifdef REDUNDANCY_ALLOC_COUNTING_UNRELIABLE
   GTEST_SKIP() << "sanitizer build interposes the allocator";
 #else

@@ -113,16 +113,14 @@ TEST(Nvp, EnableCacheMemoizesVerdicts) {
     ASSERT_TRUE(out.has_value());
     EXPECT_EQ(out.value(), 16);
   }
-  if (core::kCacheCompiledIn) {
-    EXPECT_EQ(nvp.metrics().variant_executions, 3u);  // one miss, five hits
-    EXPECT_EQ(nvp.metrics().requests, 6u);
-    ASSERT_NE(nvp.cache(), nullptr);
-    nvp.invalidate_cache();
-    (void)nvp.run(4);
-    EXPECT_EQ(nvp.metrics().variant_executions, 6u);
-    nvp.disable_cache();
-    EXPECT_EQ(nvp.cache(), nullptr);
-  }
+  EXPECT_EQ(nvp.metrics().variant_executions, 3u);  // one miss, five hits
+  EXPECT_EQ(nvp.metrics().requests, 6u);
+  ASSERT_NE(nvp.cache(), nullptr);
+  nvp.invalidate_cache();
+  (void)nvp.run(4);
+  EXPECT_EQ(nvp.metrics().variant_executions, 6u);
+  nvp.disable_cache();
+  EXPECT_EQ(nvp.cache(), nullptr);
 }
 
 TEST(Nvp, TaxonomyMatchesPaperRow) {

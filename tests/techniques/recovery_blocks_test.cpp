@@ -145,11 +145,9 @@ TEST(RecoveryBlocks, EnableCacheSkipsAlternatesOnRepeats) {
     ASSERT_TRUE(out.has_value());
     EXPECT_EQ(out.value(), 25);
   }
-  if (core::kCacheCompiledIn) {
-    // The miss ran primary + alternate; hits ran neither.
-    EXPECT_EQ(rb.metrics().variant_executions, 2u);
-    EXPECT_EQ(rb.metrics().requests, 4u);
-  }
+  // The miss ran primary + alternate; hits ran neither.
+  EXPECT_EQ(rb.metrics().variant_executions, 2u);
+  EXPECT_EQ(rb.metrics().requests, 4u);
 }
 
 TEST(RecoveryBlocks, EnableHedgingRacesAlternatesOnSlowPrimary) {

@@ -157,12 +157,10 @@ TEST(ReplicatedSql, SelectCacheServesRepeatsWithoutReVoting) {
     EXPECT_EQ(server.select("inv", std::nullopt).value(),
               (std::vector<Row>{{1, 10}}));
   }
-  if (core::kCacheCompiledIn) {
-    // One adjudicated select fanned out to 3 replicas; three hits ran none.
-    EXPECT_EQ(server.metrics().variant_executions, runs_before + 3);
-    ASSERT_NE(server.select_cache(), nullptr);
-    EXPECT_GE(server.select_cache()->stats().hits, 3u);
-  }
+  // One adjudicated select fanned out to 3 replicas; three hits ran none.
+  EXPECT_EQ(server.metrics().variant_executions, runs_before + 3);
+  ASSERT_NE(server.select_cache(), nullptr);
+  EXPECT_GE(server.select_cache()->stats().hits, 3u);
 }
 
 TEST(ReplicatedSql, MutationsInvalidateTheSelectCache) {
@@ -229,11 +227,9 @@ TEST(ReplicatedSql, EvictionInvalidatesCachedQuorumVerdicts) {
   EXPECT_EQ(server.replicas_in_service(), 2u);
   const std::size_t runs_before = server.metrics().variant_executions;
   EXPECT_EQ(server.select("t", none).value(), (std::vector<Row>{}));
-  if (core::kCacheCompiledIn) {
-    // Re-adjudicated by the surviving pair, not served from the stale entry.
-    EXPECT_EQ(server.metrics().variant_executions, runs_before + 2);
-    EXPECT_GE(server.select_cache()->stats().invalidations, 1u);
-  }
+  // Re-adjudicated by the surviving pair, not served from the stale entry.
+  EXPECT_EQ(server.metrics().variant_executions, runs_before + 2);
+  EXPECT_GE(server.select_cache()->stats().invalidations, 1u);
 }
 
 }  // namespace

@@ -111,7 +111,6 @@ TEST(Layout, HistogramShardsAreAlignedAndScaled) {
   }
 }
 
-#ifndef REDUNDANCY_CACHE_OFF
 TEST(Layout, CacheShardHeadersAreLineAligned) {
   using Cache = core::RedundancyCache<std::string>;
   static_assert(Cache::shard_alignment() >= kCacheLine,
@@ -124,7 +123,6 @@ TEST(Layout, CacheShardHeadersAreLineAligned) {
         << "cache shard " << i << " not line-aligned";
   }
 }
-#endif
 
 TEST(Layout, MetricShardCountsScaleWithTheMachine) {
   // The counts derive from hardware_concurrency, clamped; both must agree

@@ -41,26 +41,6 @@ TEST(PoolStress, ConcurrentSubmittersAndStealers) {
   EXPECT_EQ(sum.load(), kTotal * (kTotal - 1) / 2);
 }
 
-TEST(PoolStress, FirstWinsChurn) {
-  util::ThreadPool pool{4};
-  for (int round = 0; round < 200; ++round) {
-    std::vector<
-        std::function<std::optional<int>(const util::CancellationToken&)>>
-        tasks;
-    for (int i = 0; i < 6; ++i) {
-      tasks.emplace_back(
-          [i, round](const util::CancellationToken&) -> std::optional<int> {
-            if ((i + round) % 3 == 0) return std::nullopt;
-            return i;
-          });
-    }
-    auto fw = pool.submit_first_wins<int>(std::move(tasks));
-    ASSERT_TRUE(fw.value.has_value());
-    EXPECT_NE((*fw.value + round) % 3, 0);
-  }
-  pool.wait_idle();
-}
-
 TEST(PoolStress, NestedFanOutUnderLoad) {
   util::ThreadPool pool{3};
   std::atomic<int> leaves{0};

@@ -106,109 +106,6 @@ TEST(ThreadPool, RunAllSwallowPolicyIgnoresExceptions) {
   EXPECT_NO_THROW(pool.run_all(std::move(tasks)));
 }
 
-TEST(ThreadPool, FirstWinsReturnsWinner) {
-  ThreadPool pool{4};
-  std::vector<std::function<std::optional<int>(const CancellationToken&)>>
-      tasks;
-  tasks.emplace_back([](const CancellationToken&) -> std::optional<int> {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    return 100;
-  });
-  tasks.emplace_back(
-      [](const CancellationToken&) -> std::optional<int> { return 7; });
-  auto fw = pool.submit_first_wins<int>(std::move(tasks));
-  ASSERT_TRUE(fw.value.has_value());
-  EXPECT_EQ(*fw.value, 7);
-  EXPECT_EQ(fw.winner, 1u);
-  pool.wait_idle();  // the slow straggler finishes detached
-}
-
-TEST(ThreadPool, FirstWinsAllRejectedReturnsEmpty) {
-  ThreadPool pool{2};
-  std::vector<std::function<std::optional<int>(const CancellationToken&)>>
-      tasks;
-  for (int i = 0; i < 4; ++i) {
-    tasks.emplace_back(
-        [](const CancellationToken&) -> std::optional<int> { return std::nullopt; });
-  }
-  auto fw = pool.submit_first_wins<int>(std::move(tasks));
-  EXPECT_FALSE(fw.value.has_value());
-  EXPECT_EQ(fw.winner, ThreadPool::FirstWins<int>::npos);
-  EXPECT_EQ(fw.executed, 4u);
-}
-
-TEST(ThreadPool, FirstWinsOnEmptyInput) {
-  ThreadPool pool{2};
-  std::vector<std::function<std::optional<int>(const CancellationToken&)>>
-      tasks;
-  auto fw = pool.submit_first_wins<int>(std::move(tasks));
-  EXPECT_FALSE(fw.value.has_value());
-  EXPECT_EQ(fw.executed, 0u);
-}
-
-TEST(ThreadPool, FirstWinsAcceptsRawLambdas) {
-  // The generic overload takes any callable type — a vector of raw lambdas
-  // skips the std::function wrapper entirely (the allocation-free path the
-  // pattern executors use).
-  ThreadPool pool{4};
-  std::atomic<int>* observed = nullptr;
-  std::atomic<int> ran{0};
-  observed = &ran;
-  auto make = [observed](int v) {
-    return [observed, v](const CancellationToken&) -> std::optional<int> {
-      observed->fetch_add(1);
-      if (v < 0) return std::nullopt;
-      return v;
-    };
-  };
-  using Lambda = decltype(make(0));
-  std::vector<Lambda> tasks;
-  tasks.push_back(make(-1));
-  tasks.push_back(make(42));
-  auto fw = pool.submit_first_wins<int>(std::move(tasks));
-  pool.wait_idle();
-  ASSERT_TRUE(fw.value.has_value());
-  EXPECT_EQ(*fw.value, 42);
-  EXPECT_EQ(fw.winner, 1u);
-}
-
-TEST(ThreadPool, FirstWinsThrowingTaskLoses) {
-  ThreadPool pool{2};
-  std::vector<std::function<std::optional<int>(const CancellationToken&)>>
-      tasks;
-  tasks.emplace_back([](const CancellationToken&) -> std::optional<int> {
-    throw std::runtime_error{"bad candidate"};
-  });
-  tasks.emplace_back([](const CancellationToken&) -> std::optional<int> {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    return 11;
-  });
-  auto fw = pool.submit_first_wins<int>(std::move(tasks));
-  ASSERT_TRUE(fw.value.has_value());
-  EXPECT_EQ(*fw.value, 11);
-  EXPECT_EQ(fw.winner, 1u);
-}
-
-TEST(ThreadPool, FirstWinsCancellationSkipsUnstartedTasks) {
-  // One worker: tasks run one at a time. The first task wins, so the
-  // remaining queued tasks must be skipped, not executed.
-  ThreadPool pool{1};
-  std::atomic<int> ran{0};
-  std::vector<std::function<std::optional<int>(const CancellationToken&)>>
-      tasks;
-  for (int i = 0; i < 16; ++i) {
-    tasks.emplace_back([&ran](const CancellationToken&) -> std::optional<int> {
-      ran.fetch_add(1);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      return 1;
-    });
-  }
-  auto fw = pool.submit_first_wins<int>(std::move(tasks));
-  pool.wait_idle();
-  ASSERT_TRUE(fw.value.has_value());
-  EXPECT_LT(ran.load(), 16);
-}
-
 TEST(ThreadPool, WaitIdleDrainsStragglers) {
   ThreadPool pool{2};
   std::atomic<int> done{0};
