@@ -26,17 +26,15 @@
 // ChaseLevDeque while three thieves spin stealing; each successful steal
 // is timed around the steal() call itself. Reported as p50/p95/p99.
 //
-// Part D (the PR-6 gate) — contended external submission. Eight submitter
-// threads hammer post() concurrently; the single-lane shape (injector_lanes
-// = 1, the PR-5 centralized injector) is measured against the sharded
-// default. Per-post latency is sampled inside the submitters, throughput
-// from the wall clock. Gate: sharded/single >= 1.3x — enforced only when
-// hardware_concurrency >= 4 (on fewer cores the submitters are serialized
-// by the scheduler and the lock is not the bottleneck; reported otherwise).
+// Part D (reported) — contended external submission. Eight submitter
+// threads hammer post() concurrently on the pool's one injector. Per-post
+// latency is sampled inside the submitters, throughput from the wall
+// clock. No gate: eight threads looping post() is not the traffic the pool
+// serves (EXPERIMENTS.md E21).
 //
-// Part E (reported) — steal distribution. One external submitter feeds its
-// single home lane in batches while every worker must pull the backlog out
-// through lane drains + topology-ordered steal sweeps; reported as task/s.
+// Part E (reported) — steal distribution. One external submitter feeds
+// the injector in batches while every worker must pull the backlog out
+// through injector drains and steal sweeps; reported as task/s.
 //
 // Part F (reported) — metric shard throughput. All threads hammer one
 // obs::Counter and one obs::Histogram; totals are checked exactly (the
@@ -82,7 +80,6 @@ constexpr std::size_t kThieves = 3;
 
 constexpr std::size_t kSubmitters = 8;       // Part D contended submitters
 constexpr std::size_t kSubmitTasks = 8'000;  // per submitter per round
-constexpr double kShardGate = 1.3;           // Part D gate (>= 4 cores only)
 
 constexpr std::size_t kFanoutTasks = 100'000;  // Part E, per round
 constexpr std::size_t kMetricOps = 200'000;    // Part F, per thread per round
@@ -580,19 +577,17 @@ Series bench_steal_latency() {
 }
 
 // --------------------------------------------------------------------------
-// Part D: contended external submission (the PR-6 gate)
+// Part D: contended external submission (reported)
 // --------------------------------------------------------------------------
 
-/// kSubmitters external threads hammer post() concurrently into a pool
-/// built with `lanes` injector lanes (1 = the PR-5 centralized injector,
-/// 0 = the sharded default). Throughput comes from the wall clock over
-/// submit+drain; the latency distribution from sampling every 32nd post()
-/// call inside the submitters — that is the operation the lane sharding
-/// exists to de-serialize.
-Series bench_contended_submission(std::size_t threads, std::size_t lanes) {
+/// kSubmitters external threads hammer post() concurrently into the pool's
+/// injector. Throughput comes from the wall clock over submit+drain; the
+/// latency distribution from sampling every 32nd post() call inside the
+/// submitters.
+Series bench_contended_submission(std::size_t threads) {
   Series best;
   for (int r = 0; r < kRounds; ++r) {
-    util::ThreadPool pool{threads, lanes};
+    util::ThreadPool pool{threads};
     std::atomic<std::size_t> executed{0};
     std::atomic<bool> go{false};
     std::vector<std::vector<double>> samples(kSubmitters);
@@ -620,8 +615,7 @@ Series bench_contended_submission(std::size_t threads, std::size_t lanes) {
     const std::uint64_t wall = obs::now_ns() - t0;
     if (executed.load() != kSubmitters * kSubmitTasks) {
       std::fprintf(stderr,
-                   "exp_engine_throughput: %zu-lane pool lost submissions\n",
-                   pool.injector_lanes());
+                   "exp_engine_throughput: contended submission lost tasks\n");
       std::exit(2);
     }
     Series s;
@@ -638,10 +632,10 @@ Series bench_contended_submission(std::size_t threads, std::size_t lanes) {
 // Part E: steal distribution (reported)
 // --------------------------------------------------------------------------
 
-/// One external submitter's whole backlog chains into its single home lane;
-/// the workers must spread it across themselves through lane drains and
-/// topology-ordered steal sweeps. Measures how fast a lopsided backlog is
-/// redistributed, wave by wave.
+/// One external submitter's whole backlog chains into the injector; the
+/// workers must spread it across themselves through injector drains and
+/// steal sweeps. Measures how fast a lopsided backlog is redistributed,
+/// wave by wave.
 Series bench_steal_distribution(std::size_t threads) {
   Series best;
   for (int r = 0; r < kRounds; ++r) {
@@ -804,35 +798,16 @@ int main() {
               steal.percentile(95.0), steal.percentile(99.0));
 
   std::printf("Part D: contended external submission, %zu submitters x %zu "
-              "post()s, single lane vs sharded default, best of %d\n",
+              "post()s on the one injector, best of %d (reported, no gate)\n",
               kSubmitters, kSubmitTasks, kRounds);
-  const Series submit_single = bench_contended_submission(threads, 1);
-  const Series submit_sharded = bench_contended_submission(threads, 0);
-  const double shard_speedup = submit_sharded.mean_ns > 0.0
-                                   ? submit_single.mean_ns /
-                                         submit_sharded.mean_ns
-                                   : 0.0;
-  std::printf("  %-28s %10.1f ns/task %12.0f task/s  p99 post %6.0f ns\n",
-              "single injector (PR-5)", submit_single.mean_ns,
-              submit_single.ops_per_sec(), submit_single.percentile(99.0));
-  std::printf("  %-28s %10.1f ns/task %12.0f task/s  p99 post %6.0f ns\n",
-              "sharded injector", submit_sharded.mean_ns,
-              submit_sharded.ops_per_sec(), submit_sharded.percentile(99.0));
-  const bool shard_gate_active = std::thread::hardware_concurrency() >= 4;
-  const bool shard_pass = !shard_gate_active || shard_speedup >= kShardGate;
-  if (shard_gate_active) {
-    std::printf("  speedup %.2fx (gate >= %.1fx) -> %s\n\n", shard_speedup,
-                kShardGate, shard_pass ? "PASS" : "FAIL");
-  } else {
-    std::printf("  speedup %.2fx (gate >= %.1fx skipped: < 4 cores, "
-                "submitters are time-sliced so the lane lock is not the "
-                "bottleneck)\n\n",
-                shard_speedup, kShardGate);
-  }
+  const Series submit_single = bench_contended_submission(threads);
+  std::printf("  %10.1f ns/task %12.0f task/s  p99 post %6.0f ns\n\n",
+              submit_single.mean_ns, submit_single.ops_per_sec(),
+              submit_single.percentile(99.0));
 
   const Series fanout = bench_steal_distribution(threads);
-  std::printf("Part E: steal distribution, 1 submitter's lane fanned out to "
-              "%zu workers, %zu tasks (reported, no gate)\n",
+  std::printf("Part E: steal distribution, 1 submitter's backlog fanned out "
+              "to %zu workers, %zu tasks (reported, no gate)\n",
               threads, kFanoutTasks);
   std::printf("  %10.1f ns/task %12.0f task/s  p99/wave %6.0f ns\n\n",
               fanout.mean_ns, fanout.ops_per_sec(), fanout.percentile(99.0));
@@ -850,10 +825,9 @@ int main() {
               {"pattern_lockfree_serve", lockfree_patterns},
               {"steal_latency", steal},
               {"submit_single_lane", submit_single},
-              {"submit_sharded", submit_sharded},
               {"steal_distribution", fanout},
               {"obs_metric_shards", metric}},
              threads);
 
-  return pass && shard_pass ? 0 : 1;
+  return pass ? 0 : 1;
 }

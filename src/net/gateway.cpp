@@ -106,17 +106,11 @@ bool Gateway::start() {
   running_.store(true, std::memory_order_release);
   for (auto& reactor : reactors_) {
     Reactor* rp = reactor.get();
-    const bool pin = options_.pin_reactors && n > 1;
+    const bool pin = n > 1;
     rp->thread = std::thread([rp, pin] {
-      if (pin) {
-        const std::size_t cpus = std::thread::hardware_concurrency();
-        if (cpus > 1) {
-          // Cluster-first spread: each front-door loop lands in its own LLC
-          // domain, near the pool workers it feeds. Best-effort only.
-          util::pin_current_thread_to_cpu(util::reactor_cpu_slot(
-              rp->index, cpus, util::topology().cluster_size));
-        }
-      }
+      const std::size_t cpus = std::thread::hardware_concurrency();
+      // One front-door loop per CPU, in index order. Best-effort only.
+      if (pin && cpus > 1) util::pin_current_thread_to_cpu(rp->index % cpus);
       rp->loop->run();
     });
   }

@@ -25,8 +25,9 @@
 // its own EventLoop, ConnManager, BatchRunner, CompletionQueue and timer
 // wheel; the only shared mutable state is the thread pool and the metrics
 // registry (both already concurrent). The kernel spreads connections
-// across the listeners by 4-tuple hash (SO_REUSEPORT). Reactor threads pin
-// cluster-first using the sysfs topology probe.
+// across the listeners by 4-tuple hash (SO_REUSEPORT). With more than one
+// loop, reactor i pins itself to CPU i % cpus (best-effort; start() never
+// fails on it).
 //
 // Loop count: Options::loops, else REDUNDANCY_GATEWAY_LOOPS (strict
 // decimal, 1..64, loudly ignored otherwise), else min(max(cores/2,1), 8).
@@ -122,9 +123,6 @@ class Gateway {
     /// Reactor count. 0 = REDUNDANCY_GATEWAY_LOOPS, else the core-derived
     /// default (see file comment). 1 disables all sharding machinery.
     std::size_t loops = 0;
-    /// Pin reactor threads cluster-first via the topology probe (only when
-    /// loops > 1; pinning is best-effort and never fails start()).
-    bool pin_reactors = true;
     /// TTL of the cached /metrics//healthz//slo renders; 0 renders every
     /// scrape (the classic behaviour).
     std::uint64_t ops_cache_ttl_ms = 100;

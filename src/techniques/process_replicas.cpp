@@ -59,9 +59,8 @@ core::Result<vm::Behaviour> ProcessReplicas::serve(
       batch.add([this, r, &slots, &request, ctx] {
         obs::ScopedSpan rspan{"replica", ctx};
         rspan.set_detail("replica-" + std::to_string(r));
-        slots[r].emplace(core::Ballot<vm::Behaviour>{
-            r, "replica-" + std::to_string(r),
-            vms_[r]->run(partitions_[r].base, request)});
+        slots[r].emplace(r, "replica-" + std::to_string(r),
+                         vms_[r]->run(partitions_[r].base, request));
         rspan.set_ok(slots[r]->result.has_value());
       });
     }

@@ -8,7 +8,6 @@
 
 #include "obs/obs.hpp"
 #include "util/env.hpp"
-#include "util/topology.hpp"
 
 namespace redundancy::util {
 
@@ -22,26 +21,10 @@ thread_local std::size_t tls_index = 0;
 // Tasks this thread has put on any pool's queues (see
 // ThreadPool::submitted_by_this_thread).
 thread_local std::uint64_t tls_submitted = 0;
-
-// Sticky per-thread submitter cookie: external submitters are spread over
-// the injector lanes round-robin at first submission and then stay on
-// their lane, so a steady submitter keeps hitting lines it already owns.
-std::size_t submitter_cookie() noexcept {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t mine =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return mine;
-}
-
-// SplitMix64 step — used for the per-worker steal-order shuffles (seeded
-// deterministically by worker index, so orders are stable run to run) and
-// for the external sweep's rotating start.
-std::uint64_t splitmix64(std::uint64_t& state) noexcept {
-  std::uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-  z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-  return z ^ (z >> 31);
-}
+// Where this thread's next steal sweep starts. It advances by one per
+// sweep; a worker seeds it with its own index + 1, so starved workers
+// start their sweeps at different victims instead of stampeding one deque.
+thread_local std::size_t tls_steal_start = 0;
 
 // Engine metrics, resolved once and leaked with the registry so workers
 // draining during static destruction stay safe. Updated only when
@@ -70,7 +53,7 @@ struct PoolMetrics {
 // refills from it the same way, so the amortized cross-thread cost is two
 // lock round-trips per kNodeTransfer tasks. A cache is only ever touched
 // by its owning thread; cross-thread handoff of a node's *contents*
-// happens through the deque slots' release/acquire or a lane mutex.
+// happens through the deque slots' release/acquire or the injector mutex.
 constexpr std::size_t kNodeCacheMax = 256;   // per-thread hoard bound
 constexpr std::size_t kNodeTransfer = 128;   // chain length per splice
 
@@ -152,27 +135,12 @@ void free_node(pool_detail::TaskNode* n) {
 
 }  // namespace
 
-ThreadPool::ThreadPool(std::size_t threads, std::size_t injector_lanes) {
+ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(2, std::thread::hardware_concurrency());
   }
   nworkers_ = threads;
   workers_state_.reset(new Worker[threads]);
-
-  // Lane count: a power of two near the worker count (at least 2 so two
-  // concurrent submitters can always avoid each other), capped at 64 —
-  // idle workers scan every lane's emptiness probe, so lanes must stay
-  // bounded. An explicit injector_lanes (e.g. 1 in the benchmark's
-  // single-injector baseline) wins.
-  std::size_t lanes = injector_lanes != 0
-                          ? injector_lanes
-                          : std::max<std::size_t>(2, threads);
-  lanes = std::min<std::size_t>(round_up_pow2(lanes), 64);
-  lanes_.reset(new InjectorLane[lanes]);
-  lane_mask_ = lanes - 1;
-
-  build_steal_orders();
-
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -183,62 +151,7 @@ ThreadPool::~ThreadPool() {
   stopping_.store(true, std::memory_order_seq_cst);
   unpark_all();
   for (auto& w : workers_) w.join();
-  // Workers only exit once pending_ == 0, so every lane is empty here.
-}
-
-void ThreadPool::build_steal_orders() {
-  // Near-first victim order per worker. Worker indices are grouped into
-  // clusters of `cluster` (the probed LLC-sharing width — an index-based
-  // locality proxy, since workers are not pinned): a worker sweeps its own
-  // cluster first, then the rest. Each distance class is shuffled with a
-  // per-worker deterministic rng so two starved workers start their sweeps
-  // at different victims (randomized tie-breaking, no thundering herd).
-  const std::size_t n = nworkers_;
-  steal_orders_.assign(n > 1 ? n * (n - 1) : 0, 0);
-  if (n <= 1) return;
-  const std::size_t cluster =
-      std::clamp<std::size_t>(topology().cluster_size, 1, n);
-  for (std::size_t self = 0; self < n; ++self) {
-    std::uint32_t* order = steal_orders_.data() + self * (n - 1);
-    std::size_t near_count = 0;
-    std::size_t far_at = 0;
-    const std::size_t my_cluster = self / cluster;
-    // Partition: same-cluster victims first, preserving index order.
-    for (std::size_t v = 0; v < n; ++v) {
-      if (v == self) continue;
-      if (v / cluster == my_cluster) {
-        order[near_count++] = static_cast<std::uint32_t>(v);
-      }
-    }
-    far_at = near_count;
-    for (std::size_t v = 0; v < n; ++v) {
-      if (v == self || v / cluster == my_cluster) continue;
-      order[far_at++] = static_cast<std::uint32_t>(v);
-    }
-    // Fisher–Yates each class with a worker-seeded rng.
-    std::uint64_t rng = 0x9E3779B97F4A7C15ull ^ (self * 0x100000001B3ull);
-    auto shuffle = [&rng, order](std::size_t begin, std::size_t end) {
-      for (std::size_t i = end; i > begin + 1; --i) {
-        const std::size_t j = begin + splitmix64(rng) % (i - begin);
-        std::swap(order[i - 1], order[j]);
-      }
-    };
-    shuffle(0, near_count);
-    shuffle(near_count, n - 1);
-  }
-}
-
-std::vector<std::size_t> ThreadPool::steal_order(std::size_t self) const {
-  std::vector<std::size_t> out;
-  if (nworkers_ <= 1 || self >= nworkers_) return out;
-  out.reserve(nworkers_ - 1);
-  const std::uint32_t* order = steal_orders_.data() + self * (nworkers_ - 1);
-  for (std::size_t i = 0; i + 1 < nworkers_; ++i) out.push_back(order[i]);
-  return out;
-}
-
-std::size_t ThreadPool::home_lane() const noexcept {
-  return submitter_cookie() & lane_mask_;
+  // Workers only exit once pending_ == 0, so the injector is empty here.
 }
 
 bool ThreadPool::on_worker_thread() const noexcept { return tls_pool == this; }
@@ -288,20 +201,18 @@ void ThreadPool::enqueue_chain(TaskNode* head, TaskNode* tail,
       p = next;
     }
   } else {
-    // External submission: the whole chain lands in the submitter's home
-    // lane under that lane's lock — submitters hashed to different lanes
-    // never contend, and a batch stays one contiguous FIFO run within its
-    // lane. The batch still pays exactly one pending epoch (above) and one
-    // wake-up (below) regardless of size.
-    InjectorLane& lane = lanes_[submitter_cookie() & lane_mask_];
-    std::lock_guard lock(lane.m);
-    if (lane.tail != nullptr) {
-      lane.tail->next = head;
+    // External submission: the whole chain is appended to the injector
+    // under one lock, so a batch stays one contiguous FIFO run. It still
+    // pays exactly one pending epoch (above) and one wake-up (below)
+    // regardless of size.
+    std::lock_guard lock(injector_.m);
+    if (injector_.tail != nullptr) {
+      injector_.tail->next = head;
     } else {
-      lane.head = head;
+      injector_.head = head;
     }
-    lane.tail = tail;
-    lane.size.fetch_add(n, std::memory_order_release);
+    injector_.tail = tail;
+    injector_.size.fetch_add(n, std::memory_order_release);
   }
   if (obs::enabled()) {
     PoolMetrics& m = PoolMetrics::get();
@@ -343,43 +254,40 @@ void ThreadPool::unpark_all() {
   }
 }
 
-ThreadPool::TaskNode* ThreadPool::drain_lane(InjectorLane& lane,
-                                             std::size_t self) {
-  // Amortized lane drain: claim one node to run and (for a worker) move a
-  // fair share of the lane's backlog into the worker's own deque, where it
-  // becomes stealable. Moved nodes stay "pending" — still queued, just
-  // elsewhere. The share is computed against this lane only: with L lanes
-  // the backlog is already spread L ways, so per-lane shares keep the
-  // per-drain critical section short.
+ThreadPool::TaskNode* ThreadPool::drain_injector(std::size_t self) {
+  // Amortized drain: claim one node to run and (for a worker) move a fair
+  // share of the backlog into the worker's own deque, where it becomes
+  // stealable. Moved nodes stay "pending" — still queued, just elsewhere.
+  InjectorLane& in = injector_;
   TaskNode* node = nullptr;
   TaskNode* extras = nullptr;
   {
-    std::lock_guard lock(lane.m);
-    node = lane.head;
+    std::lock_guard lock(in.m);
+    node = in.head;
     if (node == nullptr) return nullptr;
-    lane.head = node->next;
-    if (lane.head == nullptr) lane.tail = nullptr;
+    in.head = node->next;
+    if (in.head == nullptr) in.tail = nullptr;
     node->next = nullptr;
     std::size_t taken = 1;
-    if (self != kNoWorker && lane.head != nullptr) {
-      std::size_t share = (lane.size.load(std::memory_order_relaxed) - 1) /
+    if (self != kNoWorker && in.head != nullptr) {
+      std::size_t share = (in.size.load(std::memory_order_relaxed) - 1) /
                           (nworkers_ + 1);
       share = std::min<std::size_t>(share, 32);
       if (share > 0) {
-        extras = lane.head;
+        extras = in.head;
         TaskNode* last = extras;
         std::size_t moved = 1;
         while (moved < share && last->next != nullptr) {
           last = last->next;
           ++moved;
         }
-        lane.head = last->next;
-        if (lane.head == nullptr) lane.tail = nullptr;
+        in.head = last->next;
+        if (in.head == nullptr) in.tail = nullptr;
         last->next = nullptr;
         taken += moved;
       }
     }
-    lane.size.fetch_sub(taken, std::memory_order_release);
+    in.size.fetch_sub(taken, std::memory_order_release);
   }
   // active_ rises before pending_ falls, so wait_idle never observes
   // "nothing queued, nothing running" for an in-flight task.
@@ -397,44 +305,18 @@ ThreadPool::TaskNode* ThreadPool::drain_lane(InjectorLane& lane,
   return node;
 }
 
-ThreadPool::TaskNode* ThreadPool::try_steal(std::size_t victim) {
-  TaskNode* node = nullptr;
-  if (workers_state_[victim].deque.steal(node)) {
-    active_.fetch_add(1, std::memory_order_release);
-    pending_.fetch_sub(1, std::memory_order_release);
-    return node;
-  }
-  return nullptr;
-}
-
-ThreadPool::TaskNode* ThreadPool::steal_sweep_worker(std::size_t self) {
-  if (nworkers_ <= 1) return nullptr;
-  const bool timed = obs::enabled();
-  const std::uint64_t t0 = timed ? obs::now_ns() : 0;
-  const std::uint32_t* order = steal_orders_.data() + self * (nworkers_ - 1);
-  for (std::size_t i = 0; i + 1 < nworkers_; ++i) {
-    if (TaskNode* node = try_steal(order[i])) {
-      if (timed) {
-        PoolMetrics& m = PoolMetrics::get();
-        m.stolen.add();
-        m.steal_ns.record(obs::now_ns() - t0);
-      }
-      return node;
-    }
-  }
-  return nullptr;
-}
-
-ThreadPool::TaskNode* ThreadPool::steal_sweep_external() {
+ThreadPool::TaskNode* ThreadPool::steal_sweep(std::size_t self) {
   const std::size_t n = nworkers_;
   const bool timed = obs::enabled();
   const std::uint64_t t0 = timed ? obs::now_ns() : 0;
-  // External helpers have no topology home; a per-thread rotating start
-  // keeps concurrent helpers off each other's victims.
-  thread_local std::uint64_t rot = submitter_cookie();
-  const std::size_t start = static_cast<std::size_t>(rot++) % n;
+  const std::size_t start = tls_steal_start++;
   for (std::size_t off = 0; off < n; ++off) {
-    if (TaskNode* node = try_steal((start + off) % n)) {
+    const std::size_t victim = (start + off) % n;
+    if (victim == self) continue;
+    TaskNode* node = nullptr;
+    if (workers_state_[victim].deque.steal(node)) {
+      active_.fetch_add(1, std::memory_order_release);
+      pending_.fetch_sub(1, std::memory_order_release);
       if (timed) {
         PoolMetrics& m = PoolMetrics::get();
         m.stolen.add();
@@ -447,37 +329,18 @@ ThreadPool::TaskNode* ThreadPool::steal_sweep_external() {
 }
 
 ThreadPool::TaskNode* ThreadPool::acquire_task(std::size_t self) {
-  Worker& me = workers_state_[self];
   TaskNode* node = nullptr;
-  if (me.deque.pop(node)) {
+  if (self != kNoWorker && workers_state_[self].deque.pop(node)) {
     active_.fetch_add(1, std::memory_order_release);
     pending_.fetch_sub(1, std::memory_order_release);
     return node;
   }
-  // Injector lanes, affine lane first: worker i and the submitters hashed
-  // to lane (i & mask) meet on the same lane in steady state, so the
-  // drained nodes' lines were last written nearby. The probe loads touch
-  // one isolated line per lane and take no lock on empty lanes.
-  const std::size_t nlanes = lane_mask_ + 1;
-  for (std::size_t off = 0; off < nlanes; ++off) {
-    InjectorLane& lane = lanes_[(self + off) & lane_mask_];
-    if (lane.size.load(std::memory_order_acquire) > 0) {
-      if (TaskNode* got = drain_lane(lane, self)) return got;
-    }
+  // The probe load touches one isolated line and takes no lock when the
+  // injector is empty.
+  if (injector_.size.load(std::memory_order_acquire) > 0) {
+    if (TaskNode* got = drain_injector(self)) return got;
   }
-  return steal_sweep_worker(self);
-}
-
-ThreadPool::TaskNode* ThreadPool::acquire_task_external() {
-  const std::size_t nlanes = lane_mask_ + 1;
-  const std::size_t start = submitter_cookie();
-  for (std::size_t off = 0; off < nlanes; ++off) {
-    InjectorLane& lane = lanes_[(start + off) & lane_mask_];
-    if (lane.size.load(std::memory_order_acquire) > 0) {
-      if (TaskNode* got = drain_lane(lane, kNoWorker)) return got;
-    }
-  }
-  return steal_sweep_external();
+  return steal_sweep(self);
 }
 
 void ThreadPool::execute(TaskNode* node) {
@@ -495,8 +358,7 @@ void ThreadPool::execute(TaskNode* node) {
 }
 
 bool ThreadPool::try_run_one() {
-  TaskNode* node = on_worker_thread() ? acquire_task(tls_index)
-                                      : acquire_task_external();
+  TaskNode* node = acquire_task(on_worker_thread() ? tls_index : kNoWorker);
   if (node == nullptr) return false;
   if (!node->helpable) {
     // This frame may sit above a lock-holding wait (a pattern's help loop):
@@ -530,6 +392,7 @@ void ThreadPool::wait_idle() {
 void ThreadPool::worker_loop(std::size_t self) {
   tls_pool = this;
   tls_index = self;
+  tls_steal_start = self + 1;
   Worker& me = workers_state_[self];
   for (;;) {
     TaskNode* node = acquire_task(self);

@@ -5,26 +5,23 @@
 // Each worker owns a Chase–Lev deque (util/chase_lev_deque.hpp): the owner
 // pushes and pops at the bottom with plain release stores (LIFO, cache-hot)
 // and thieves CAS the top (FIFO, oldest first) — no mutex anywhere on the
-// worker hot path. Submissions from non-worker threads land in a *sharded*
-// injector: a power-of-two array of cache-line-aligned lanes, each its own
-// mutex-protected FIFO chain, with submitter threads hashed to a sticky
-// home lane — eight external submitters contend on eight different locks
-// instead of one (the PR-5 injector was a single centralized dispatcher,
-// faultline FL061/FL041). Workers drain lanes in amortized batches into
-// their own deques, where the tasks become stealable; each worker prefers
-// the lane it is affine to, so a submitter/worker pair in steady state
-// keeps reusing the same lane's lines. Idle workers park on their own
-// mutex+condvar pair (one parking lot per worker, not a global broadcast
-// condition variable): a submitter wakes exactly one parked worker, and a
-// worker that dequeues work while more is pending wakes the next — wake-ups
-// chain instead of stampeding.
+// worker hot path. Submissions from non-worker threads land in one
+// injector: a mutex-protected FIFO chain with a lock-free emptiness probe
+// on its own cache line. The outside submitters are few (a gateway reactor
+// posts one batch per loop iteration, a campaign posts one batch), so the
+// one lock is not contended (EXPERIMENTS.md E21). Workers drain the
+// injector in amortized batches into their own deques, where the tasks
+// become stealable. Idle workers park on their own mutex+condvar pair (one
+// parking lot per worker, not a global broadcast condition variable): a
+// submitter wakes exactly one parked worker, and a worker that dequeues
+// work while more is pending wakes the next — wake-ups chain instead of
+// stampeding.
 //
-// Steal order is topology-aware: at construction each worker gets its own
-// victim permutation that visits same-cluster workers (util/topology.hpp —
-// SMT siblings / LLC sharers, by worker index as a locality proxy) before
-// remote ones, with per-worker randomized tie-breaking inside each distance
-// class so simultaneously-starved workers fan out over different victims
-// instead of stampeding the same deque.
+// Workers and outside helpers claim work through one path: own deque
+// (workers only), then the injector, then one steal sweep over the other
+// deques. Each thread starts its sweep one victim further on every call,
+// so simultaneously-starved thieves fan out instead of stampeding one
+// deque.
 //
 // submit_batch posts a whole fan-out with one pending-counter epoch and one
 // wake-up instead of N; BatchRunner (bottom of this header) is the reusable
@@ -87,8 +84,8 @@ namespace pool_detail {
 
 /// A queued task. Owned linearly: freelist/submitter → deque or injector →
 /// executor → freelist. Handed across threads only through the deque's
-/// release/acquire slot protocol or a lane mutex, so the payload needs no
-/// synchronization of its own. Recycled through a bounded thread-local
+/// release/acquire slot protocol or the injector mutex, so the payload needs
+/// no synchronization of its own. Recycled through a bounded thread-local
 /// cache, making the steady-state submit path allocation-free. Cache-line
 /// aligned: the executor writes the node (payload teardown, next link)
 /// while the recycler chains through it — a node sharing a line with its
@@ -125,13 +122,10 @@ struct alignas(kCacheLine) Worker {
 static_assert(sizeof(Worker) % kCacheLine == 0,
               "adjacent workers must not share a cache line");
 
-/// One injector lane: a mutex-protected FIFO chain of externally-submitted
+/// The injector: a mutex-protected FIFO chain of externally-submitted
 /// tasks. The emptiness probe (`size`) sits alone on the first line so the
-/// every-claim "is there injector work?" scan by idle workers never touches
-/// the line the lock and chain pointers bounce on; lanes are aligned and
-/// padded so neighbouring lanes in the array never share a line (the whole
-/// point of sharding the injector is that submitters on different lanes do
-/// not communicate at all).
+/// every-claim "is there injector work?" check by idle workers never
+/// touches the line the lock and chain pointers bounce on.
 struct alignas(kCacheLine) InjectorLane {
   std::atomic<std::size_t> size{0};  ///< lock-free emptiness probe
   char probe_pad_[kCacheLine - sizeof(std::atomic<std::size_t>)]{};
@@ -140,7 +134,7 @@ struct alignas(kCacheLine) InjectorLane {
   TaskNode* tail = nullptr;
 };
 static_assert(sizeof(InjectorLane) % kCacheLine == 0,
-              "adjacent injector lanes must not share a cache line");
+              "the injector must not share a line with its neighbours");
 
 }  // namespace pool_detail
 
@@ -154,11 +148,7 @@ class ThreadPool {
   };
 
   /// Spawns `threads` workers (defaults to hardware concurrency, min 2).
-  /// `injector_lanes` overrides the external-submission lane count (0 =
-  /// derive a power of two from the worker count; 1 reproduces the PR-5
-  /// single-injector shape, used by the engine benchmarks as the
-  /// contention baseline). Rounded up to a power of two, capped at 64.
-  explicit ThreadPool(std::size_t threads = 0, std::size_t injector_lanes = 0);
+  explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -245,19 +235,6 @@ class ThreadPool {
   /// it to keep routes that submit work off its loop threads.
   [[nodiscard]] static std::uint64_t submitted_by_this_thread() noexcept;
 
-  /// Number of external-submission lanes (power of two).
-  [[nodiscard]] std::size_t injector_lanes() const noexcept {
-    return lane_mask_ + 1;
-  }
-
-  /// The lane external submissions from the calling thread land in. Sticky
-  /// per thread (submitter-affinity hashing); exposed for tests.
-  [[nodiscard]] std::size_t home_lane() const noexcept;
-
-  /// The victim order worker `self` sweeps on a failed pop (topology-near
-  /// workers first, per-worker shuffled tie-breaks). Exposed for tests.
-  [[nodiscard]] std::vector<std::size_t> steal_order(std::size_t self) const;
-
   /// Number of tasks queued but not yet claimed by a worker. Transiently
   /// over-counts during a submission (the counter rises before the nodes
   /// land), never under-counts.
@@ -294,22 +271,17 @@ class ThreadPool {
 
   void worker_loop(std::size_t self);
   [[nodiscard]] bool on_worker_thread() const noexcept;
-  void build_steal_orders();
 
-  /// Claim the next runnable node for worker `self`: own deque, then an
-  /// amortized grab from the affine injector lane (then the others), then
-  /// a near-first steal sweep over the other deques.
+  /// Claim the next runnable node for worker `self`, or for an outside
+  /// helper when self == kNoWorker: own deque (workers only), then the
+  /// injector, then one steal sweep over the other deques.
   TaskNode* acquire_task(std::size_t self);
-  /// Claim a node as an outsider (try_run_one from a non-worker thread):
-  /// injector lanes first, then steal from every deque.
-  TaskNode* acquire_task_external();
-  /// One steal attempt against `victim` with claim bookkeeping.
-  TaskNode* try_steal(std::size_t victim);
-  TaskNode* steal_sweep_worker(std::size_t self);
-  TaskNode* steal_sweep_external();
-  /// Drain the front of `lane` (caller runs the first node; a fair share
-  /// of the rest lands in worker `self`'s deque when self != npos).
-  TaskNode* drain_lane(InjectorLane& lane, std::size_t self);
+  /// Take the injector's head to run; a worker also moves a fair share of
+  /// the backlog into its own deque, where it becomes stealable.
+  TaskNode* drain_injector(std::size_t self);
+  /// Try every deque but `self`'s once, starting one victim further than
+  /// this thread's previous sweep.
+  TaskNode* steal_sweep(std::size_t self);
   void enqueue_chain(TaskNode* head, TaskNode* tail, std::size_t n);
   void execute(TaskNode* node);
   void unpark_one();
@@ -323,11 +295,7 @@ class ThreadPool {
   // layout test can assert it.
   std::unique_ptr<Worker[]> workers_state_;
   std::size_t nworkers_ = 0;
-  std::unique_ptr<InjectorLane[]> lanes_;  ///< power-of-two sharded injector
-  std::size_t lane_mask_ = 0;
-  /// Flattened per-worker victim permutations, nworkers_-1 entries each,
-  /// built once at construction (near clusters first, shuffled ties).
-  std::vector<std::uint32_t> steal_orders_;
+  InjectorLane injector_;
   std::vector<std::thread> workers_;
   // Each global counter on its own line: pending_ is written by every
   // submit and every claim, active_ by every execute, num_parked_ only on

@@ -1,118 +1,11 @@
 #include "util/topology.hpp"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-
 #if defined(__linux__)
 #include <pthread.h>
 #include <sched.h>
 #endif
 
 namespace redundancy::util {
-
-namespace {
-
-/// Read a small sysfs file into `buf` (NUL-terminated). Returns false when
-/// the file is absent or unreadable — the caller falls back.
-bool read_small_file(const char* path, char* buf, std::size_t cap) noexcept {
-  std::FILE* f = std::fopen(path, "re");
-  if (f == nullptr) return false;
-  const std::size_t n = std::fread(buf, 1, cap - 1, f);
-  std::fclose(f);
-  if (n == 0) return false;
-  buf[n] = '\0';
-  return true;
-}
-
-std::size_t cpu_list_count_at(const char* path) noexcept {
-  char buf[512];
-  if (!read_small_file(path, buf, sizeof(buf))) return 0;
-  return parse_cpu_list_count(buf);
-}
-
-Topology probe() noexcept {
-  Topology t;
-  // Threads per core: cpu0's thread siblings.
-  const std::size_t smt = cpu_list_count_at(
-      "/sys/devices/system/cpu/cpu0/topology/thread_siblings_list");
-  // LLC sharing set: the last cache index that lists shared CPUs is the
-  // biggest cache; walk indices upward and keep the last readable one.
-  std::size_t llc = 0;
-  for (int index = 0; index < 8; ++index) {
-    char path[128];
-    std::snprintf(path, sizeof(path),
-                  "/sys/devices/system/cpu/cpu0/cache/index%d/"
-                  "shared_cpu_list",
-                  index);
-    const std::size_t n = cpu_list_count_at(path);
-    if (n == 0) break;
-    llc = n;
-  }
-  if (llc == 0) {
-    // No cache info: fall back to the package as the cluster.
-    llc = cpu_list_count_at(
-        "/sys/devices/system/cpu/cpu0/topology/package_cpus_list");
-    if (llc == 0) {
-      llc = cpu_list_count_at(
-          "/sys/devices/system/cpu/cpu0/topology/core_siblings_list");
-    }
-  }
-  if (smt > 0) {
-    t.smt_width = smt;
-    t.probed = true;
-  }
-  if (llc > 0) {
-    t.cluster_size = llc;
-    t.probed = true;
-  }
-  if (t.cluster_size < t.smt_width) t.cluster_size = t.smt_width;
-  if (t.cluster_size == 0) t.cluster_size = 4;
-  if (t.smt_width == 0) t.smt_width = 1;
-  return t;
-}
-
-}  // namespace
-
-std::size_t parse_cpu_list_count(const char* text) noexcept {
-  if (text == nullptr) return 0;
-  std::size_t count = 0;
-  const char* p = text;
-  while (*p != '\0' && *p != '\n') {
-    char* end = nullptr;
-    const long first = std::strtol(p, &end, 10);
-    if (end == p || first < 0) return 0;
-    long last = first;
-    p = end;
-    if (*p == '-') {
-      ++p;
-      last = std::strtol(p, &end, 10);
-      if (end == p || last < first) return 0;
-      p = end;
-    }
-    count += static_cast<std::size_t>(last - first) + 1;
-    if (*p == ',') ++p;
-  }
-  return count;
-}
-
-const Topology& topology() noexcept {
-  static const Topology t = probe();
-  return t;
-}
-
-std::size_t reactor_cpu_slot(std::size_t reactor, std::size_t cpus,
-                             std::size_t cluster_size) noexcept {
-  if (cpus == 0) return 0;
-  if (cluster_size == 0 || cluster_size > cpus) cluster_size = cpus;
-  // Spread one reactor per cluster before doubling up: reactor i goes to
-  // cluster (i mod clusters), at the (i div clusters)-th slot inside it.
-  const std::size_t clusters = cpus / cluster_size > 0 ? cpus / cluster_size
-                                                       : 1;
-  const std::size_t cluster = reactor % clusters;
-  const std::size_t within = reactor / clusters;
-  return (cluster * cluster_size + within) % cpus;
-}
 
 bool pin_current_thread_to_cpu(std::size_t cpu) noexcept {
 #if defined(__linux__)

@@ -1,49 +1,13 @@
-// One-time CPU topology probe backing the pool's near-first steal order.
-//
-// Stealing walks victims in distance order: a task stolen from a worker on
-// the same core (SMT sibling) or the same last-level cache arrives with its
-// lines already warm, while a steal across packages pays the full coherence
-// round trip. The pool cannot know which CPU a worker lands on (workers are
-// not pinned), but Linux creates and schedules sibling threads close
-// together often enough that "nearby worker index" is a useful proxy — so
-// the probe reduces the machine to two numbers:
-//
-//   * smt_width    — hardware threads per core (thread_siblings of cpu0);
-//   * cluster_size — logical CPUs sharing the last-level cache (falling
-//                    back to the package, then to a fixed guess).
-//
-// Workers at indices [k*cluster_size, (k+1)*cluster_size) are treated as
-// one cluster; steal orders visit the own cluster first. The probe reads
-// sysfs once per process (cheap, no allocation after the first call) and
-// degrades to a portable guess ({1, 4}) when sysfs is absent (non-Linux,
-// containers with masked /sys).
+// Thread placement. The only topology decision the program makes is where
+// a thread runs: with more than one gateway loop, reactor i pins itself to
+// CPU i % cpus, and the benchmark pins its load generator off the server's
+// cores. Pool workers are not pinned and steal order does not model
+// caches: on the served traffic that bought nothing (EXPERIMENTS.md E21).
 #pragma once
 
 #include <cstddef>
 
 namespace redundancy::util {
-
-struct Topology {
-  std::size_t smt_width = 1;     ///< hardware threads per physical core
-  std::size_t cluster_size = 4;  ///< logical CPUs sharing the LLC
-  bool probed = false;           ///< true when sysfs answered, false on fallback
-};
-
-/// The process-wide topology, probed on first call and cached.
-[[nodiscard]] const Topology& topology() noexcept;
-
-/// Parse a sysfs CPU list ("0-3", "0,4", "0-1,8-9") and return the number
-/// of CPUs it names, or 0 on malformed input. Exposed for tests.
-[[nodiscard]] std::size_t parse_cpu_list_count(const char* text) noexcept;
-
-/// The CPU slot a gateway reactor should prefer: reactors are spread one
-/// per LLC cluster first (so each front-door loop feeds pool workers out of
-/// a different cache domain instead of stacking on one), then wrap within
-/// clusters. Pure function of (reactor index, CPU count, cluster size) so
-/// the placement policy is testable without pinning anything.
-[[nodiscard]] std::size_t reactor_cpu_slot(std::size_t reactor,
-                                           std::size_t cpus,
-                                           std::size_t cluster_size) noexcept;
 
 /// Best-effort affinity pin of the calling thread to `cpu`. Returns false
 /// (and changes nothing) off Linux, on masked cpusets, or when the kernel

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -143,14 +144,19 @@ TEST_F(FlightRecorderTest, CrashHandlerAppendsAParseableDump) {
   const pid_t pid = fork();
   ASSERT_GE(pid, 0) << "fork failed";
   if (pid == 0) {
-    // Child: leave some breadcrumbs, then die on a null write. The crash
-    // handler must append the dump and re-raise so we exit via SIGSEGV.
+    // Child: leave some breadcrumbs, then die on a write to a PROT_NONE
+    // page. The crash handler must append the dump and re-raise so we exit
+    // via SIGSEGV. A mapped-but-inaccessible page rather than a null
+    // pointer: UBSan stops a null store before it can fault.
     auto& fr = FlightRecorder::instance();
     fr.install_crash_handler(path);
     for (std::uint64_t i = 0; i < 1000; ++i) {
       fr.record(FlightKind::mark, "crumb", 0, /*a=*/i, 0, true);
     }
-    volatile int* boom = nullptr;
+    void* page = mmap(nullptr, 4096, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS,
+                      -1, 0);
+    if (page == MAP_FAILED) _exit(3);
+    volatile int* boom = static_cast<int*>(page);
     *boom = 1;     // SIGSEGV
     _exit(0);      // not reached
   }

@@ -1,10 +1,10 @@
-// Sharded-injector stress tests, meant for -DREDUNDANCY_SANITIZE=thread
-// builds (ctest -L stress). Companion to thread_pool_stress_test.cpp (deque
-// + park/unpark churn) and chase_lev_stress_test.cpp (raw deque races):
-// these drive the *lane* machinery specifically — many external submitters
-// hashed over the lanes, workers draining amortized shares, external
-// helpers racing the drain, and the one-wake-up batch protocol under
-// constant park/unpark pressure.
+// Injector stress tests, meant for -DREDUNDANCY_SANITIZE=thread builds
+// (ctest -L stress). Companion to thread_pool_stress_test.cpp (deque +
+// park/unpark churn) and chase_lev_stress_test.cpp (raw deque races):
+// these drive the external-submission path specifically — many outside
+// submitters on the one injector, workers draining amortized shares,
+// external helpers racing the drain, and the one-wake-up batch protocol
+// under constant park/unpark pressure.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,10 +18,12 @@ namespace redundancy::util {
 namespace {
 
 TEST(InjectorStress, ManySubmittersManyLanesEveryTaskRunsOnce) {
+  // Eight outside submitters contend on the one injector lock. "ManyLanes"
+  // predates the single injector and is kept so the test ID stays stable.
   constexpr std::size_t kSubmitters = 8;
   constexpr std::size_t kRounds = 60;
   constexpr std::size_t kBatch = 16;
-  ThreadPool pool{4, 8};
+  ThreadPool pool{4};
   std::atomic<std::size_t> executed{0};
   std::vector<std::thread> submitters;
   submitters.reserve(kSubmitters);
@@ -53,11 +55,11 @@ TEST(InjectorStress, ManySubmittersManyLanesEveryTaskRunsOnce) {
 }
 
 TEST(InjectorStress, ExternalHelpersRaceWorkersOnLaneDrain) {
-  // External try_run_one drains lane heads while pool workers drain
-  // amortized shares of the same lanes — the claim bookkeeping must never
+  // External try_run_one drains the injector head while pool workers drain
+  // amortized shares of the same chain — the claim bookkeeping must never
   // lose or double-run a task.
   constexpr std::size_t kTasks = 4000;
-  ThreadPool pool{2, 4};
+  ThreadPool pool{2};
   std::atomic<std::size_t> executed{0};
   std::atomic<bool> stop{false};
   std::vector<std::thread> helpers;
@@ -84,8 +86,8 @@ TEST(InjectorStress, ExternalHelpersRaceWorkersOnLaneDrain) {
 TEST(InjectorStress, ParkUnparkChurnWithBurstySubmission) {
   // Bursts separated by quiet gaps force the workers through the full
   // park/recheck/wake cycle over and over; the Dekker handshake must not
-  // strand a burst in a lane while every worker sleeps.
-  ThreadPool pool{3, 4};
+  // strand a burst in the injector while every worker sleeps.
+  ThreadPool pool{3};
   std::atomic<std::size_t> executed{0};
   for (std::size_t burst = 0; burst < 40; ++burst) {
     std::vector<ThreadPool::Task> batch;
@@ -106,7 +108,7 @@ TEST(InjectorStress, DestructionRacesInFlightExternalWork) {
     std::atomic<std::size_t> executed{0};
     std::thread submitter;
     {
-      ThreadPool pool{2, 2};
+      ThreadPool pool{2};
       submitter = std::thread{[&pool, &executed] {
         for (int i = 0; i < 200; ++i) {
           pool.post(ThreadPool::Task{
@@ -120,11 +122,12 @@ TEST(InjectorStress, DestructionRacesInFlightExternalWork) {
 }
 
 TEST(InjectorStress, SingleLaneShapeStillCorrectUnderContention) {
-  // The lanes=1 baseline (used by the benchmarks as the contended
-  // comparison point) must stay correct, not just slow.
+  // Eight submitters posting singles against two workers: the most
+  // contended shape of the one injector lock must stay correct, not just
+  // slow.
   constexpr std::size_t kSubmitters = 8;
   constexpr std::size_t kPer = 300;
-  ThreadPool pool{2, 1};
+  ThreadPool pool{2};
   std::atomic<std::size_t> executed{0};
   std::vector<std::thread> submitters;
   for (std::size_t s = 0; s < kSubmitters; ++s) {

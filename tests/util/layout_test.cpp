@@ -1,13 +1,12 @@
 // Memory-layout regression guard (tier1).
 //
-// The mechanical-sympathy pass (sharded injector, aligned hot state) only
-// helps while the layout invariants hold: hot structs must not span cache
-// lines they share with unrelated writers, and adjacent instances in arrays
-// must not share a line. Compile-time checks live as static_asserts next to
-// the structs themselves; this test adds the checks that need live objects
-// (heap alignment of over-aligned news, shard strides, address distances),
-// so a refactor that silently drops an alignas fails here instead of
-// shipping a false-sharing regression.
+// Aligned hot state only helps while the layout invariants hold: hot
+// structs must not span cache lines they share with unrelated writers, and
+// adjacent instances in arrays must not share a line. Compile-time checks
+// live as static_asserts next to the structs themselves; this test adds
+// the checks that need live objects (heap alignment of over-aligned news,
+// shard strides, address distances), so a refactor that silently drops an
+// alignas fails here instead of shipping a false-sharing regression.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,7 +19,6 @@
 #include "util/cacheline.hpp"
 #include "util/chase_lev_deque.hpp"
 #include "util/thread_pool.hpp"
-#include "util/topology.hpp"
 
 namespace redundancy {
 namespace {
@@ -54,12 +52,12 @@ TEST(Layout, WorkerAndInjectorLaneDoNotShareLines) {
   static_assert(sizeof(Worker) % kCacheLine == 0);
   static_assert(alignof(InjectorLane) >= kCacheLine);
   static_assert(sizeof(InjectorLane) % kCacheLine == 0);
-  // The lane's lock-free emptiness probe must sit on a different line from
-  // the mutex+chain the lock traffic bounces: idle workers poll `size`
-  // without disturbing active submitters.
-  InjectorLane lane;
-  EXPECT_NE(line_of(&lane.size), line_of(&lane.m));
-  EXPECT_NE(line_of(&lane.size), line_of(&lane.head));
+  // The injector's lock-free emptiness probe must sit on a different line
+  // from the mutex+chain the lock traffic bounces: idle workers poll
+  // `size` without disturbing active submitters.
+  InjectorLane injector;
+  EXPECT_NE(line_of(&injector.size), line_of(&injector.m));
+  EXPECT_NE(line_of(&injector.size), line_of(&injector.head));
 }
 
 TEST(Layout, ChaseLevIndicesLiveOnSeparateLines) {
@@ -135,14 +133,6 @@ TEST(Layout, MetricShardCountsScaleWithTheMachine) {
   obs::Histogram histogram;
   EXPECT_EQ(counter.shards(), pow2);
   EXPECT_EQ(histogram.shards(), pow2 < 16 ? pow2 : 16);
-}
-
-TEST(Layout, TopologyProbeYieldsUsableCluster) {
-  const util::Topology& topo = util::topology();
-  EXPECT_GE(topo.smt_width, 1u);
-  EXPECT_GE(topo.cluster_size, topo.smt_width);
-  // Fallback or probed, the cluster size must be usable as a divisor.
-  EXPECT_GT(topo.cluster_size, 0u);
 }
 
 }  // namespace
