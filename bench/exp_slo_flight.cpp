@@ -6,13 +6,15 @@
 //
 //   A. Reaction: under an injected fault burst, the windowed p99 and the
 //      multi-window burn rate must react within ONE window rotation (the
-//      page-level fast_burn rule fires, the class goes failing, a synthetic
-//      rejected verdict is emitted) while the cumulative p99 stays flat —
-//      the whole point of windowing over cumulative-since-boot metrics.
+//      page-level fast_burn rule fires, the class goes failing, the
+//      engine's health view reads failing for it) while the cumulative p99
+//      stays flat — the whole point of windowing over cumulative-since-boot
+//      metrics.
 //   B. Black box: a forked child installs the crash handler, leaves
-//      breadcrumbs, and dies on SIGSEGV. The parent must find an appended
-//      dump that tracetool parses, holding exactly one ring of the newest
-//      crumbs. Runs FIRST, before any threads exist in this process.
+//      breadcrumbs, and dies on SIGSEGV from a store to a PROT_NONE page.
+//      The parent must find an appended dump that tracetool parses, holding
+//      exactly one ring of the newest crumbs. Runs FIRST, before any
+//      threads exist in this process.
 //   C. Overhead: slo.observe() + flight record() on a request-shaped
 //      workload (~10 us bodies — an order of magnitude below the cheapest
 //      gateway route) must cost < 5%, with the rotation thread running.
@@ -20,6 +22,7 @@
 // Also emits BENCH_exp_slo_flight.json (bench_compare.py schema) with
 // tight-loop throughput series for the three new hot-path primitives, plus
 // the slo_snapshot.jsonl / flight_crash.dump.jsonl artifacts.
+#include <sys/mman.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -65,7 +68,12 @@ bool run_crash_box(std::string& detail) {
     for (std::uint64_t i = 0; i < 1000; ++i) {
       fr.record(obs::FlightKind::mark, "crumb", 0, i, 0, true);
     }
-    volatile int* boom = nullptr;
+    // A mapped-but-inaccessible page rather than a null pointer: a null
+    // store is undefined behaviour, which UBSan stops before it can fault.
+    void* page = mmap(nullptr, 4096, PROT_NONE, MAP_PRIVATE | MAP_ANONYMOUS,
+                      -1, 0);
+    if (page == MAP_FAILED) _exit(3);
+    volatile int* boom = static_cast<int*>(page);
     *boom = 1;  // SIGSEGV -> handler appends dump -> re-raise
     _exit(0);   // not reached
   }
@@ -115,7 +123,7 @@ struct ReactionResult {
   double burn_10s = 0;
   std::string state_after;
   std::vector<std::string> firing;
-  bool verdict_rejected = false;
+  bool health_failing = false;
   int breaches = 0;
 };
 
@@ -144,11 +152,6 @@ ReactionResult run_reaction() {
   options.slots = 3700;
   obs::SloTracker slo{options};
   slo.register_class("api", {5 * kMs, 0.999});
-
-  bool last_accepted = true;
-  slo.set_verdict_callback([&last_accepted](const obs::AdjudicationEvent& v) {
-    last_accepted = v.accepted;
-  });
   slo.set_breach_callback(
       [&r](const std::string&, const std::string&) { ++r.breaches; });
 
@@ -178,7 +181,11 @@ ReactionResult run_reaction() {
     r.state_after = after.classes[0].state;
     r.firing = after.classes[0].firing;
   }
-  r.verdict_rejected = !last_accepted;
+  for (const obs::HealthRow& row : slo.health(now).rows) {
+    if (row.name == "slo:api") {
+      r.health_failing = row.state == obs::SloState::failing;
+    }
+  }
   // Cumulative view over the same metric: 601k samples, 1k of them slow.
   const obs::HistogramSnapshot cumulative =
       obs::MetricsRegistry::instance()
@@ -190,9 +197,9 @@ ReactionResult run_reaction() {
   for (const auto& f : r.firing) fast_burn_firing |= (f == "fast_burn");
   r.pass = r.windowed_p99_after_ms > 10.0 &&       // window sees the burst
            r.cumulative_p99_after_ms < 3.0 &&      // cumulative does not
-           r.burn_10s > obs::default_burn_rules()[0].threshold &&
+           r.burn_10s > obs::kBurnRules[0].threshold &&
            r.state_after == "failing" && fast_burn_firing &&
-           r.verdict_rejected && r.breaches == 1;
+           r.health_failing && r.breaches == 1;
   return r;
 }
 
@@ -359,10 +366,10 @@ int main() {
               reaction.windowed_p99_before_ms, reaction.windowed_p99_after_ms);
   std::printf("   cumulative p99     %8.2f ms (must stay flat)\n",
               reaction.cumulative_p99_after_ms);
-  std::printf("   burn(10s) %.1f, state '%s', rejected verdict %s, "
+  std::printf("   burn(10s) %.1f, state '%s', health view failing %s, "
               "breach callbacks %d -> %s\n",
               reaction.burn_10s, reaction.state_after.c_str(),
-              reaction.verdict_rejected ? "yes" : "no", reaction.breaches,
+              reaction.health_failing ? "yes" : "no", reaction.breaches,
               reaction.pass ? "PASS" : "FAIL");
 
   const OverheadResult overhead = run_overhead();

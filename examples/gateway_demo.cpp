@@ -11,7 +11,7 @@
 //   REDUNDANCY_SLO_TARGETS        per-route SLOs, class=latency_ms@avail_pct
 //                                 (default "/fast=50@99,/vote=50@99"); the
 //                                 tracker rotates windows, serves /slo, and
-//                                 feeds slo:<route> verdicts into /healthz
+//                                 adds an slo:<route> row to /healthz
 //   REDUNDANCY_SLO_EPOCH_MS       window rotation period (default 10000)
 //   REDUNDANCY_FLIGHT_DUMP        enable the flight recorder, install the
 //                                 crash handler appending to this path, and
@@ -24,9 +24,9 @@
 #include <string>
 #include <thread>
 
-#include "core/health.hpp"
 #include "net/gateway.hpp"
 #include "obs/flight_recorder.hpp"
+#include "obs/recorder.hpp"
 #include "obs/slo.hpp"
 
 namespace {
@@ -44,7 +44,6 @@ std::size_t env_or(const char* name, std::size_t fallback) {
 
 int main() {
   using namespace redundancy;
-  core::HealthTracker health;
 
   // SLO tracker over the demo routes; defaults keep the e2e drill honest
   // even with no environment set.
@@ -60,9 +59,6 @@ int main() {
   for (const auto& [cls, target] : obs::parse_slo_targets(slo_spec)) {
     slo.register_class(cls, target);
   }
-  slo.set_verdict_callback([&health](const obs::AdjudicationEvent& verdict) {
-    health.observe(verdict);
-  });
 
   const char* flight_path = std::getenv("REDUNDANCY_FLIGHT_DUMP");
   if (flight_path != nullptr && *flight_path != '\0') {
@@ -86,12 +82,14 @@ int main() {
     obs::FlightRecorder::instance().enable(
         env_or("REDUNDANCY_FLIGHT_RING", 1024));
   }
+  // The demo patterns count their verdicts (technique.* in /metrics, the
+  // technique rows of /healthz) only while obs is on.
+  obs::Recorder::instance().set_enabled(true);
   slo.start();
 
   net::Gateway::Options options;
   options.conn.port =
       static_cast<std::uint16_t>(env_or("REDUNDANCY_GATEWAY_PORT", 8217));
-  options.health = &health;
   options.slo = &slo;
   net::Gateway gateway{options};
   net::install_demo_routes(gateway);

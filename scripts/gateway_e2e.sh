@@ -24,7 +24,7 @@ mkdir -p "${OUT_DIR}"
 repo_root="$(pwd)"
 
 # Short SLO epochs so the drill sees at least one window rotation (and the
-# slo:<route> verdicts that feed /healthz) before it scrapes.
+# burn-rate state of the slo:<route> rows in /healthz) before it scrapes.
 REDUNDANCY_GATEWAY_PORT="${PORT}" REDUNDANCY_GATEWAY_LINGER_MS=120000 \
   REDUNDANCY_SLO_EPOCH_MS=500 \
   "${BUILD_DIR}/examples/gateway_demo" > "${OUT_DIR}/demo.log" & server=$!
@@ -47,8 +47,8 @@ for i in $(seq 1 100); do
 done
 curl -s -o /dev/null -w '%{http_code}' "localhost:${PORT}/nope" | grep -q 404
 
-# Let one SLO epoch close so the windowed rows and the slo:<route>
-# verdicts behind /healthz have something to show.
+# Let one SLO epoch close so the windowed rows and the slo:<route> rows
+# of /healthz have something to show.
 sleep 1.2
 
 # Operational endpoints, through the same front door, after real load.

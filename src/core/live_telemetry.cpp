@@ -66,8 +66,6 @@ std::unique_ptr<LiveTelemetry> start_live_telemetry_from_env() {
   auto telemetry = std::make_unique<LiveTelemetry>();
   auto& recorder = obs::Recorder::instance();
 
-  telemetry->health = std::make_shared<HealthTracker>();
-  recorder.add_sink(telemetry->health);
   if (want_trace) {
     telemetry->trace_file = std::make_shared<obs::JsonlTraceSink>(
         std::string{trace_path});
@@ -90,36 +88,29 @@ std::unique_ptr<LiveTelemetry> start_live_telemetry_from_env() {
                  flight_path);
   }
 
+  obs::SloTracker::Options slo_options;
+  slo_options.epoch_ns = static_cast<std::uint64_t>(
+      env_ll("REDUNDANCY_SLO_EPOCH_MS", 10'000)) * 1'000'000ull;
+  telemetry->slo = std::make_shared<obs::SloTracker>(slo_options);
   if (want_slo) {
-    obs::SloTracker::Options slo_options;
-    slo_options.epoch_ns = static_cast<std::uint64_t>(
-        env_ll("REDUNDANCY_SLO_EPOCH_MS", 10'000)) * 1'000'000ull;
-    telemetry->slo = std::make_shared<obs::SloTracker>(slo_options);
     for (const auto& [cls, target] : obs::parse_slo_targets(slo_spec)) {
       telemetry->slo->register_class(cls, target);
     }
-    // Close the loop: SLO verdicts adjudicate the service itself, so
-    // /healthz degrades while error budget remains; a page-level breach
-    // flushes the black box even without a crash.
-    const auto health = telemetry->health;
-    telemetry->slo->set_verdict_callback(
-        [health](const obs::AdjudicationEvent& verdict) {
-          health->observe(verdict);
-        });
-    if (want_flight) {
-      const std::string dump_path{flight_path};
-      telemetry->slo->set_breach_callback(
-          [dump_path](const std::string& cls, const std::string& rule) {
-            std::fprintf(stderr,
-                         "obs: SLO breach on class %s (%s); dumping flight "
-                         "recorder -> %s\n",
-                         cls.c_str(), rule.c_str(), dump_path.c_str());
-            obs::FlightRecorder::instance().dump_to_path(dump_path.c_str());
-          });
-    }
     recorder.add_sink(telemetry->slo);
-    telemetry->slo->start();
   }
+  if (want_flight) {
+    // A page-level breach flushes the black box even without a crash.
+    const std::string dump_path{flight_path};
+    telemetry->slo->set_breach_callback(
+        [dump_path](const std::string& cls, const std::string& rule) {
+          std::fprintf(stderr,
+                       "obs: SLO breach on class %s (%s); dumping flight "
+                       "recorder -> %s\n",
+                       cls.c_str(), rule.c_str(), dump_path.c_str());
+          obs::FlightRecorder::instance().dump_to_path(dump_path.c_str());
+        });
+  }
+  telemetry->slo->start();
 
   recorder.set_sample_every(
       static_cast<std::uint64_t>(env_ll("REDUNDANCY_OBS_SAMPLE", 1)));
@@ -130,19 +121,19 @@ std::unique_ptr<LiveTelemetry> start_live_telemetry_from_env() {
     recorder.add_sink(telemetry->ring);
 
     // A 1-loop gateway on the shared pool serves the ops routes: the
-    // built-in /metrics, /healthz (from the health tracker) and
-    // /debug/flight, plus /traces and /slo below. Its own gateway.* series
-    // are labelled apart from any serving gateway in the same process.
+    // built-in /metrics, /healthz and /slo (from the SLO engine) and
+    // /debug/flight, plus /traces below. Its own gateway.* series are
+    // labelled apart from any serving gateway in the same process.
     net::Gateway::Options options;
     options.conn.port = port_from_env(port_env);
     options.conn.metric_label = "server=ops";
     options.loops = 1;
-    options.health = telemetry->health.get();
+    options.slo = telemetry->slo.get();
     telemetry->http = std::make_unique<net::Gateway>(options);
     using Request = net::Gateway::Request;
     using Response = net::http::Response;
     const auto ring = telemetry->ring;
-    telemetry->http->add_route("/traces", [ring](const Request& req) {
+    telemetry->http->add_ops_route("/traces", [ring](const Request& req) {
       auto n = static_cast<std::size_t>(
           net::http::query_param(req.query, "n").value_or(0));
       if (n == 0) n = kDefaultTraceTail;
@@ -154,21 +145,12 @@ std::unique_ptr<LiveTelemetry> start_live_telemetry_from_env() {
       }
       return Response{200, "application/x-ndjson", std::move(body)};
     });
-    if (telemetry->slo) {
-      const auto slo = telemetry->slo;
-      telemetry->http->add_route("/slo", [slo](const Request&) {
-        obs::Recorder::instance().flush();
-        return Response{200, "application/x-ndjson",
-                        slo->snapshot_jsonl(obs::now_ns())};
-      });
-    }
 
     if (telemetry->http->start()) {
       std::fprintf(stderr,
                    "obs: live telemetry on http://127.0.0.1:%u "
-                   "(/metrics /healthz /traces?n=K%s%s)\n",
+                   "(/metrics /healthz /slo /traces?n=K%s)\n",
                    static_cast<unsigned>(telemetry->http->port()),
-                   telemetry->slo ? " /slo" : "",
                    obs::flight_enabled() ? " /debug/flight" : "");
     } else {
       std::fprintf(stderr,
@@ -181,8 +163,10 @@ std::unique_ptr<LiveTelemetry> start_live_telemetry_from_env() {
 }
 
 void linger_from_env() {
-  // Scrapers arriving during the linger want the final verdicts visible.
+  // Scrapers arriving during the linger want the final verdicts visible,
+  // and a script waiting on the workload's last line wants it written.
   obs::Recorder::instance().flush();
+  std::fflush(stdout);
   const long long ms = env_ll("REDUNDANCY_OBS_HTTP_LINGER_MS", 0);
   if (ms <= 0) return;
   std::fprintf(stderr, "obs: lingering %lld ms for scrapers\n", ms);

@@ -5,12 +5,12 @@
 //   REDUNDANCY_OBS_HTTP_PORT   start a 1-loop ops net::Gateway on
 //                              127.0.0.1:<port> (decimal 0..65535; 0 or an
 //                              invalid value = ephemeral; the chosen port is
-//                              printed). Serves /metrics, /healthz (from a
-//                              core::HealthTracker fed by the recorder),
+//                              printed). Serves /metrics, /healthz and /slo
+//                              (the SLO engine's health view and snapshot),
 //                              /traces?n=K (from a RingTraceSink, default 32
-//                              lines), and /slo and /debug/flight when those
-//                              are wired. Its gateway.* series carry the
-//                              label server="ops".
+//                              lines), and /debug/flight when the flight
+//                              recorder is on. Its gateway.* series carry
+//                              the label server="ops".
 //   REDUNDANCY_OBS_TRACE_FILE  also append every record to this JSONL file
 //                              (tools/tracetool input).
 //   REDUNDANCY_OBS_SAMPLE      root-span sampling divisor (default 1).
@@ -19,12 +19,14 @@
 //                              process exits, so scrapers can hit the
 //                              endpoints after the workload finished.
 //   REDUNDANCY_SLO_TARGETS     per-class SLOs as class=latency_ms@avail_pct
-//                              (e.g. "/fast=5@99.9,nvp.run=10@99"). Starts
-//                              an obs::SloTracker as a recorder sink, serves
-//                              /slo, feeds synthetic slo:<class> verdicts
-//                              into the health tracker, and exports windowed
-//                              burn-rate/error/percentile gauges.
-//   REDUNDANCY_SLO_EPOCH_MS    SLO window rotation period (default 10000).
+//                              (e.g. "process_replicas.serve=50@99"):
+//                              registers the classes and feeds the engine
+//                              the recorder's spans, which score the classes
+//                              named after them. Each class adds a
+//                              slo:<class> row to /healthz and exports
+//                              windowed burn-rate/error/percentile gauges.
+//   REDUNDANCY_SLO_EPOCH_MS    SLO engine window rotation period (default
+//                              10000).
 //   REDUNDANCY_FLIGHT_DUMP     enable the obs::FlightRecorder black box,
 //                              install the crash handler appending to this
 //                              path, serve /debug/flight, and dump on SLO
@@ -37,14 +39,15 @@
 //                              exports its own loop="N"-labelled gateway.*
 //                              metric shards through /metrics.
 //
-// Setting either of the first two enables the recorder for the process
-// lifetime. With none of them set, start_live_telemetry_from_env() returns
-// nullptr and nothing changes.
+// Setting the port, the trace file, the SLO targets or the flight dump
+// enables the recorder for the process lifetime and starts the one
+// obs::SloTracker, whose health view windows every technique's exact
+// verdict counters. With none of those set, start_live_telemetry_from_env()
+// returns nullptr and nothing changes.
 #pragma once
 
 #include <memory>
 
-#include "core/health.hpp"
 #include "obs/sink.hpp"
 #include "obs/slo.hpp"
 
@@ -54,11 +57,10 @@ class Gateway;
 
 namespace redundancy::core {
 
-/// Owns the wired-up telemetry; destroying it flushes the recorder and
-/// stops the ops gateway (sinks stay attached — the Recorder is process-
-/// wide and the process is exiting anyway).
+/// Owns the wired-up telemetry; destroying it stops the SLO engine, flushes
+/// the recorder and stops the ops gateway (sinks stay attached — the
+/// Recorder is process-wide and the process is exiting anyway).
 struct LiveTelemetry {
-  std::shared_ptr<HealthTracker> health;
   std::shared_ptr<obs::RingTraceSink> ring;
   std::shared_ptr<obs::JsonlTraceSink> trace_file;
   std::shared_ptr<obs::SloTracker> slo;

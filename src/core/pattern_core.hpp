@@ -12,8 +12,8 @@
 //   * the result cache and the cached run() fast path (serve());
 //   * Metrics, and the one fold of late legs' bookkeeping into them
 //     (disabling failed components where the pattern asks for it);
-//   * the technique.* accounting, exact whenever obs is enabled, on cache
-//     hits and misses alike;
+//   * the technique.* accounting (obs::TechniqueCounters), exact whenever
+//     obs is enabled, on cache hits and misses alike;
 //   * the one AdjudicationEvent emitter (record_verdict()).
 //
 // A pattern keeps its Figure-1 logic: the sequential loop, the voter, the
@@ -62,7 +62,7 @@ class PatternCore {
   void set_obs_label(std::string label) {
     label_ = std::move(label);
     salt_ = util::fnv1a(label_);
-    lat_hist_ = nullptr;
+    counters_.reset();
     leg_hist_ = nullptr;
   }
 
@@ -121,7 +121,8 @@ class PatternCore {
         });
         if (!executed) {
           ++metrics_.requests;
-          if (t0 != 0) account(t0, verdict.has_value());
+          // A hit replays a verdict: no leg ran, so it masked nothing.
+          if (t0 != 0) counters().count(t0, verdict.has_value(), false);
         }
         return verdict;
       }
@@ -212,10 +213,15 @@ class PatternCore {
   Result<Out> request(Body& body) {
     fold();
     ++metrics_.requests;
+    const std::size_t recoveries = metrics_.recoveries;
     obs::ScopedSpan span{label_};
     const std::uint64_t t0 = clock();
     Result<Out> verdict = body(span.context());
-    if (t0 != 0) account(t0, verdict.has_value());
+    // conclude() counted a recovery if the verdict masked a failed leg.
+    if (t0 != 0) {
+      counters().count(t0, verdict.has_value(),
+                       metrics_.recoveries != recoveries);
+    }
     span.set_ok(verdict.has_value());
     return verdict;
   }
@@ -232,18 +238,11 @@ class PatternCore {
     return obs::enabled() ? obs::now_ns() : 0;
   }
 
-  /// Always-on (sampling-independent) registry series for one request that
-  /// started with obs enabled (t0 != 0). References are resolved lazily and
-  /// cached: the registry lookup locks.
-  void account(std::uint64_t t0, bool ok) {
-    if (lat_hist_ == nullptr) {
-      lat_hist_ = &obs::histogram("technique.request_ns", label_);
-      req_counter_ = &obs::counter("technique.requests", label_);
-      fail_counter_ = &obs::counter("technique.unrecovered", label_);
-    }
-    lat_hist_->record(obs::now_ns() - t0);
-    req_counter_->add();
-    if (!ok) fail_counter_->add();
+  /// The technique.* series, resolved on the first request that started
+  /// with obs enabled (the registry lookup locks).
+  obs::TechniqueCounters& counters() {
+    if (!counters_) counters_.emplace(label_);
+    return *counters_;
   }
 
   /// (technique, input) cache key: the label salts the input digest so two
@@ -261,9 +260,7 @@ class PatternCore {
   std::string label_;
   std::uint64_t salt_;
   bool disable_failed_;
-  obs::Histogram* lat_hist_ = nullptr;
-  obs::Counter* req_counter_ = nullptr;
-  obs::Counter* fail_counter_ = nullptr;
+  std::optional<obs::TechniqueCounters> counters_;
   obs::Histogram* leg_hist_ = nullptr;
 };
 

@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/health.hpp"
 #include "core/parallel_evaluation.hpp"
 #include "core/sequential_alternatives.hpp"
 #include "core/voters.hpp"
@@ -310,21 +309,19 @@ void Gateway::install_builtin_routes() {
           obs::MetricsRegistry::instance().render_prometheus_text()};
     });
   });
-  core::HealthTracker* health = options_.health;
-  add_ops_route("/healthz", [this, health](const Request&) -> http::Response {
-    return serve_cached(healthz_cache_, [health] {
-      if (health == nullptr) {
+  obs::SloTracker* slo = options_.slo;
+  add_ops_route("/healthz", [this, slo](const Request&) -> http::Response {
+    return serve_cached(healthz_cache_, [slo] {
+      if (slo == nullptr) {
         return http::Response{200, "text/plain; charset=utf-8", "ok\n"};
       }
-      obs::Recorder::instance().flush();
-      const core::HealthState state = health->overall();
-      return http::Response{state == core::HealthState::failing ? 503 : 200,
-                            "text/plain; charset=utf-8",
-                            health->healthz_text()};
+      const obs::HealthReport report = slo->health(obs::now_ns());
+      return http::Response{report.status == obs::SloState::failing ? 503
+                                                                     : 200,
+                            "text/plain; charset=utf-8", report.text()};
     });
   });
-  if (options_.slo != nullptr) {
-    obs::SloTracker* slo = options_.slo;
+  if (slo != nullptr) {
     add_ops_route("/slo", [this, slo](const Request&) -> http::Response {
       return serve_cached(slo_cache_, [slo] {
         obs::Recorder::instance().flush();

@@ -49,10 +49,11 @@
 //
 // The built-in ops routes /metrics, /healthz and /slo are served from a
 // short-TTL cached render, so a scrape storm costs at most one render per
-// TTL; /debug/flight dumps the flight recorder. They are placed like any
-// other route. Only the routes the caller added are scored against
-// Options::slo — a scraper polling the ops routes never becomes an SLO
-// class of its own.
+// TTL; /debug/flight dumps the flight recorder. /healthz and /slo are
+// Options::slo's health view and snapshot; without a tracker /healthz is a
+// plain liveness answer. Ops routes are placed like any other route, but
+// only the routes added with add_route() are scored against Options::slo —
+// a scraper polling the ops routes never becomes an SLO class of its own.
 #pragma once
 
 #include <atomic>
@@ -70,10 +71,6 @@
 #include "net/event_loop.hpp"
 #include "net/http.hpp"
 #include "util/thread_pool.hpp"
-
-namespace redundancy::core {
-class HealthTracker;
-}  // namespace redundancy::core
 
 namespace redundancy::obs {
 class Counter;
@@ -112,13 +109,10 @@ class Gateway {
     EventLoop::Options loop;
     /// Engine to dispatch into; nullptr = ThreadPool::shared().
     util::ThreadPool* pool = nullptr;
-    /// When set, /healthz folds this tracker's verdict-derived state in
-    /// (503 on failing) instead of the plain liveness answer.
-    core::HealthTracker* health = nullptr;
-    /// When set, every completed request on a caller-added route is scored
+    /// When set, every completed request on an add_route() route is scored
     /// against its path's SLO class (status < 500 and within the latency
-    /// target = good) and the gateway serves `GET /slo` with the tracker's
-    /// windowed snapshot.
+    /// target = good), `GET /slo` serves the tracker's windowed snapshot,
+    /// and `GET /healthz` its health view (503 while a row is failing).
     obs::SloTracker* slo = nullptr;
     /// Reactor count. 0 = REDUNDANCY_GATEWAY_LOOPS, else the core-derived
     /// default (see file comment). 1 disables all sharding machinery.
@@ -141,6 +135,11 @@ class Gateway {
     route.scored = true;
     route.placement.reset();
   }
+
+  /// Register an ops route: served like any route but never scored against
+  /// Options::slo. A caller's add_route() of the same path wins. Before
+  /// start() only.
+  void add_ops_route(std::string path, Handler handler);
 
   /// Bind, install the ops routes, spawn the loop threads. False when a
   /// socket or event loop could not be set up. Ignores SIGPIPE.
@@ -210,8 +209,8 @@ class Gateway {
 
   struct Route {
     Handler handler;
-    /// Scored against Options::slo: true for caller-added routes, false
-    /// for the built-in ops routes.
+    /// Scored against Options::slo: true for add_route(), false for the
+    /// ops routes.
     bool scored = true;
     Placement placement;
   };
@@ -259,8 +258,6 @@ class Gateway {
   /// completion record in the flight recorder — inline and pool alike.
   void settle(const Route& route, const std::string& path, int status,
               std::uint64_t t0_ns);
-  /// Install a built-in ops route unless the caller registered that path.
-  void add_ops_route(std::string path, Handler handler);
   void install_builtin_routes();
   http::Response serve_cached(OpsCache& cache,
                               const std::function<http::Response()>& render);

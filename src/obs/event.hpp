@@ -31,7 +31,7 @@ struct SpanRecord {
   TraceId trace_id = 0;
   SpanId span_id = 0;
   SpanId parent_id = 0;             ///< 0 for root spans
-  std::string name;                 ///< e.g. "nvp.run", "variant", "shard"
+  std::string name;                 ///< e.g. "nvp", "variant", "shard"
   std::string detail;               ///< free-form (variant name, shard range)
   std::uint64_t t_start_ns = 0;     ///< obs::now_ns() at entry
   std::uint64_t t_end_ns = 0;       ///< obs::now_ns() at exit

@@ -200,6 +200,16 @@ MetricsRegistry::counter_totals() const {
   return out;
 }
 
+std::vector<std::string> MetricsRegistry::counter_labels(
+    const std::string& name) const {
+  std::lock_guard lock(mutex_);
+  std::vector<std::string> out;
+  for (const auto& e : counters_) {
+    if (e.name == name) out.push_back(e.technique);
+  }
+  return out;
+}
+
 std::vector<std::pair<std::string, HistogramSnapshot>>
 MetricsRegistry::histogram_snapshots() const {
   std::lock_guard lock(mutex_);

@@ -65,6 +65,10 @@ class MetricsRegistry {
   /// order. Labelled series render as `name{technique="x"}`.
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>>
   counter_totals() const;
+  /// Label of every counter registered under `name`, registration order
+  /// (how the SLO engine's health view finds the techniques).
+  [[nodiscard]] std::vector<std::string> counter_labels(
+      const std::string& name) const;
   /// Snapshot of (exposition key, snapshot) for every histogram,
   /// registration order.
   [[nodiscard]] std::vector<std::pair<std::string, HistogramSnapshot>>

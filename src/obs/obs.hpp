@@ -2,17 +2,17 @@
 //
 // Typical usage at a redundancy decision point:
 //
-//   obs::ScopedSpan span{"nvp.run"};               // sampled request span
-//   ...fan variants out, passing span.context()...
-//   obs::ScopedSpan child{"variant", ctx};         // child, any thread
-//   obs::record_adjudication(span.context(), ev);  // why the verdict
-//   obs::counter("nvp.requests").add();            // exact, always-on
-//   obs::histogram("nvp.request_ns").record(dt);
+//   obs::ScopedSpan span{"process_replicas.serve"};  // sampled request span
+//   ...fan replicas out, passing span.context()...
+//   obs::ScopedSpan child{"replica", ctx};            // child, any thread
+//   obs::record_adjudication(span.context(), ev);     // why the verdict
+//   counters.count(t0, accepted, recovered);          // exact, always-on
 //
 // Every call is a no-op unless obs::enabled() (and compiles away entirely
 // under -DREDUNDANCY_OBS_NOOP).
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "obs/clock.hpp"
@@ -46,5 +46,43 @@ namespace redundancy::obs {
                                   const std::string& technique = "") {
   return MetricsRegistry::instance().gauge(name, technique);
 }
+
+/// The verdict series of one technique, each labelled technique=<name>:
+/// request latency, requests, recoveries (accepted verdicts that masked at
+/// least one failed leg) and unrecovered verdicts. Every adjudicating
+/// technique writes them through this type, exactly and regardless of
+/// sampling, for each request that started with obs enabled; the SLO
+/// engine's health view windows the three counters. Constructing one
+/// registers the series, so build it on the first such request.
+class TechniqueCounters {
+ public:
+  static constexpr const char* kRequests = "technique.requests";
+  static constexpr const char* kRecoveries = "technique.recoveries";
+  static constexpr const char* kUnrecovered = "technique.unrecovered";
+
+  explicit TechniqueCounters(const std::string& technique)
+      : latency_(&histogram("technique.request_ns", technique)),
+        requests_(&counter(kRequests, technique)),
+        recoveries_(&counter(kRecoveries, technique)),
+        unrecovered_(&counter(kUnrecovered, technique)) {}
+
+  /// One request that started at `t0` (obs::now_ns()).
+  void count(std::uint64_t t0, bool accepted, bool recovered) noexcept {
+    latency_->record(now_ns() - t0);
+    requests_->add();
+    if (!accepted) {
+      unrecovered_->add();
+    } else if (recovered) {
+      recoveries_->add();
+    }
+  }
+
+ private:
+  // Pointers, not references, keep the patterns that hold one assignable.
+  Histogram* latency_;
+  Counter* requests_;
+  Counter* recoveries_;
+  Counter* unrecovered_;
+};
 
 }  // namespace redundancy::obs

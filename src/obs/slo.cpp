@@ -7,8 +7,7 @@
 #include <cstdlib>
 #include <sstream>
 
-#include "obs/clock.hpp"
-#include "obs/metrics_registry.hpp"
+#include "obs/obs.hpp"
 
 namespace redundancy::obs {
 
@@ -54,13 +53,6 @@ std::string json_escape_view(std::string_view s) {
 
 }  // namespace
 
-std::vector<BurnRule> default_burn_rules() {
-  return {
-      {"fast_burn", 60'000'000'000ull, 10'000'000'000ull, 14.4, true},
-      {"slow_burn", 3'600'000'000'000ull, 300'000'000'000ull, 6.0, false},
-  };
-}
-
 const char* to_string(SloState state) noexcept {
   switch (state) {
     case SloState::ok: return "ok";
@@ -70,13 +62,42 @@ const char* to_string(SloState state) noexcept {
   return "ok";
 }
 
+std::string HealthReport::text() const {
+  std::string out = std::string{"status: "} + to_string(status) + "\n";
+  for (const HealthRow& row : rows) {
+    out += row.name + ": " + to_string(row.state);
+    out += " requests=" + std::to_string(row.requests);
+    if (row.name.rfind("slo:", 0) == 0) {
+      out += " errors=" + std::to_string(row.errors);
+    } else {
+      out += " recoveries=" + std::to_string(row.recoveries);
+      out += " unrecovered=" + std::to_string(row.errors);
+    }
+    char rate[32];
+    std::snprintf(rate, sizeof rate, " error_rate=%.4f\n",
+                  error_rate(row.errors, row.requests));
+    out += rate;
+  }
+  return out;
+}
+
+SloTracker::TechniqueWindows::TechniqueWindows(const std::string& technique,
+                                               WindowOptions options,
+                                               bool count_history)
+    : requests(counter(TechniqueCounters::kRequests, technique), options,
+               count_history),
+      recoveries(counter(TechniqueCounters::kRecoveries, technique), options,
+                 count_history),
+      unrecovered(counter(TechniqueCounters::kUnrecovered, technique),
+                  options, count_history) {}
+
 SloTracker::SloTracker() : SloTracker(Options{}) {}
 
-SloTracker::SloTracker(Options options)
-    : options_(std::move(options)),
-      rules_(options_.rules.empty() ? default_burn_rules() : options_.rules) {
+SloTracker::SloTracker(Options options) : options_(options) {
   if (options_.epoch_ns == 0) options_.epoch_ns = Options{}.epoch_ns;
   if (options_.slots == 0) options_.slots = Options{}.slots;
+  // Verdicts counted before the tracker existed belong to no window.
+  discover_techniques_locked(/*count_history=*/false);
 }
 
 SloTracker::~SloTracker() { stop(); }
@@ -97,12 +118,9 @@ const SloTracker::ClassState* SloTracker::find_locked(
   return nullptr;
 }
 
-SloTracker::ClassState& SloTracker::register_locked(
+SloTracker::ClassState& SloTracker::class_locked(
     std::string_view request_class, SloTarget target) {
-  if (ClassState* existing = find_locked(request_class)) {
-    existing->target = target;
-    return *existing;
-  }
+  if (ClassState* existing = find_locked(request_class)) return *existing;
   auto state = std::make_unique<ClassState>();
   state->name.assign(request_class);
   state->target = target;
@@ -118,76 +136,72 @@ SloTracker::ClassState& SloTracker::register_locked(
   state->w_errors = std::make_unique<WindowedCounter>(*state->errors, wopts);
   state->w_latency =
       std::make_unique<WindowedHistogram>(*state->latency, wopts);
-  state->rule_firing.assign(rules_.size(), false);
   classes_.push_back(std::move(state));
   return *classes_.back();
+}
+
+void SloTracker::discover_techniques_locked(bool count_history) {
+  const WindowOptions wopts{options_.epoch_ns, options_.slots};
+  for (const std::string& technique :
+       MetricsRegistry::instance().counter_labels(
+           TechniqueCounters::kRequests)) {
+    techniques_.try_emplace(technique, technique, wopts, count_history);
+  }
 }
 
 void SloTracker::register_class(std::string_view request_class,
                                 SloTarget target) {
   std::unique_lock lock(mutex_);
-  register_locked(request_class, target);
+  class_locked(request_class, target).target = target;
 }
 
-void SloTracker::score(std::string_view request_class,
-                       std::uint64_t latency_ns, bool ok, bool has_latency) {
+void SloTracker::score(ClassState& c, std::uint64_t latency_ns, bool ok) {
+  // ClassState pointers are stable once registered (unique_ptr elements),
+  // so scoring runs unlocked: the metric updates are the lock-free sharded
+  // hot path.
+  c.requests->add(1);
+  if (!ok || latency_ns > c.target.latency_slo_ns) c.errors->add(1);
+  c.latency->record(latency_ns);
+}
+
+void SloTracker::observe(std::string_view request_class,
+                         std::uint64_t latency_ns, bool ok) {
   ClassState* state = nullptr;
   {
     std::shared_lock lock(mutex_);
     state = find_locked(request_class);
   }
   if (state == nullptr) {
-    if (!options_.auto_register) return;
     std::unique_lock lock(mutex_);
-    state = &register_locked(request_class, options_.default_target);
+    state = &class_locked(request_class, kDefaultTarget);
   }
-  // ClassState pointers are stable once registered (unique_ptr elements);
-  // the metric updates below are the lock-free sharded hot path.
-  const bool error = !ok || (has_latency && latency_ns > state->target.latency_slo_ns);
-  state->requests->add(1);
-  if (error) state->errors->add(1);
-  if (has_latency) state->latency->record(latency_ns);
-}
-
-void SloTracker::observe(std::string_view request_class,
-                         std::uint64_t latency_ns, bool ok) {
-  score(request_class, latency_ns, ok, /*has_latency=*/true);
+  score(*state, latency_ns, ok);
 }
 
 void SloTracker::on_span(const SpanRecord& span) {
-  // Spans only score *registered* classes regardless of auto_register:
-  // span names are an open set (variant, shard, ...) and auto-registering
-  // all of them would turn every span family into an SLO class.
+  // Spans only score *registered* classes: span names are an open set
+  // (variant, shard, ...) and registering all of them would turn every
+  // span family into an SLO class.
+  ClassState* state = nullptr;
   {
     std::shared_lock lock(mutex_);
-    if (find_locked(span.name) == nullptr) return;
+    state = find_locked(span.name);
   }
-  score(span.name, span.duration_ns(), span.ok, /*has_latency=*/true);
-}
-
-void SloTracker::on_adjudication(const AdjudicationEvent& event) {
-  if (event.technique.rfind("slo:", 0) == 0) return;  // our own verdicts
-  {
-    std::shared_lock lock(mutex_);
-    if (find_locked(event.technique) == nullptr) return;
-  }
-  // A rejected verdict is an availability error; there is no meaningful
-  // latency on the verdict itself, so the latency histogram is untouched.
-  score(event.technique, 0, event.accepted, /*has_latency=*/false);
+  if (state != nullptr) score(*state, span.duration_ns(), span.ok);
 }
 
 void SloTracker::tick(std::uint64_t now_ns) {
-  struct Emission {
-    AdjudicationEvent verdict;
-    std::vector<std::pair<std::string, std::string>> breaches;
-  };
-  std::vector<Emission> emissions;
-  VerdictCallback verdict_cb;
+  std::vector<std::pair<std::string, std::string>> breaches;
   BreachCallback breach_cb;
   {
     std::unique_lock lock(mutex_);
-    verdict_cb = verdict_cb_;
     breach_cb = breach_cb_;
+    discover_techniques_locked(/*count_history=*/true);
+    for (auto& [name, t] : techniques_) {
+      t.requests.rotate(now_ns);
+      t.recoveries.rotate(now_ns);
+      t.unrecovered.rotate(now_ns);
+    }
     auto& reg = MetricsRegistry::instance();
     for (auto& c : classes_) {
       c->w_requests->rotate(now_ns);
@@ -220,8 +234,8 @@ void SloTracker::tick(std::uint64_t now_ns) {
 
       // Multi-window burn-rate rules.
       bool any_page = false, any_ticket = false;
-      for (std::size_t r = 0; r < rules_.size(); ++r) {
-        const BurnRule& rule = rules_[r];
+      for (std::size_t r = 0; r < std::size(kBurnRules); ++r) {
+        const BurnRule& rule = kBurnRules[r];
         const double burn_long =
             burn_rate(c->w_errors->window(rule.long_ns, now_ns),
                       c->w_requests->window(rule.long_ns, now_ns),
@@ -238,57 +252,23 @@ void SloTracker::tick(std::uint64_t now_ns) {
       const SloState next = any_page     ? SloState::failing
                             : any_ticket ? SloState::degraded
                                          : SloState::ok;
-      const SloState prev = c->state;
-      if (next != prev) {
+      if (next == SloState::failing && c->state != SloState::failing) {
+        for (std::size_t r = 0; r < std::size(kBurnRules); ++r) {
+          if (c->rule_firing[r] && kBurnRules[r].page) {
+            breaches.emplace_back(c->name, kBurnRules[r].name);
+          }
+        }
+      }
+      if (next != c->state) {
         c->state = next;
         c->last_transition_ns = now_ns;
       }
-
-      Emission em;
-      // One synthetic verdict per class with traffic this process: the
-      // health tracker adjudicates the service itself. accepted=false only
-      // on failing; degraded shows as a masked failure (1 failed ballot,
-      // verdict still accepted).
-      if (total_all > 0 && verdict_cb) {
-        AdjudicationEvent v;
-        v.technique = "slo:" + c->name;
-        v.t_ns = now_ns;
-        v.electorate = 1;
-        v.ballots_seen = 1;
-        v.ballots_failed = next == SloState::ok ? 0 : 1;
-        v.accepted = next != SloState::failing;
-        v.verdict = next == SloState::ok
-                        ? "ok"
-                        : std::string("slo_") + to_string(next);
-        em.verdict = std::move(v);
-        em.breaches = {};
-        if (next == SloState::failing && prev != SloState::failing) {
-          for (std::size_t r = 0; r < rules_.size(); ++r) {
-            if (c->rule_firing[r] && rules_[r].page) {
-              em.breaches.emplace_back(c->name, rules_[r].name);
-            }
-          }
-        }
-        emissions.push_back(std::move(em));
-      } else if (next == SloState::failing && prev != SloState::failing &&
-                 breach_cb) {
-        for (std::size_t r = 0; r < rules_.size(); ++r) {
-          if (c->rule_firing[r] && rules_[r].page) {
-            em.breaches.emplace_back(c->name, rules_[r].name);
-          }
-        }
-        emissions.push_back(std::move(em));
-      }
     }
   }
-  // Callbacks run outside the tracker lock: the verdict callback typically
-  // ends in HealthTracker::observe and the breach callback in a flight
-  // dump, neither of which should nest under our mutex.
-  for (const Emission& em : emissions) {
-    if (!em.verdict.technique.empty() && verdict_cb) verdict_cb(em.verdict);
-    if (breach_cb) {
-      for (const auto& [cls, rule] : em.breaches) breach_cb(cls, rule);
-    }
+  // The breach callback typically ends in a flight dump, which should not
+  // nest under the tracker lock.
+  if (breach_cb) {
+    for (const auto& [cls, rule] : breaches) breach_cb(cls, rule);
   }
 }
 
@@ -326,8 +306,8 @@ std::string SloTracker::snapshot_jsonl(std::uint64_t now_ns) const {
                            ? (errors_all > 0 ? 1.0 : 0.0)
                            : static_cast<double>(errors_all) / allowed)
         << ",\"last_transition_ns\":" << c->last_transition_ns;
-    for (std::size_t r = 0; r < rules_.size(); ++r) {
-      out << ",\"alert_" << rules_[r].name
+    for (std::size_t r = 0; r < std::size(kBurnRules); ++r) {
+      out << ",\"alert_" << kBurnRules[r].name
           << "\":" << (c->rule_firing[r] ? "true" : "false");
     }
     out << "}\n";
@@ -341,18 +321,31 @@ SloState SloTracker::state(std::string_view request_class) const {
   return c == nullptr ? SloState::ok : c->state;
 }
 
-SloState SloTracker::overall_state() const {
-  std::shared_lock lock(mutex_);
-  SloState worst = SloState::ok;
-  for (const auto& c : classes_) {
-    if (static_cast<int>(c->state) > static_cast<int>(worst)) worst = c->state;
-  }
-  return worst;
-}
-
-void SloTracker::set_verdict_callback(VerdictCallback cb) {
+HealthReport SloTracker::health(std::uint64_t now_ns) {
+  constexpr std::uint64_t kSpan = kWindows[0].span_ns;  // the 10s window
+  HealthReport report;
   std::unique_lock lock(mutex_);
-  verdict_cb_ = std::move(cb);
+  discover_techniques_locked(/*count_history=*/true);
+  for (const auto& [name, t] : techniques_) {
+    HealthRow row{name};
+    row.requests = t.requests.window(kSpan, now_ns);
+    row.recoveries = t.recoveries.window(kSpan, now_ns);
+    row.errors = t.unrecovered.window(kSpan, now_ns);
+    row.state = row.errors > 0       ? SloState::failing
+                : row.recoveries > 0 ? SloState::degraded
+                                     : SloState::ok;
+    report.rows.push_back(std::move(row));
+  }
+  for (const auto& c : classes_) {
+    HealthRow row{"slo:" + c->name, c->state};
+    row.requests = c->w_requests->window(kSpan, now_ns);
+    row.errors = c->w_errors->window(kSpan, now_ns);
+    report.rows.push_back(std::move(row));
+  }
+  for (const HealthRow& row : report.rows) {
+    report.status = std::max(report.status, row.state);
+  }
+  return report;
 }
 
 void SloTracker::set_breach_callback(BreachCallback cb) {

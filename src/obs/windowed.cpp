@@ -60,13 +60,14 @@ std::uint64_t WindowedHistogram::rotations() const {
   return rotations_;
 }
 
-WindowedCounter::WindowedCounter(const Counter& source, WindowOptions options)
+WindowedCounter::WindowedCounter(const Counter& source, WindowOptions options,
+                                 bool count_history)
     : source_(&source),
       options_{options.epoch_ns == 0 ? WindowOptions{}.epoch_ns
                                      : options.epoch_ns,
                clamp_slots(options.slots)},
       ring_(options_.slots),
-      base_(source.total()) {}  // pre-existing counts are not window events
+      base_(count_history ? 0 : source.total()) {}
 
 void WindowedCounter::rotate(std::uint64_t now_ns) {
   const std::uint64_t current = source_->total();

@@ -85,7 +85,10 @@ class WindowedHistogram {
 
 class WindowedCounter {
  public:
-  explicit WindowedCounter(const Counter& source, WindowOptions options = {});
+  /// Events `source` counted before construction belong to no epoch, unless
+  /// `count_history` puts them in the live partial epoch.
+  explicit WindowedCounter(const Counter& source, WindowOptions options = {},
+                           bool count_history = false);
 
   void rotate(std::uint64_t now_ns);
 

@@ -42,21 +42,11 @@ core::Status CheckpointRecovery::run(const std::function<core::Status()>& op) {
   const auto finish = [&](std::size_t attempts, std::size_t failures,
                           bool accepted) {
     if (t0 != 0) {
-      static obs::Histogram& latency =
-          obs::histogram("technique.request_ns", "checkpoint_recovery");
-      static obs::Counter& requests =
-          obs::counter("technique.requests", "checkpoint_recovery");
+      static obs::TechniqueCounters counters{"checkpoint_recovery"};
       static obs::Counter& rolled =
           obs::counter("technique.rollbacks", "checkpoint_recovery");
-      static obs::Counter& recovered =
-          obs::counter("technique.recoveries", "checkpoint_recovery");
-      static obs::Counter& lost =
-          obs::counter("technique.unrecovered", "checkpoint_recovery");
-      latency.record(obs::now_ns() - t0);
-      requests.add();
+      counters.count(t0, accepted, failures != 0);
       if (failures != 0) rolled.add(failures);
-      if (accepted && failures != 0) recovered.add();
-      if (!accepted) lost.add();
     }
     record_run(ctx, attempts, failures, accepted);
     span.set_ok(accepted);

@@ -96,14 +96,11 @@ core::Result<vm::Behaviour> ProcessReplicas::serve(
     obs::record_adjudication(ctx, std::move(event));
   }
   if (t0 != 0) {
-    static obs::Histogram& latency =
-        obs::histogram("technique.request_ns", "process_replicas");
-    static obs::Counter& served =
-        obs::counter("technique.requests", "process_replicas");
+    static obs::TechniqueCounters counters{"process_replicas"};
     static obs::Counter& detected =
         obs::counter("technique.detections", "process_replicas");
-    latency.record(obs::now_ns() - t0);
-    served.add();
+    // Unanimity masks nothing: an accepted verdict had no failed replica.
+    counters.count(t0, verdict.has_value(), false);
     if (attack) detected.add();
   }
   span.set_ok(verdict.has_value());

@@ -51,20 +51,18 @@ core::Result<T> ReplicatedSqlServer::adjudicate(
     if (!out.has_value()) ++metrics_.variant_failures;
     ballots.push_back({i, std::string{replicas_[i]->engine()}, std::move(out)});
   }
-  const auto finish = [&](bool ok) {
+  // `accepted`: the replicas reached a verdict, which may itself be a
+  // failure every correct engine reports (`ok` false, e.g. a duplicate key).
+  const auto finish = [&](bool accepted, bool recovered, bool ok) {
     if (t0 != 0) {
-      static obs::Histogram& latency =
-          obs::histogram("technique.request_ns", "sql_nvp");
-      static obs::Counter& requests =
-          obs::counter("technique.requests", "sql_nvp");
-      latency.record(obs::now_ns() - t0);
-      requests.add();
+      static obs::TechniqueCounters counters{"sql_nvp"};
+      counters.count(t0, accepted, recovered);
     }
     span.set_ok(ok);
   };
   if (ballots.empty()) {
     ++metrics_.unrecovered;
-    finish(false);
+    finish(false, false, false);
     return core::failure(core::FailureKind::no_alternatives,
                          "every replica evicted");
   }
@@ -109,13 +107,15 @@ core::Result<T> ReplicatedSqlServer::adjudicate(
   }
   if (!verdict.has_value()) {
     ++metrics_.unrecovered;
-    finish(false);
+    finish(false, false, false);
     return core::failure(core::FailureKind::adjudication_failed,
                          "replica outputs have no majority");
   }
   // Flag and (optionally) evict replicas that disagreed with the verdict.
+  bool outvoted = false;
   for (const auto& b : wrapped) {
     if (b.result.value() == verdict.value()) continue;
+    outvoted = true;
     ++divergences_;
     ++metrics_.recoveries;
     if (obs::enabled()) {
@@ -131,7 +131,7 @@ core::Result<T> ReplicatedSqlServer::adjudicate(
     }
   }
   const Outcome& out = verdict.value();
-  finish(out.ok);
+  finish(true, outvoted, out.ok);
   if (!out.ok) return core::failure(out.kind, "replicated verdict: failure");
   return out.value;
 }

@@ -187,19 +187,19 @@ TEST_F(LiveTelemetry, MetricsBodyMatchesInProcessHistogramSnapshot) {
 TEST_F(LiveTelemetry, HealthzIs503WhileTheTrackerIsFailing) {
   auto telemetry = start("0");
   ASSERT_NE(telemetry->http, nullptr);
-  obs::AdjudicationEvent rejected;
-  rejected.technique = "nvp";
-  rejected.electorate = 3;
-  rejected.ballots_seen = 3;
-  rejected.ballots_failed = 2;
-  rejected.accepted = false;
-  rejected.verdict = "no majority";
-  telemetry->health->observe(rejected);
-  ASSERT_EQ(telemetry->health->overall(), core::HealthState::failing);
+  // An unrecovered verdict of a technique the engine has not seen yet,
+  // with no window rotation before the scrape.
+  obs::TechniqueCounters{"live_telemetry_test.nvp"}.count(obs::now_ns(),
+                                                         false, false);
+  ASSERT_EQ(telemetry->slo->health(obs::now_ns()).status,
+            obs::SloState::failing);
 
   const Reply reply = http_get(telemetry->http->port(), "/healthz");
   EXPECT_EQ(reply.status, 503);
-  EXPECT_EQ(reply.body.rfind("status: failing\nnvp: failing", 0), 0u)
+  EXPECT_EQ(reply.body.rfind("status: failing\n", 0), 0u) << reply.body;
+  EXPECT_NE(reply.body.find("\nlive_telemetry_test.nvp: failing requests=1 "
+                            "recoveries=0 unrecovered=1 error_rate=1.0000\n"),
+            std::string::npos)
       << reply.body;
 }
 
@@ -234,14 +234,18 @@ TEST_F(LiveTelemetry, TracesReturnsTheRingsLastLines) {
             joined(telemetry->ring->tail(32)));
 }
 
-TEST_F(LiveTelemetry, SloAndFlightAre404WhenNotWired) {
+TEST_F(LiveTelemetry, SloIsEmptyAndFlightIs404WhenNotWired) {
   const bool flight_was_on = obs::flight_enabled();
   obs::FlightRecorder::instance().disable();
   auto telemetry = start("0");
   ASSERT_NE(telemetry->http, nullptr);
-  EXPECT_EQ(telemetry->slo, nullptr);
+  // The engine always runs (it renders /healthz); with no targets it has
+  // no classes to show.
+  ASSERT_NE(telemetry->slo, nullptr);
   const std::uint16_t port = telemetry->http->port();
-  EXPECT_EQ(http_get(port, "/slo").status, 404);
+  const Reply slo = http_get(port, "/slo");
+  EXPECT_EQ(slo.status, 200);
+  EXPECT_EQ(slo.body, "");
   EXPECT_EQ(http_get(port, "/debug/flight").status, 404);
   if (flight_was_on) obs::FlightRecorder::instance().enable();
 }
@@ -256,11 +260,14 @@ TEST_F(LiveTelemetry, SloServesTheTrackerWhenTargetsAreSet) {
   EXPECT_EQ(reply.status, 200);
   EXPECT_NE(reply.body.find("\"class\":\"live_telemetry_test.op\""),
             std::string::npos);
-  // The ops gateway scores nothing against the tracker: scraping it never
-  // registers an ops route as a class.
+  // The ops gateway scores nothing against the tracker: scraping it, its
+  // own /traces included, never registers an ops route as a class.
   ASSERT_EQ(http_get(port, "/metrics").status, 200);
-  EXPECT_EQ(http_get(port, "/slo").body.find("\"class\":\"/"),
-            std::string::npos);
+  ASSERT_EQ(http_get(port, "/traces?n=1").status, 200);
+  ASSERT_EQ(http_get(port, "/healthz").status, 200);
+  // Read the engine itself: the /slo render is cached for 100 ms.
+  const std::string classes = telemetry->slo->snapshot_jsonl(obs::now_ns());
+  EXPECT_EQ(classes.find("\"class\":\"/"), std::string::npos) << classes;
 }
 
 }  // namespace

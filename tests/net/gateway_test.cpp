@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/health.hpp"
 #include "net/loopback_client.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/obs.hpp"
@@ -117,9 +116,10 @@ TEST(Gateway, ServesDemoRoutesThroughTheEngine) {
 }
 
 TEST(Gateway, ServesMetricsAndHealthzInProcess) {
-  core::HealthTracker health;
+  obs::SloTracker slo;  // no rotation thread: the live partial epoch
   Gateway::Options options;
-  options.health = &health;
+  options.slo = &slo;
+  options.ops_cache_ttl_ms = 0;  // every /healthz scrape renders fresh
   Gateway gateway{options};
   install_demo_routes(gateway);
   ASSERT_TRUE(gateway.start());
@@ -134,6 +134,23 @@ TEST(Gateway, ServesMetricsAndHealthzInProcess) {
 
   const Reply healthz = http_get(gateway.port(), "/healthz");
   EXPECT_EQ(healthz.status, 200);  // nothing failing
+  EXPECT_EQ(healthz.body.rfind("status: ok\n", 0), 0u) << healthz.body;
+  EXPECT_NE(healthz.body.find("\nslo:/echo: ok requests=1 errors=0 "
+                              "error_rate=0.0000\n"),
+            std::string::npos)
+      << healthz.body;
+
+  // One unrecovered verdict fails its technique's row and the probe.
+  obs::TechniqueCounters{"gateway_test.nvp"}.count(obs::now_ns(), false,
+                                                  false);
+  const Reply failing = http_get(gateway.port(), "/healthz");
+  EXPECT_EQ(failing.status, 503);
+  EXPECT_EQ(failing.body.rfind("status: failing\n", 0), 0u) << failing.body;
+  EXPECT_NE(failing.body.find("\ngateway_test.nvp: failing requests=1 "
+                              "recoveries=0 unrecovered=1 "
+                              "error_rate=1.0000\n"),
+            std::string::npos)
+      << failing.body;
   gateway.stop();
 }
 
@@ -172,9 +189,9 @@ TEST(Gateway, SloRouteAbsentWhenNoTrackerAttached) {
 }
 
 TEST(Gateway, OpsRoutesAreNotScoredAsSloClasses) {
-  // The tracker auto-registers every class it is fed. Scraping the ops
-  // routes must not make them classes: a scraper polling /healthz would
-  // otherwise feed slo:/healthz verdicts into the /healthz it polls.
+  // The tracker registers every class it is fed. Scraping the ops routes
+  // must not make them classes: a scraper polling /healthz would otherwise
+  // add an slo:/healthz row to the /healthz it polls.
   obs::SloTracker slo;
   Gateway::Options options;
   options.slo = &slo;

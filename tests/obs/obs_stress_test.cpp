@@ -5,9 +5,12 @@
 // tasks fan out on the shared work-stealing pool, so spans for one request
 // finish on arbitrary workers. Afterwards every variant span must still
 // point at a request span of the same trace (causality survives stealing),
-// and the always-on counters must equal the exact request count.
+// and the always-on counters must equal the exact request count. The SLO
+// engine's health view must likewise count every verdict that writers
+// race against its rotations and renders.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -17,6 +20,7 @@
 #include "core/parallel_evaluation.hpp"
 #include "core/voters.hpp"
 #include "obs/obs.hpp"
+#include "obs/slo.hpp"
 #include "util/thread_pool.hpp"
 
 namespace redundancy {
@@ -109,6 +113,52 @@ TEST(ObsStress, SpanTreeAndCountersSurviveWorkStealing) {
     EXPECT_TRUE(a.accepted);
     EXPECT_NE(request_spans.find(a.parent_id), request_spans.end());
   }
+}
+
+TEST(ObsStress, HealthViewCountsEveryVerdictRacingRotations) {
+  // Writers start counting for techniques the tracker has never seen while
+  // another thread rotates and renders; no verdict may fall between a
+  // technique's discovery and its windows. Synthetic time: 1 ms per tick,
+  // at most 1000 ticks, so every epoch stays in the 10 s window and in the
+  // ring.
+  constexpr int kWriters = 4;
+  constexpr int kVerdictsEach = 5'000;
+  constexpr std::uint64_t kMs = 1'000'000ull;
+  obs::SloTracker slo{{/*epoch_ns=*/kMs, /*slots=*/1024}};
+  std::atomic<bool> done{false};
+  std::uint64_t now = 0;
+  std::thread rotator([&] {
+    for (int tick = 0; tick < 1000 && !done.load(); ++tick) {
+      now += kMs;
+      slo.tick(now);
+      (void)slo.health(now);
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([w] {
+      obs::TechniqueCounters counters{"obs_stress.health_" +
+                                      std::to_string(w % 2)};
+      for (int i = 0; i < kVerdictsEach; ++i) {
+        counters.count(obs::now_ns(), i % 10 != 0, i % 10 == 1);
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  done.store(true);
+  rotator.join();
+
+  std::uint64_t requests = 0, recoveries = 0, unrecovered = 0;
+  for (const obs::HealthRow& row : slo.health(now).rows) {
+    if (row.name.rfind("obs_stress.health_", 0) != 0) continue;
+    requests += row.requests;
+    recoveries += row.recoveries;
+    unrecovered += row.errors;
+    EXPECT_EQ(row.state, obs::SloState::failing);
+  }
+  EXPECT_EQ(requests, std::uint64_t{kWriters} * kVerdictsEach);
+  EXPECT_EQ(recoveries, std::uint64_t{kWriters} * kVerdictsEach / 10);
+  EXPECT_EQ(unrecovered, std::uint64_t{kWriters} * kVerdictsEach / 10);
 }
 
 }  // namespace

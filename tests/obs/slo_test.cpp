@@ -1,6 +1,7 @@
-// obs::SloTracker: windowed burn-rate evaluation, error-budget accounting,
-// synthetic verdict emission and the /slo NDJSON snapshot — all driven with
-// synthetic time (tick() with explicit now), no rotation thread.
+// obs::SloTracker: windowed burn-rate evaluation, error-budget accounting
+// and the /slo NDJSON snapshot — all driven with synthetic time (tick()
+// with explicit now), no rotation thread. The health view has its own
+// suite (tests/core/health_test.cpp).
 #include "obs/slo.hpp"
 
 #include <gtest/gtest.h>
@@ -37,29 +38,20 @@ TEST(SloTracker, LatencyOverTargetCountsAsError) {
 }
 
 TEST(SloTracker, AutoRegisterUsesDefaultTarget) {
-  SloTracker::Options options = one_sec_epochs();
-  options.default_target = {10 * kMs, 0.99};
-  SloTracker slo{options};
+  SloTracker slo{one_sec_epochs()};
   slo.observe("/new-route", 1 * kMs, true);
   EXPECT_EQ(slo.state("/new-route"), SloState::ok);
   const std::string snap = slo.snapshot_jsonl(0);
-  EXPECT_NE(snap.find("\"class\":\"/new-route\""), std::string::npos);
-
-  SloTracker::Options strict = one_sec_epochs();
-  strict.auto_register = false;
-  SloTracker closed{strict};
-  closed.observe("/unknown", 1 * kMs, true);
-  EXPECT_EQ(closed.snapshot_jsonl(0), "");
+  EXPECT_NE(snap.find("\"class\":\"/new-route\",\"latency_slo_ns\":" +
+                      std::to_string(kDefaultTarget.latency_slo_ns) +
+                      ",\"availability\":0.999,"),
+            std::string::npos)
+      << snap;
 }
 
 TEST(SloTracker, FastBurnFiresWithinOneRotationAndCumulativeStaysFlat) {
   SloTracker slo{one_sec_epochs()};
   slo.register_class("api", {5 * kMs, 0.999});
-
-  std::vector<AdjudicationEvent> verdicts;
-  slo.set_verdict_callback([&verdicts](const AdjudicationEvent& v) {
-    verdicts.push_back(v);
-  });
 
   // Ten minutes of healthy traffic: 1000 req/s at 1ms.
   std::uint64_t now = 0;
@@ -68,8 +60,6 @@ TEST(SloTracker, FastBurnFiresWithinOneRotationAndCumulativeStaysFlat) {
     now = static_cast<std::uint64_t>(epoch) * kSec;
     slo.tick(now);
   }
-  ASSERT_FALSE(verdicts.empty());
-  EXPECT_TRUE(verdicts.back().accepted);
   EXPECT_EQ(slo.state("api"), SloState::ok);
 
   // One epoch of full outage: 1000 slow failures.
@@ -81,9 +71,6 @@ TEST(SloTracker, FastBurnFiresWithinOneRotationAndCumulativeStaysFlat) {
   // windows are saturated with errors (burn >> 14.4), while the cumulative
   // error ratio moved only 1000/601000 ≈ 0.17%.
   EXPECT_EQ(slo.state("api"), SloState::failing);
-  ASSERT_FALSE(verdicts.empty());
-  EXPECT_FALSE(verdicts.back().accepted);
-  EXPECT_EQ(verdicts.back().technique, "slo:api");
 
   const std::string snap = slo.snapshot_jsonl(now);
   EXPECT_NE(snap.find("\"state\":\"failing\""), std::string::npos);
@@ -121,34 +108,30 @@ TEST(SloTracker, BreachCallbackIsEdgeTriggered) {
 
 TEST(SloTracker, SinkScoresOnlyRegisteredClasses) {
   SloTracker slo{one_sec_epochs()};
-  slo.register_class("nvp.run", {5 * kMs, 0.99});
+  slo.register_class("process_replicas.serve", {5 * kMs, 0.99});
   TraceSink& sink = slo;
 
   SpanRecord span;
-  span.name = "nvp.run";
+  span.name = "process_replicas.serve";
   span.t_start_ns = 0;
   span.t_end_ns = 1 * kMs;
   span.ok = true;
   sink.on_span(span);
 
   SpanRecord other;
-  other.name = "variant";  // unregistered: ignored even with auto_register
+  other.name = "variant";  // unregistered: ignored, unlike observe()
   other.t_end_ns = 1;
   sink.on_span(other);
 
+  // A verdict under the span is the same request: the class does not
+  // score it again (verdicts feed the health view's technique rows).
   AdjudicationEvent rejected;
-  rejected.technique = "nvp.run";
+  rejected.technique = "process_replicas.serve";
   rejected.accepted = false;
   sink.on_adjudication(rejected);
 
-  AdjudicationEvent own;
-  own.technique = "slo:nvp.run";  // our own synthetic verdict: ignored
-  own.accepted = false;
-  sink.on_adjudication(own);
-
   const std::string snap = slo.snapshot_jsonl(0);
-  EXPECT_NE(snap.find("\"total\":2"), std::string::npos);
-  EXPECT_NE(snap.find("\"errors\":1"), std::string::npos);
+  EXPECT_NE(snap.find("\"total\":1,\"errors\":0"), std::string::npos);
   EXPECT_EQ(snap.find("\"class\":\"variant\""), std::string::npos);
 }
 

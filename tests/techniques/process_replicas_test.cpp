@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/obs.hpp"
 #include "vm/attacks.hpp"
 
 namespace redundancy::techniques {
@@ -37,6 +38,30 @@ TEST(ProcessReplicas, AbsoluteAddressAttackDetectedByPartitioning) {
   ASSERT_FALSE(out.has_value());
   EXPECT_EQ(out.error().kind, core::FailureKind::detected_attack);
   EXPECT_EQ(replicas.detections(), 1u);
+}
+
+TEST(ProcessReplicas, AttackRequestWritesTechniqueUnrecovered) {
+  if (!obs::kCompiledIn) {
+    GTEST_SKIP() << "obs compiled out (REDUNDANCY_OBS_NOOP)";
+  }
+  obs::Counter& requests =
+      obs::counter(obs::TechniqueCounters::kRequests, "process_replicas");
+  obs::Counter& unrecovered =
+      obs::counter(obs::TechniqueCounters::kUnrecovered, "process_replicas");
+  const std::uint64_t requests0 = requests.total();
+  const std::uint64_t unrecovered0 = unrecovered.total();
+  auto replicas = make_replicas(
+      {.replicas = 2, .partition_addresses = true, .tag_instructions = false});
+  const std::size_t base = replicas.partitions()[0].base;
+  obs::Recorder::instance().set_enabled(true);
+  const auto attack = replicas.serve(vm::absolute_address_attack(base));
+  replicas.reset();
+  const auto benign = replicas.serve(vm::benign_request(1, 2));
+  obs::Recorder::instance().set_enabled(false);
+  ASSERT_FALSE(attack.has_value());
+  ASSERT_TRUE(benign.has_value());
+  EXPECT_EQ(requests.total() - requests0, 2u);
+  EXPECT_EQ(unrecovered.total() - unrecovered0, 1u);
 }
 
 TEST(ProcessReplicas, CodeInjectionDetectedByTagging) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/obs.hpp"
 #include "sql/chaos.hpp"
 
 namespace redundancy::techniques {
@@ -137,6 +138,64 @@ TEST(ReplicatedSql, AllEvictedMeansOutage) {
   auto rows = split.select("t", std::nullopt);
   EXPECT_FALSE(rows.has_value());
   EXPECT_EQ(rows.error().kind, core::FailureKind::adjudication_failed);
+}
+
+/// technique.* verdict series of sql_nvp, read as deltas around one call.
+struct VerdictSeries {
+  obs::Counter& requests =
+      obs::counter(obs::TechniqueCounters::kRequests, "sql_nvp");
+  obs::Counter& recoveries =
+      obs::counter(obs::TechniqueCounters::kRecoveries, "sql_nvp");
+  obs::Counter& unrecovered =
+      obs::counter(obs::TechniqueCounters::kUnrecovered, "sql_nvp");
+  std::uint64_t requests0 = requests.total();
+  std::uint64_t recoveries0 = recoveries.total();
+  std::uint64_t unrecovered0 = unrecovered.total();
+};
+
+TEST(ReplicatedSql, NoMajorityStatementWritesTechniqueUnrecovered) {
+  if (!obs::kCompiledIn) {
+    GTEST_SKIP() << "obs compiled out (REDUNDANCY_OBS_NOOP)";
+  }
+  std::vector<sql::StorePtr> pair;
+  pair.push_back(sql::make_vector_store());
+  pair.push_back(sql::make_chaotic_store(
+      sql::make_btree_store(), {.corrupt_read_probability = 1.0, .seed = 2}));
+  ReplicatedSqlServer split{std::move(pair), {.reconcile_every = 0}};
+  ASSERT_TRUE(split.create_table("t", {"id", "v"}).has_value());
+  ASSERT_TRUE(split.insert("t", {1, 5}).has_value());
+  const VerdictSeries series;
+  obs::Recorder::instance().set_enabled(true);
+  const auto rows = split.select("t", std::nullopt);  // 1-vs-1: no majority
+  obs::Recorder::instance().set_enabled(false);
+  ASSERT_FALSE(rows.has_value());
+  EXPECT_EQ(series.requests.total() - series.requests0, 1u);
+  EXPECT_EQ(series.unrecovered.total() - series.unrecovered0, 1u);
+  EXPECT_EQ(series.recoveries.total() - series.recoveries0, 0u);
+}
+
+TEST(ReplicatedSql, MaskedDivergenceWritesTechniqueRecoveries) {
+  if (!obs::kCompiledIn) {
+    GTEST_SKIP() << "obs compiled out (REDUNDANCY_OBS_NOOP)";
+  }
+  std::vector<sql::StorePtr> replicas;
+  replicas.push_back(sql::make_vector_store());
+  replicas.push_back(sql::make_btree_store());
+  replicas.push_back(sql::make_chaotic_store(
+      sql::make_log_store(),
+      {.lose_mutation_probability = 0, .corrupt_read_probability = 1.0,
+       .seed = 3}));
+  ReplicatedSqlServer server{std::move(replicas), {.reconcile_every = 0}};
+  ASSERT_TRUE(server.create_table("t", {"id", "v"}).has_value());
+  ASSERT_TRUE(server.insert("t", {1, 100}).has_value());
+  const VerdictSeries series;
+  obs::Recorder::instance().set_enabled(true);
+  const auto rows = server.select("t", std::nullopt);  // 2-vs-1: masked
+  obs::Recorder::instance().set_enabled(false);
+  ASSERT_TRUE(rows.has_value());
+  EXPECT_EQ(series.requests.total() - series.requests0, 1u);
+  EXPECT_EQ(series.recoveries.total() - series.recoveries0, 1u);
+  EXPECT_EQ(series.unrecovered.total() - series.unrecovered0, 0u);
 }
 
 TEST(ReplicatedSql, MetricsAccount) {
