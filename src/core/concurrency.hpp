@@ -5,7 +5,9 @@ namespace redundancy::core {
 
 enum class Concurrency {
   sequential,  ///< run variants one by one (deterministic; default)
-  threaded,    ///< fan out on the shared thread pool (variants must be thread-safe)
+  threaded,    ///< fan out on the shared thread pool (variants must be
+               ///< thread-safe); a light join-all electorate learns to run
+               ///< on the calling thread instead (util/placement.hpp)
 };
 
 /// How a threaded ParallelEvaluation turns ballots into a verdict.

@@ -10,16 +10,25 @@
 // ballot in every mode (core/race.hpp, run_leg). With Concurrency::threaded
 // the electorate fans out on the shared work-stealing pool as one batch and
 // the caller joins it (helping with queued work while it waits); after the
-// barrier it accounts each ballot on its own thread. With
-// Adjudication::incremental the legs race instead: the caller re-votes on
-// the ballots that have arrived so far, padding the missing ones with
-// failure placeholders so the electorate size stays fixed, and returns as
-// soon as the voter reaches a success verdict. Stragglers then finish in the
-// background; their execution cost is folded into the metrics on the next
-// call.
+// barrier it accounts each ballot on its own thread. Where the electorate
+// runs is learned from its own runs (util/placement.hpp, the rule gateway
+// routes use): each pooled leg times itself, and once kInlineStreak calls
+// in a row had legs that summed under kInlineBudgetNs, the legs run one by
+// one on the calling thread, because the pool hand-off would cost more than
+// the legs; one inline call over budget sends the next call back to the
+// pool. The legs of one call therefore must not wait on each other, which
+// Concurrency::sequential requires too.
+//
+// With Adjudication::incremental the legs race instead, on the pool
+// whatever they cost: the caller re-votes on the ballots that have arrived
+// so far, padding the missing ones with failure placeholders so the
+// electorate size stays fixed, and returns as soon as the voter reaches a
+// success verdict. Stragglers then finish in the background; their
+// execution cost is folded into the metrics on the next call.
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <span>
 #include <type_traits>
@@ -29,6 +38,8 @@
 #include "core/concurrency.hpp"
 #include "core/pattern_core.hpp"
 #include "core/voters.hpp"
+#include "obs/clock.hpp"
+#include "util/placement.hpp"
 
 namespace redundancy::core {
 
@@ -75,39 +86,46 @@ class ParallelEvaluation : public PatternCore<In, Out> {
 
  private:
   /// Every variant's ballot, in variant order: a barrier over the whole
-  /// electorate. Threaded, the legs go to the pool as one batch (one
-  /// wake-up, one pending update) and fill their slots in whatever order
-  /// they finish; nothing is accounted until after the barrier, so the
-  /// bookkeeping touches ballots only on this thread. The slot array is
-  /// member scratch and the task closures fit the Task inline buffer, so
-  /// after warm-up the fan-out performs no heap allocation beyond the
-  /// ballot vector.
+  /// electorate. Pooled, the legs go to the pool as one batch (one wake-up,
+  /// one pending update) and fill their slots in whatever order they finish;
+  /// nothing is accounted until after the barrier, so the bookkeeping
+  /// touches ballots only on this thread. The slot array is member scratch
+  /// and the task closures fit the Task inline buffer, so after warm-up the
+  /// fan-out performs no heap allocation beyond the ballot vector.
   std::vector<Ballot<Out>> collect(const In& input, obs::SpanContext ctx) {
     const std::size_t n = this->width();
     std::vector<Ballot<Out>> ballots;
     ballots.reserve(n);
-    if (mode_ == Concurrency::threaded) {
-      std::vector<std::optional<LegOutcome<Out>>>& slots = slots_scratch_;
-      slots.assign(n, std::nullopt);
+    const bool threaded = mode_ == Concurrency::threaded;
+    if (threaded && !placement_.inline_ok()) {
+      std::vector<Slot>& slots = slots_scratch_;
+      slots.assign(n, Slot{});
       for (std::size_t i = 0; i < n; ++i) {
         this->batch_.add([this, i, &slots, &input, ctx] {
-          run_leg(this->legs(), i, input, ctx, slots[i]);
+          const std::uint64_t t0 = obs::now_ns();
+          run_leg(this->legs(), i, input, ctx, slots[i].leg);
+          slots[i].ns = obs::now_ns() - t0;
         });
       }
       this->batch_.run_and_wait();
-      for (auto& slot : slots) {
-        this->account_leg(*slot);
-        ballots.push_back(std::move(slot->ballot));
+      std::uint64_t legs_ns = 0;
+      for (Slot& slot : slots) {
+        legs_ns += slot.ns;
+        this->account_leg(*slot.leg);
+        ballots.push_back(std::move(slot.leg->ballot));
       }
       slots.clear();
-    } else {
-      std::optional<LegOutcome<Out>> slot;
-      for (std::size_t i = 0; i < n; ++i) {
-        LegOutcome<Out>& leg = run_leg(this->legs(), i, input, ctx, slot);
-        this->account_leg(leg);
-        ballots.push_back(std::move(leg.ballot));
-      }
+      placement_.observe(legs_ns);
+      return ballots;
     }
+    const std::uint64_t t0 = threaded ? obs::now_ns() : 0;
+    std::optional<LegOutcome<Out>> slot;
+    for (std::size_t i = 0; i < n; ++i) {
+      LegOutcome<Out>& leg = run_leg(this->legs(), i, input, ctx, slot);
+      this->account_leg(leg);
+      ballots.push_back(std::move(leg.ballot));
+    }
+    if (threaded) placement_.observe(obs::now_ns() - t0);
     return ballots;
   }
 
@@ -187,10 +205,17 @@ class ParallelEvaluation : public PatternCore<In, Out> {
     return ballots;
   }
 
+  /// One pooled leg's outcome and its own run time.
+  struct Slot {
+    std::optional<LegOutcome<Out>> leg;
+    std::uint64_t ns = 0;
+  };
+
   Voter<Out> voter_;
   Concurrency mode_;
   Adjudication adjudication_;
-  std::vector<std::optional<LegOutcome<Out>>> slots_scratch_;
+  util::Placement placement_;  ///< join-all electorate: pool or caller
+  std::vector<Slot> slots_scratch_;
 };
 
 }  // namespace redundancy::core

@@ -146,23 +146,6 @@ void Gateway::stop() {
   // zeros post-shutdown. start() clears the vector before rebuilding.
 }
 
-void Gateway::Placement::observe(std::uint64_t wall_ns,
-                                 bool submitted) noexcept {
-  if (submitted) {
-    fans_out_.store(true, std::memory_order_relaxed);
-    streak_.store(0, std::memory_order_relaxed);
-    return;
-  }
-  const std::uint32_t streak = streak_.load(std::memory_order_relaxed);
-  if (wall_ns >= kInlineBudgetNs) {
-    if (streak != 0) streak_.store(0, std::memory_order_relaxed);
-  } else if (streak < kInlineStreak) {
-    // Concurrent pool runs may race this increment; the streak only needs
-    // to be roughly consecutive, not exact.
-    streak_.store(streak + 1, std::memory_order_relaxed);
-  }
-}
-
 void Gateway::on_request(Reactor& reactor, std::uint64_t conn_id,
                          const http::Request& request) {
   const auto it = routes_.find(request.path);
@@ -185,7 +168,7 @@ void Gateway::on_request(Reactor& reactor, std::uint64_t conn_id,
   }
   Request owned{std::string{request.method}, std::string{request.path},
                 std::string{request.query}, std::string{request.body}};
-  if (route.placement.on_loop()) {
+  if (route.on_loop()) {
     // A short leaf: answering here saves the loop → worker → loop trip,
     // and the response leaves with this parse pass's flush.
     http::Response response = run_route(route, owned);
@@ -209,7 +192,7 @@ http::Response Gateway::run_route(Route& route,
                                   const Request& request) noexcept {
   // A route that already fans out is on the pool for good: its runs skip
   // the measurement and write nothing shared.
-  const bool learning = !route.placement.fans_out();
+  const bool learning = !route.fans_out.load(std::memory_order_relaxed);
   const std::uint64_t submitted0 =
       learning ? util::ThreadPool::submitted_by_this_thread() : 0;
   const std::uint64_t t0 = learning ? obs::now_ns() : 0;
@@ -220,9 +203,11 @@ http::Response Gateway::run_route(Route& route,
     response = {500, "text/plain; charset=utf-8", "handler error\n"};
   }
   if (learning) {
-    route.placement.observe(
-        obs::now_ns() - t0,
-        util::ThreadPool::submitted_by_this_thread() != submitted0);
+    if (util::ThreadPool::submitted_by_this_thread() != submitted0) {
+      route.fans_out.store(true, std::memory_order_relaxed);
+    } else {
+      route.placement.observe(obs::now_ns() - t0);
+    }
   }
   return response;
 }

@@ -37,13 +37,14 @@
 // Route handlers return an http::Response; the built-in demo routes put the
 // paper's redundancy patterns directly on the serving path (hedged
 // sequential alternatives with the result cache, N-of-M voting). Where a
-// handler runs is learned from the route's own runs, with no option: every
-// route starts on the pool, and after kInlineStreak consecutive runs that
-// each took under kInlineBudgetNs and queued no pool work it runs on the
-// reactor that parsed the request, its response leaving with that parse
-// pass's flush. One inline run over budget sends the route back to the
-// pool; a route that ever queues pool work (a fan-out such as /vote or
-// /fast) stays there for good. Both paths score the request against
+// handler runs is learned from the route's own runs by util::Placement, the
+// rule threaded join-all electorates use too, with no option: every route
+// starts on the pool, and after kInlineStreak consecutive runs that each
+// took under util::Placement::kInlineBudgetNs and queued no pool work it
+// runs on the reactor that parsed the request, its response leaving with
+// that parse pass's flush. One inline run over budget sends the route back
+// to the pool; a route that ever queues pool work (a fan-out such as /vote
+// or /fast) stays there for good. Both paths score the request against
 // Options::slo and leave a flight-recorder record the same way, and the
 // per-loop counter gateway.inline_requests counts the inline runs.
 //
@@ -70,6 +71,7 @@
 #include "net/conn_manager.hpp"
 #include "net/event_loop.hpp"
 #include "net/http.hpp"
+#include "util/placement.hpp"
 #include "util/thread_pool.hpp"
 
 namespace redundancy::obs {
@@ -95,14 +97,11 @@ class Gateway {
   /// callable concurrently. Throwing yields a 500 for that request only.
   using Handler = std::function<http::Response(const Request&)>;
 
-  /// Placement thresholds. A handler that finishes in under
-  /// kInlineBudgetNs costs its loop less than the two cross-thread wake-ups
-  /// a pool hop adds (loop → worker, worker → loop), so kInlineStreak
-  /// consecutive such runs with no pool submission move a route onto the
-  /// loop; since one inline run over budget moves it back, a misjudged
-  /// handler blocks its loop at most once per kInlineStreak + 1 runs.
-  static constexpr std::uint64_t kInlineBudgetNs = 5'000;
-  static constexpr std::uint32_t kInlineStreak = 32;
+  /// Consecutive runs under budget that move a route onto its loop
+  /// (util/placement.hpp). A handler under budget costs its loop less than
+  /// the two cross-thread wake-ups a pool hop adds (loop → worker, worker →
+  /// loop).
+  static constexpr std::uint32_t kInlineStreak = util::Placement::kInlineStreak;
 
   struct Options {
     ConnManager::Options conn;
@@ -134,6 +133,7 @@ class Gateway {
     route.handler = std::move(handler);
     route.scored = true;
     route.placement.reset();
+    route.fans_out.store(false, std::memory_order_relaxed);
   }
 
   /// Register an ops route: served like any route but never scored against
@@ -180,39 +180,23 @@ class Gateway {
   }
 
  private:
-  /// Where a route runs, learned from its runs. Read by the reactors on
-  /// every request. Written by pool runs only while the route is still
-  /// earning its streak, by inline runs only when one overruns the budget,
-  /// and never by runs of a route that fans out, so in steady state the
-  /// line stays shared-clean.
-  class Placement {
-   public:
-    [[nodiscard]] bool on_loop() const noexcept {
-      return !fans_out() &&
-             streak_.load(std::memory_order_relaxed) >= kInlineStreak;
-    }
-    [[nodiscard]] bool fans_out() const noexcept {
-      return fans_out_.load(std::memory_order_relaxed);
-    }
-    /// Learn from one run: its handler wall time and whether it queued
-    /// pool work.
-    void observe(std::uint64_t wall_ns, bool submitted) noexcept;
-    void reset() noexcept {
-      streak_.store(0, std::memory_order_relaxed);
-      fans_out_.store(false, std::memory_order_relaxed);
-    }
-
-   private:
-    std::atomic<std::uint32_t> streak_{0};  ///< consecutive short leaf runs
-    std::atomic<bool> fans_out_{false};     ///< queued pool work: pool for good
-  };
-
+  /// Where a route runs is read by the reactors on every request. It is
+  /// written by pool runs only while the route is still earning its
+  /// streak, by inline runs only when one overruns the budget, and never by
+  /// runs of a route that fans out, so in steady state the line stays
+  /// shared-clean.
   struct Route {
     Handler handler;
     /// Scored against Options::slo: true for add_route(), false for the
     /// ops routes.
     bool scored = true;
-    Placement placement;
+    util::Placement placement;
+    std::atomic<bool> fans_out{false};  ///< queued pool work: pool for good
+
+    [[nodiscard]] bool on_loop() const noexcept {
+      return !fans_out.load(std::memory_order_relaxed) &&
+             placement.inline_ok();
+    }
   };
 
   /// One front-door shard: everything a loop thread touches, owned by it.

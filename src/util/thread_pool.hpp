@@ -345,11 +345,16 @@ class BatchRunner {
     tasks_.clear();  // keeps capacity for the next epoch
   }
 
-  /// Barrier: submit the batch and help until every task completed.
+  /// Barrier: submit the batch and help until every task completed. The
+  /// batch is cleared on every exit, a forwarded exception included, so
+  /// the next epoch never runs this one's tasks again.
   void run_and_wait(
       ThreadPool::ExceptionPolicy policy = ThreadPool::ExceptionPolicy::swallow) {
+    struct Clear {
+      std::vector<ThreadPool::Task>& tasks;
+      ~Clear() { tasks.clear(); }  // keeps capacity for the next epoch
+    } clear{tasks_};
     pool().run_all(std::span<ThreadPool::Task>{tasks_}, policy);
-    tasks_.clear();
   }
 
   [[nodiscard]] ThreadPool& pool() noexcept {

@@ -1,5 +1,6 @@
 // PatternCore — the rules the three Figure-1 patterns now share: a variant
-// that throws is a crash ballot in every pattern and mode; a threaded
+// that throws is a crash ballot in every pattern and mode (a threaded
+// join-all electorate on the pool or on the calling thread alike); a threaded
 // selection's recoveries come from its own legs, not from an earlier
 // request's stragglers; and technique.* accounting is gated on obs the same
 // way for cache hits and misses.
@@ -8,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <stdexcept>
@@ -50,7 +52,16 @@ struct Probe {
   bool masked = false;  ///< the verdict is the healthy variants' answer
   std::size_t variant_failures = 0;
   std::optional<std::size_t> alive;  ///< parallel selection only
+  bool off_the_caller = false;  ///< an after-streak throw that was pooled
 };
+
+// Sanitizer builds can slow even trivial legs past the inline budget for
+// good, and then no electorate ever earns the calling thread.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
 
 struct ModeCase {
   std::string name;
@@ -75,6 +86,33 @@ Probe evaluation(Concurrency mode, Adjudication adjudication, int lag) {
   PE pe{{healthy("a", lag), thrower("b"), healthy("c", lag)},
         majority_voter<int>(), mode, adjudication};
   return probe(pe);
+}
+
+/// Threaded join-all whose throw lands after the streak: the thrower
+/// answers the warm-up inputs and throws on the probe's only, by which time
+/// the light electorate runs on the calling thread.
+Probe evaluation_after_streak() {
+  PE pe{{healthy("a", 0),
+         make_variant<int, int>("b",
+                                [](const int& x) -> Result<int> {
+                                  if (x == 21) {
+                                    throw std::runtime_error{"variant bug"};
+                                  }
+                                  return x * 2;
+                                }),
+         healthy("c", 0)},
+        majority_voter<int>(), Concurrency::threaded};
+  auto queued = [] { return util::ThreadPool::submitted_by_this_thread(); };
+  for (int i = 0; i < 1000; ++i) {  // until a call runs inline
+    const std::uint64_t before = queued();
+    (void)pe.run(100 + i);
+    if (queued() == before) break;
+  }
+  pe.reset_metrics();
+  const std::uint64_t before = queued();
+  Probe p = probe(pe);
+  p.off_the_caller = queued() != before;
+  return p;
 }
 
 Probe selection(Concurrency mode, int lag) {
@@ -108,6 +146,10 @@ TEST_P(ThrowingVariant, IsACrashBallotTheHealthyVariantsMask) {
   if (p.alive) {
     EXPECT_EQ(*p.alive, 1u) << "the thrower must be disabled";
   }
+  if (p.off_the_caller && kSanitized) {
+    GTEST_SKIP() << "the light electorate never fit the inline budget here";
+  }
+  EXPECT_FALSE(p.off_the_caller) << "the throw did not land on the caller";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -123,6 +165,7 @@ INSTANTIATE_TEST_SUITE_P(
                    return evaluation(Concurrency::threaded,
                                      Adjudication::join_all, 0);
                  }},
+        ModeCase{"EvaluationThreadedAfterStreak", evaluation_after_streak},
         ModeCase{"EvaluationIncremental",
                  [] {
                    return evaluation(Concurrency::threaded,

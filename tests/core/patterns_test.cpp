@@ -1,11 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
+#include <functional>
 #include <thread>
+#include <vector>
 
 #include "core/parallel_evaluation.hpp"
 #include "core/parallel_selection.hpp"
 #include "core/sequential_alternatives.hpp"
+#include "util/placement.hpp"
 #include "util/thread_pool.hpp"
 
 namespace redundancy::core {
@@ -146,6 +151,175 @@ TEST(ParallelEvaluation, UnrecoveredCounted) {
   auto out = pe.run(1);
   EXPECT_FALSE(out.has_value());
   EXPECT_EQ(pe.metrics().unrecovered, 1u);
+}
+
+// --- Figure 1(a), threaded join-all: where the electorate runs -------------
+
+// Sanitizer builds slow even a trivial leg past the inline budget now and
+// then, and each such run restarts the streak.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+constexpr bool kSanitized = true;
+#else
+constexpr bool kSanitized = false;
+#endif
+
+constexpr std::uint32_t kStreak = util::Placement::kInlineStreak;
+
+/// Whether `fn` queued pool work on the calling thread.
+template <typename Fn>
+bool queued_pool_work(Fn&& fn) {
+  const std::uint64_t before = util::ThreadPool::submitted_by_this_thread();
+  fn();
+  return util::ThreadPool::submitted_by_this_thread() != before;
+}
+
+void expect_same_metrics(const Metrics& a, const Metrics& b) {
+  EXPECT_EQ(a.summary(), b.summary());
+  EXPECT_EQ(a.disabled_components, b.disabled_components);
+  EXPECT_EQ(a.hedged_launches, b.hedged_launches);
+}
+
+/// Light legs with a mix of verdicts: b crashes on multiples of 5 and c is
+/// wrong on multiples of 3, so most calls agree, some recover, and
+/// multiples of 15 go unrecovered.
+std::vector<Variant<int, int>> light_electorate() {
+  return {good("a"),
+          make_variant<int, int>("b",
+                                 [](const int& x) -> Result<int> {
+                                   if (x % 5 == 0) {
+                                     return failure(FailureKind::crash);
+                                   }
+                                   return x * 2;
+                                 }),
+          make_variant<int, int>("c", [](const int& x) -> Result<int> {
+            return x * 2 + (x % 3 == 0 ? 1 : 0);
+          })};
+}
+
+/// 200 calls of a threaded light electorate beside a sequential twin: the
+/// verdicts and Metrics must be equal. Returns which calls queued pool
+/// work.
+std::vector<bool> pooled_calls_beside_a_sequential_twin() {
+  ParallelEvaluation<int, int> seq{light_electorate(), majority_voter<int>(),
+                                   Concurrency::sequential};
+  ParallelEvaluation<int, int> thr{light_electorate(), majority_voter<int>(),
+                                   Concurrency::threaded};
+  std::vector<bool> pooled;
+  for (int i = 0; i < 200; ++i) {
+    Result<int> t = failure(FailureKind::crash);
+    pooled.push_back(queued_pool_work([&] { t = thr.run(i); }));
+    const Result<int> s = seq.run(i);
+    EXPECT_EQ(t.has_value(), s.has_value()) << "call " << i;
+    if (t.has_value() && s.has_value()) {
+      EXPECT_EQ(t.value(), s.value()) << "call " << i;
+    }
+  }
+  expect_same_metrics(thr.metrics(), seq.metrics());
+  EXPECT_GT(thr.metrics().recoveries, 0u);
+  EXPECT_GT(thr.metrics().unrecovered, 0u);
+  return pooled;
+}
+
+/// Light legs go to the pool on exactly the first kInlineStreak calls and
+/// run on the calling thread after. A leg preempted past the budget
+/// restarts the streak, so a run that missed retries on a fresh pair.
+void expect_streak_then_inline(
+    const std::function<std::vector<bool>()>& run_pair) {
+  bool exact = false;
+  for (int attempt = 0; attempt < 5 && !exact; ++attempt) {
+    const std::vector<bool> pooled = run_pair();
+    ASSERT_EQ(pooled.size(), 200u);
+    for (std::size_t i = 0; i < kStreak; ++i) {
+      ASSERT_TRUE(pooled[i]) << "call " << i << " ran before its streak";
+    }
+    exact = std::none_of(pooled.begin() + kStreak, pooled.end(),
+                         [](bool p) { return p; });
+  }
+  if (!exact && kSanitized) {
+    GTEST_SKIP() << "no run kept its light legs under the budget here";
+  }
+  EXPECT_TRUE(exact) << "light legs kept queueing pool work after the streak";
+}
+
+TEST(ParallelEvaluation, LightElectorateMovesOntoTheCallingThread) {
+  expect_streak_then_inline(pooled_calls_beside_a_sequential_twin);
+}
+
+TEST(ParallelEvaluation, LightElectorateMovesOntoTheCallingWorker) {
+  expect_streak_then_inline([] {
+    return util::ThreadPool::shared()
+        .submit(pooled_calls_beside_a_sequential_twin)
+        .get();
+  });
+}
+
+TEST(ParallelEvaluation, HeavyLegsStayOnThePoolAndNeverSerialize) {
+  auto sleepy = [](std::string name) {
+    return make_variant<int, int>(std::move(name),
+                                  [](const int& x) -> Result<int> {
+                                    std::this_thread::sleep_for(
+                                        std::chrono::milliseconds(2));
+                                    return x * 2;
+                                  });
+  };
+  ParallelEvaluation<int, int> pe{{sleepy("a"), sleepy("b"), sleepy("c")},
+                                  majority_voter<int>(),
+                                  Concurrency::threaded};
+  // Run one after another, the legs would take 6 ms on every call. A pool
+  // wake-up or a host stall can still delay a pooled call now and then, so
+  // the bound is on the median call.
+  constexpr int kCalls = 50;
+  std::vector<std::chrono::steady_clock::duration> elapsed;
+  for (int i = 0; i < kCalls; ++i) {
+    Result<int> out = failure(FailureKind::crash);
+    const auto t0 = std::chrono::steady_clock::now();
+    EXPECT_TRUE(queued_pool_work([&] { out = pe.run(i); }))
+        << "call " << i << " ran its 2 ms legs on the caller";
+    elapsed.push_back(std::chrono::steady_clock::now() - t0);
+    ASSERT_TRUE(out.has_value());
+    EXPECT_EQ(out.value(), i * 2);
+  }
+  std::nth_element(elapsed.begin(), elapsed.begin() + kCalls / 2,
+                   elapsed.end());
+  EXPECT_LT(elapsed[kCalls / 2], std::chrono::milliseconds(4));
+}
+
+TEST(ParallelEvaluation, OverBudgetInlineCallSendsTheNextCallToThePool) {
+  // A negative input makes every leg sleep far past the whole budget.
+  auto leg = [](std::string name) {
+    return make_variant<int, int>(std::move(name),
+                                  [](const int& x) -> Result<int> {
+                                    if (x < 0) {
+                                      std::this_thread::sleep_for(
+                                          std::chrono::microseconds(200));
+                                    }
+                                    return x * 2;
+                                  });
+  };
+  ParallelEvaluation<int, int> pe{{leg("a"), leg("b"), leg("c")},
+                                  majority_voter<int>(),
+                                  Concurrency::threaded};
+  auto pooled = [&pe](int x) {
+    return queued_pool_work([&] { EXPECT_TRUE(pe.run(x).has_value()); });
+  };
+  // The slow call runs inline only if the light call before it stayed
+  // under budget; a preempted leg can miss that, so retry.
+  bool slow_ran_inline = false;
+  for (int attempt = 0; attempt < 20 && !slow_ran_inline; ++attempt) {
+    for (int i = 0; i < 1000 && pooled(i); ++i) {
+    }
+    slow_ran_inline = !pooled(-1);
+  }
+  if (!slow_ran_inline && kSanitized) {
+    GTEST_SKIP() << "no light call stayed within the inline budget here";
+  }
+  ASSERT_TRUE(slow_ran_inline);
+  EXPECT_TRUE(pooled(1)) << "the call after an over-budget inline call";
+  // The streak restarted from zero: the electorate earns the calling
+  // thread back only after another kInlineStreak pooled calls.
+  std::uint32_t pooled_again = 1;
+  while (pooled_again < 1000 && pooled(2)) ++pooled_again;
+  EXPECT_GE(pooled_again, kStreak);
 }
 
 // --- Figure 1(b): parallel selection ---------------------------------------

@@ -135,7 +135,9 @@ template <typename Out>
 std::vector<Ballot<Out>> make_ballots(std::vector<Result<Out>> results) {
   std::vector<Ballot<Out>> ballots;
   for (std::size_t i = 0; i < results.size(); ++i) {
-    ballots.push_back({i, "v" + std::to_string(i), std::move(results[i])});
+    std::string name = "v";
+    name += std::to_string(i);
+    ballots.push_back({i, std::move(name), std::move(results[i])});
   }
   return ballots;
 }
@@ -254,7 +256,8 @@ TEST(VoteKernel, MajorityOnNonByteViewableTypeStillWorks) {
   // double has identical-value representations that differ (±0.0), so it
   // is excluded from the word-wise path; the scalar path must serve it.
   auto majority = core::majority_voter<double>();
-  auto out = majority(make_ballots<double>({0.0, -0.0, 1.5}));
+  const std::vector<double> values{0.0, -0.0, 1.5};
+  auto out = majority(make_ballots<double>({values.begin(), values.end()}));
   ASSERT_TRUE(out.has_value());  // 0.0 == -0.0 forms the majority group
   EXPECT_EQ(out.value(), 0.0);
 }

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -13,7 +15,9 @@ template <typename Out>
 std::vector<Ballot<Out>> make_ballots(std::vector<Result<Out>> results) {
   std::vector<Ballot<Out>> ballots;
   for (std::size_t i = 0; i < results.size(); ++i) {
-    ballots.push_back({i, "v" + std::to_string(i), std::move(results[i])});
+    std::string name = "v";
+    name += std::to_string(i);
+    ballots.push_back({i, std::move(name), std::move(results[i])});
   }
   return ballots;
 }
@@ -222,7 +226,8 @@ TEST(ApproxEq, ToleratesRelativeError) {
 
 TEST(MajorityVoter, ApproxEqualityGroupsNeighbours) {
   auto v = majority_voter<double>(ApproxEq{1e-9});
-  auto out = v(make_ballots<double>({3.14159265358979, 3.141592653589791, 0.0}));
+  const std::vector<double> values{3.14159265358979, 3.141592653589791, 0.0};
+  auto out = v(make_ballots<double>({values.begin(), values.end()}));
   ASSERT_TRUE(out.has_value());
   EXPECT_NEAR(out.value(), 3.14159265358979, 1e-9);
 }

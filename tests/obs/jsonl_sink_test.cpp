@@ -49,7 +49,7 @@ TEST(JsonlSink, DroppedSinkFlushesOnlyCompleteLines) {
     AdjudicationEvent event;
     event.technique = "nvp";
     event.accepted = true;
-    event.verdict = "ok";
+    event.verdict = std::string{"ok"};
     sink.on_adjudication(event);
     // Below the flush threshold nothing has reached the stream yet —
     // the buffer holds the (complete) lines.

@@ -3,7 +3,8 @@
 //
 // Several requester threads each drive their own 3-variant engine; variant
 // tasks fan out on the shared work-stealing pool, so spans for one request
-// finish on arbitrary workers. Afterwards every variant span must still
+// finish on arbitrary workers. Each leg spins past the inline budget, so no
+// engine ever learns to run its electorate on the requester instead. Afterwards every variant span must still
 // point at a request span of the same trace (causality survives stealing),
 // and the always-on counters must equal the exact request count. The SLO
 // engine's health view must likewise count every verdict that writers
@@ -21,6 +22,7 @@
 #include "core/voters.hpp"
 #include "obs/obs.hpp"
 #include "obs/slo.hpp"
+#include "util/placement.hpp"
 #include "util/thread_pool.hpp"
 
 namespace redundancy {
@@ -34,8 +36,12 @@ core::ParallelEvaluation<int, int> make_engine() {
   std::vector<core::Variant<int, int>> variants;
   for (std::size_t i = 0; i < kVariants; ++i) {
     variants.push_back(core::make_variant<int, int>(
-        "v" + std::to_string(i),
-        [](const int& x) -> core::Result<int> { return x + 1; }));
+        "v" + std::to_string(i), [](const int& x) -> core::Result<int> {
+          const std::uint64_t t0 = obs::now_ns();
+          while (obs::now_ns() - t0 < util::Placement::kInlineBudgetNs) {
+          }
+          return x + 1;
+        }));
   }
   return core::ParallelEvaluation<int, int>(std::move(variants),
                                             core::majority_voter<int>(),
@@ -65,7 +71,11 @@ TEST(ObsStress, SpanTreeAndCountersSurviveWorkStealing) {
     requesters.emplace_back([] {
       auto engine = make_engine();
       for (std::size_t i = 0; i < kRequestsEach; ++i) {
+        const std::uint64_t queued0 =
+            util::ThreadPool::submitted_by_this_thread();
         auto out = engine.run(static_cast<int>(i));
+        ASSERT_NE(util::ThreadPool::submitted_by_this_thread(), queued0)
+            << "call " << i << " did not fan out";
         ASSERT_TRUE(out.has_value());
         ASSERT_EQ(out.value(), static_cast<int>(i) + 1);
       }

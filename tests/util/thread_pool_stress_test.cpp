@@ -7,13 +7,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "core/parallel_evaluation.hpp"
 #include "core/parallel_selection.hpp"
 #include "faults/campaign.hpp"
+#include "obs/clock.hpp"
+#include "util/placement.hpp"
 #include "util/thread_pool.hpp"
 
 namespace redundancy {
@@ -83,6 +87,78 @@ TEST(PoolStress, IncrementalEvaluationWithRacingStragglers) {
   (void)pe.metrics();  // folds the last round's straggler accounting
   EXPECT_GE(pe.metrics().variant_executions, 3u * 300u);
   EXPECT_LE(pe.metrics().variant_executions, 5u * 300u);
+}
+
+TEST(PoolStress, JoinAllElectoratesFlipBetweenInlineAndPool) {
+  // Each requester drives its own threaded join-all engine through periods
+  // of light calls (which earn the requester) ending in two calls whose
+  // legs spin past the budget (which send the next call back to the pool),
+  // so every electorate flips placement while the others fan out. Leg b is
+  // wrong on multiples of 7 and leg c crashes on multiples of 11: calls on
+  // multiples of 77 go unrecovered, and the other crashes are recoveries.
+  constexpr int kRequesters = 4;
+  constexpr int kPeriod = static_cast<int>(util::Placement::kInlineStreak) + 8;
+  constexpr int kCalls = 8 * kPeriod;
+  auto leg = [](std::string name, int wrong_mod, int crash_mod) {
+    return core::make_variant<int, int>(
+        std::move(name),
+        [wrong_mod, crash_mod](const int& x) -> core::Result<int> {
+          if (x % kPeriod >= kPeriod - 2) {
+            const std::uint64_t t0 = obs::now_ns();
+            while (obs::now_ns() - t0 < util::Placement::kInlineBudgetNs) {
+            }
+          }
+          if (crash_mod != 0 && x % crash_mod == 0) {
+            return core::failure(core::FailureKind::crash);
+          }
+          return x * 2 + (wrong_mod != 0 && x % wrong_mod == 0 ? 1 : 0);
+        });
+  };
+  std::atomic<int> inline_calls{0};
+  std::atomic<int> pooled_calls{0};
+  std::vector<std::thread> requesters;
+  for (int t = 0; t < kRequesters; ++t) {
+    requesters.emplace_back([&] {
+      core::ParallelEvaluation<int, int> pe{
+          {leg("a", 0, 0), leg("b", 7, 0), leg("c", 0, 11)},
+          core::majority_voter<int>(), core::Concurrency::threaded};
+      core::Metrics expected;
+      for (int x = 0; x < kCalls; ++x) {
+        const std::uint64_t queued0 =
+            util::ThreadPool::submitted_by_this_thread();
+        const core::Result<int> out = pe.run(x);
+        const bool pooled =
+            util::ThreadPool::submitted_by_this_thread() != queued0;
+        (pooled ? pooled_calls : inline_calls).fetch_add(1);
+        const bool wrong = x % 7 == 0;
+        const bool crashed = x % 11 == 0;
+        ++expected.requests;
+        ++expected.adjudications;
+        expected.variant_executions += 3;
+        expected.cost_units += 3.0;
+        if (crashed) ++expected.variant_failures;
+        if (wrong && crashed) {
+          ++expected.unrecovered;
+          EXPECT_FALSE(out.has_value()) << "call " << x;
+        } else {
+          if (crashed) ++expected.recoveries;
+          ASSERT_TRUE(out.has_value()) << "call " << x;
+          EXPECT_EQ(out.value(), x * 2);
+        }
+      }
+      EXPECT_EQ(pe.metrics().summary(), expected.summary());
+    });
+  }
+  for (auto& t : requesters) t.join();
+  // The first kInlineStreak calls of every engine are pooled.
+  EXPECT_GE(pooled_calls.load(),
+            kRequesters * static_cast<int>(util::Placement::kInlineStreak));
+  EXPECT_EQ(inline_calls.load() + pooled_calls.load(), kRequesters * kCalls);
+#if !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
+  // Under ThreadSanitizer even the light calls' legs sum past the budget,
+  // so every call stays pooled there and only that path is checked.
+  EXPECT_GT(inline_calls.load(), 0);
+#endif
 }
 
 TEST(PoolStress, ThreadedSelectionChurn) {

@@ -360,6 +360,15 @@ TEST(BatchRunner, RunAndWaitForwardsFirstException) {
   EXPECT_THROW(runner.run_and_wait(ThreadPool::ExceptionPolicy::forward),
                std::runtime_error);
   EXPECT_EQ(survived.load(), 4);  // the throw does not abort the batch
+  EXPECT_TRUE(runner.empty());
+
+  // The runner is reusable after the throw: the next epoch runs only its
+  // own task, once.
+  std::atomic<int> counter{0};
+  runner.add([&counter] { counter.fetch_add(100); });
+  EXPECT_NO_THROW(runner.run_and_wait(ThreadPool::ExceptionPolicy::forward));
+  EXPECT_EQ(counter.load(), 100);
+  EXPECT_EQ(survived.load(), 4);
 }
 
 TEST(BatchRunner, DefaultsToTheSharedPool) {
