@@ -19,6 +19,13 @@
 // pool. The legs of one call therefore must not wait on each other, which
 // Concurrency::sequential requires too.
 //
+// A join-all call, sequential, inline or pooled, votes on the instance's
+// ballot box: one Ballot per leg, whose index and name are written at
+// construction and whose result every call overwrites before the vote. A
+// warmed-up call with healthy legs therefore performs no heap allocation;
+// it pays for its legs and its vote. run() on one instance is owner-thread
+// and not reentrant.
+//
 // With Adjudication::incremental the legs race instead, on the pool
 // whatever they cost: the caller re-votes on the ballots that have arrived
 // so far, padding the missing ones with failure placeholders so the
@@ -55,7 +62,14 @@ class ParallelEvaluation : public PatternCore<In, Out> {
                              false),
         voter_(std::move(voter)),
         mode_(mode),
-        adjudication_(adjudication) {}
+        adjudication_(adjudication),
+        leg_ns_(this->width()) {
+    box_.reserve(this->width());
+    for (std::size_t i = 0; i < this->width(); ++i) {
+      box_.push_back({i, this->legs().variants[i].name,
+                      failure(FailureKind::unavailable)});
+    }
+  }
 
   /// Run every variant on `input` and adjudicate the ballots (through the
   /// result cache when one is enabled — a hit skips the electorate and the
@@ -70,13 +84,18 @@ class ParallelEvaluation : public PatternCore<In, Out> {
           return run_incremental(input, ctx);
         }
       }
-      std::vector<Ballot<Out>> ballots = collect(input, ctx);
-      ++this->metrics_.adjudications;
-      Result<Out> verdict = voter_(ballots);
+      collect(input, ctx);
       std::size_t failed = 0;
-      for (const auto& b : ballots) failed += b.result.has_value() ? 0 : 1;
-      this->record_verdict(ctx, {.electorate = ballots.size(),
-                                 .seen = ballots.size(),
+      for (const Ballot<Out>& b : box_) {
+        const bool ok = b.result.has_value();
+        // A voter, not a per-leg check, adjudicates these legs.
+        this->account_leg(b.variant_index, false, ok);
+        failed += ok ? 0 : 1;
+      }
+      ++this->metrics_.adjudications;
+      Result<Out> verdict = voter_(box_);
+      this->record_verdict(ctx, {.electorate = box_.size(),
+                                 .seen = box_.size(),
                                  .failed = failed},
                            verdict);
       this->conclude(verdict, failed > 0);
@@ -85,48 +104,34 @@ class ParallelEvaluation : public PatternCore<In, Out> {
   }
 
  private:
-  /// Every variant's ballot, in variant order: a barrier over the whole
-  /// electorate. Pooled, the legs go to the pool as one batch (one wake-up,
-  /// one pending update) and fill their slots in whatever order they finish;
-  /// nothing is accounted until after the barrier, so the bookkeeping
-  /// touches ballots only on this thread. The slot array is member scratch
-  /// and the task closures fit the Task inline buffer, so after warm-up the
-  /// fan-out performs no heap allocation beyond the ballot vector.
-  std::vector<Ballot<Out>> collect(const In& input, obs::SpanContext ctx) {
-    const std::size_t n = this->width();
-    std::vector<Ballot<Out>> ballots;
-    ballots.reserve(n);
+  /// Overwrite every ballot in the box with this call's result: a barrier
+  /// over the whole electorate. Pooled, the legs go to the pool as one
+  /// batch (one wake-up, one pending update), each writes its own ballot
+  /// and run time, and the caller reads them only after the barrier. The
+  /// task closures fit the Task inline buffer, so after warm-up neither
+  /// path allocates.
+  void collect(const In& input, obs::SpanContext ctx) {
+    const std::size_t n = box_.size();
     const bool threaded = mode_ == Concurrency::threaded;
     if (threaded && !placement_.inline_ok()) {
-      std::vector<Slot>& slots = slots_scratch_;
-      slots.assign(n, Slot{});
       for (std::size_t i = 0; i < n; ++i) {
-        this->batch_.add([this, i, &slots, &input, ctx] {
+        this->batch_.add([this, i, &input, ctx] {
           const std::uint64_t t0 = obs::now_ns();
-          run_leg(this->legs(), i, input, ctx, slots[i].leg);
-          slots[i].ns = obs::now_ns() - t0;
+          box_[i].result = run_leg(this->legs(), i, input, ctx);
+          leg_ns_[i] = obs::now_ns() - t0;
         });
       }
       this->batch_.run_and_wait();
       std::uint64_t legs_ns = 0;
-      for (Slot& slot : slots) {
-        legs_ns += slot.ns;
-        this->account_leg(*slot.leg);
-        ballots.push_back(std::move(slot.leg->ballot));
-      }
-      slots.clear();
+      for (const std::uint64_t ns : leg_ns_) legs_ns += ns;
       placement_.observe(legs_ns);
-      return ballots;
+      return;
     }
     const std::uint64_t t0 = threaded ? obs::now_ns() : 0;
-    std::optional<LegOutcome<Out>> slot;
     for (std::size_t i = 0; i < n; ++i) {
-      LegOutcome<Out>& leg = run_leg(this->legs(), i, input, ctx, slot);
-      this->account_leg(leg);
-      ballots.push_back(std::move(leg.ballot));
+      box_[i].result = run_leg(this->legs(), i, input, ctx);
     }
     if (threaded) placement_.observe(obs::now_ns() - t0);
-    return ballots;
   }
 
   Result<Out> run_incremental(const In& input, obs::SpanContext ctx) {
@@ -205,17 +210,14 @@ class ParallelEvaluation : public PatternCore<In, Out> {
     return ballots;
   }
 
-  /// One pooled leg's outcome and its own run time.
-  struct Slot {
-    std::optional<LegOutcome<Out>> leg;
-    std::uint64_t ns = 0;
-  };
-
   Voter<Out> voter_;
   Concurrency mode_;
   Adjudication adjudication_;
   util::Placement placement_;  ///< join-all electorate: pool or caller
-  std::vector<Slot> slots_scratch_;
+  /// The ballot box: one ballot per leg, index and name written once; each
+  /// join-all call overwrites every result before the vote.
+  std::vector<Ballot<Out>> box_;
+  std::vector<std::uint64_t> leg_ns_;  ///< pooled legs' own run times
 };
 
 }  // namespace redundancy::core

@@ -21,6 +21,7 @@
 // (core/race.hpp) or joins.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -131,13 +132,16 @@ class PatternCore {
   }
 
   /// Owner-thread accounting of one leg of this call.
-  void account_leg(const LegOutcome<Out>& leg) {
+  void account_leg(std::size_t leg, bool judged, bool ok) {
     ++metrics_.variant_executions;
-    metrics_.cost_units += legs_->variants[leg.index()].cost;
-    if (leg.judged) ++metrics_.adjudications;
-    if (leg.ok()) return;
+    metrics_.cost_units += legs_->variants[leg].cost;
+    if (judged) ++metrics_.adjudications;
+    if (ok) return;
     ++metrics_.variant_failures;
-    if (disable_failed_) disable(leg.index());
+    if (disable_failed_) disable(leg);
+  }
+  void account_leg(const LegOutcome<Out>& leg) {
+    account_leg(leg.index(), leg.judged, leg.ok());
   }
 
   /// A request's outcome: unrecovered, or a recovery when the verdict
@@ -190,18 +194,22 @@ class PatternCore {
   [[nodiscard]] const Legs<In, Out>& legs() const noexcept { return *legs_; }
 
   /// Fold late legs into the metrics (owner thread only). Runs at the start
-  /// of every request and on metrics() / reset_metrics().
+  /// of every request and on metrics() / reset_metrics(). Each field is
+  /// loaded first and exchanged only when a straggler wrote it, so a call
+  /// with no stragglers executes no locked instruction; a write the load
+  /// misses is folded by the next call.
   void fold() const noexcept {
     LateLegs& late = *late_;
-    metrics_.variant_executions +=
-        late.executions.exchange(0, std::memory_order_relaxed);
-    metrics_.variant_failures +=
-        late.failures.exchange(0, std::memory_order_relaxed);
-    metrics_.adjudications +=
-        late.adjudications.exchange(0, std::memory_order_relaxed);
-    metrics_.cost_units += late.cost.exchange(0.0, std::memory_order_relaxed);
+    metrics_.variant_executions += take(late.executions);
+    metrics_.variant_failures += take(late.failures);
+    metrics_.adjudications += take(late.adjudications);
+    metrics_.cost_units += take(late.cost);
     for (std::size_t i = 0; i < late.failed.size(); ++i) {
-      if (late.failed[i].exchange(false, std::memory_order_acq_rel)) disable(i);
+      std::atomic<bool>& failed = late.failed[i];
+      if (failed.load(std::memory_order_relaxed) &&
+          failed.exchange(false, std::memory_order_acq_rel)) {
+        disable(i);
+      }
     }
   }
 
@@ -214,16 +222,25 @@ class PatternCore {
     fold();
     ++metrics_.requests;
     const std::size_t recoveries = metrics_.recoveries;
-    obs::ScopedSpan span{label_};
+    // The pattern span exists only while obs is on (it is inert otherwise).
+    std::optional<obs::ScopedSpan> span;
+    if (obs::enabled()) span.emplace(label_);
     const std::uint64_t t0 = clock();
-    Result<Out> verdict = body(span.context());
+    Result<Out> verdict = body(span ? span->context() : obs::SpanContext{});
     // conclude() counted a recovery if the verdict masked a failed leg.
     if (t0 != 0) {
       counters().count(t0, verdict.has_value(),
                        metrics_.recoveries != recoveries);
     }
-    span.set_ok(verdict.has_value());
+    if (span) span->set_ok(verdict.has_value());
     return verdict;
+  }
+
+  /// A late-leg total, reset to zero; no write when it already is.
+  template <typename T>
+  static T take(std::atomic<T>& total) noexcept {
+    if (total.load(std::memory_order_relaxed) == T{}) return T{};
+    return total.exchange(T{}, std::memory_order_relaxed);
   }
 
   void disable(std::size_t i) const noexcept {

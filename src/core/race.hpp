@@ -3,8 +3,11 @@
 // A *leg* is one variant run on the request's input, judged by its own
 // acceptance test where the pattern puts the adjudicator on each leg
 // (Figure 1b and 1c). run_leg() is the only place a variant is invoked:
-// it opens the leg's span, turns a throw into a FailureKind::crash ballot
-// and applies the leg's check, in every pattern and every mode.
+// it opens the leg's span (when the request is sampled), turns a throw
+// into a FailureKind::crash ballot and applies the leg's check, in every
+// pattern and every mode. One form returns the result (a join-all
+// electorate writes it into its ballot box); the other builds the
+// LegOutcome a race hands back.
 //
 // A Race runs legs on the shared pool when a pattern may decide before
 // every leg is in: incremental voting, first-passing selection, hedging.
@@ -83,33 +86,55 @@ Result<Out> run_variant(const Variant<In, Out>& v, const In& input,
   return r;
 }
 
-/// Apply leg `out`'s acceptance test: a rejected result becomes a failure.
+/// Apply leg i's acceptance test to its result `r`: a rejected result
+/// becomes a failure. Returns whether the check judged the leg.
 template <typename In, typename Out>
-void judge(const Legs<In, Out>& legs, const In& input, LegOutcome<Out>& out) {
-  const std::size_t i = out.index();
+bool judge(const Legs<In, Out>& legs, std::size_t i, const In& input,
+           Result<Out>& r) {
   const AcceptanceTest<In, Out>& check =
       legs.checks[legs.checks.size() == 1 ? 0 : i];
-  out.judged = legs.self_checking || out.ok();
-  if (out.ok() && !check(input, out.ballot.result.value())) {
-    out.ballot.result = failure(FailureKind::acceptance_failed,
-                                "rejected result of " + legs.variants[i].name);
+  const bool judged = legs.self_checking || r.has_value();
+  if (r.has_value() && !check(input, r.value())) {
+    r = failure(FailureKind::acceptance_failed,
+                "rejected result of " + legs.variants[i].name);
   }
+  return judged;
 }
 
-/// The one leg runner: runs leg i into `slot` (built in place, which keeps
-/// a fan-out's slots free of temporaries) and returns it.
+/// The one leg runner: leg i's result, a failure when the variant failed,
+/// threw or had its result rejected. `judged`, when given, says whether a
+/// check judged the leg. The leg's span is built only for a sampled
+/// request.
+template <typename In, typename Out>
+Result<Out> run_leg(const Legs<In, Out>& legs, std::size_t i, const In& input,
+                    obs::SpanContext ctx, obs::Histogram* latency = nullptr,
+                    bool* judged = nullptr) {
+  const Variant<In, Out>& v = legs.variants[i];
+  std::optional<obs::ScopedSpan> span;
+  if (ctx.active()) {
+    span.emplace(legs.span, ctx);
+    span->set_detail(v.name);
+  }
+  Result<Out> out = run_variant(v, input, latency);
+  const bool checked = !legs.checks.empty() && judge(legs, i, input, out);
+  if (judged != nullptr) *judged = checked;
+  if (span) span->set_ok(out.has_value());
+  return out;
+}
+
+/// run_leg into a race arrival: leg i's outcome is built in `slot` (in
+/// place, which keeps a fan-out's slots free of temporaries) and returned.
 template <typename In, typename Out>
 LegOutcome<Out>& run_leg(const Legs<In, Out>& legs, std::size_t i,
                          const In& input, obs::SpanContext ctx,
                          std::optional<LegOutcome<Out>>& slot,
                          obs::Histogram* latency = nullptr) {
-  const Variant<In, Out>& v = legs.variants[i];
-  obs::ScopedSpan span{legs.span, ctx};
-  span.set_detail(v.name);
-  LegOutcome<Out>& out = slot.emplace(
-      LegOutcome<Out>{{i, v.name, run_variant(v, input, latency)}, false});
-  if (!legs.checks.empty()) judge(legs, input, out);
-  span.set_ok(out.ok());
+  bool judged = false;
+  LegOutcome<Out>& out = slot.emplace(LegOutcome<Out>{
+      {i, legs.variants[i].name,
+       run_leg(legs, i, input, ctx, latency, &judged)},
+      false});
+  out.judged = judged;
   return out;
 }
 

@@ -64,18 +64,22 @@ class [[nodiscard]] Result {
     return has_value() ? std::get<0>(state_) : std::move(fallback);
   }
 
+  // map and and_then branch on the value arm's own pointer, not on
+  // has_value(): GCC then sees that a Result holding a value never reaches
+  // the Failure copy (-Wmaybe-uninitialized under the sanitizers).
+
   /// Apply fn to the value if present; propagate the failure otherwise.
   template <typename F>
   auto map(F&& fn) const -> Result<std::invoke_result_t<F, const T&>> {
-    if (has_value()) return std::forward<F>(fn)(std::get<0>(state_));
-    return std::get<1>(state_);
+    if (const T* v = std::get_if<0>(&state_)) return std::forward<F>(fn)(*v);
+    return *std::get_if<1>(&state_);
   }
 
   /// Monadic bind: fn returns Result<U>.
   template <typename F>
   auto and_then(F&& fn) const -> std::invoke_result_t<F, const T&> {
-    if (has_value()) return std::forward<F>(fn)(std::get<0>(state_));
-    return std::get<1>(state_);
+    if (const T* v = std::get_if<0>(&state_)) return std::forward<F>(fn)(*v);
+    return *std::get_if<1>(&state_);
   }
 
   friend bool operator==(const Result& a, const Result& b) {

@@ -5,31 +5,24 @@
 // process replicas and N-variant data) from explicit, application-specific
 // acceptance tests. This header provides the implicit family.
 //
-// Fast path: when the output type is byte-viewable (ByteBuffer, string,
-// vector of padding-free trivials, padding-free scalars — see
-// util/wordwise.hpp) and the comparator is plain std::equal_to, the
-// grouping voters take a vectorized route: one word-wise Digest64-style
-// prepass turns N-way grouping into O(N) integer compares, the winning
-// group is confirmed byte-exactly once (word-wise SIMD equality), and all
-// scratch comes from the calling thread's bump arena instead of the heap.
-// Equal values always share a digest, so a collision can only *merge*
-// distinct values into one group, never split a real one; the confirm pass
-// detects that and falls back to the scalar reference implementation. A
-// colliding group therefore can never win a vote — the worst a collision
-// can do (at probability ~2^-64) is turn a would-be plurality win into a
-// safe-side adjudication failure. Custom comparators (ApproxEq etc.) and
-// non-viewable types always use the scalar path.
+// Each voter is one scalar pass over the ballots with the comparator it was
+// given (std::equal_to by default). The grouping voters (majority,
+// plurality) keep one representative and one supporter count per group of
+// equal values, for up to kStackGroups ballots in arrays on the stack and
+// on the heap only above that: N is 3..9 in every realistic use, so a vote
+// costs a handful of comparisons and no allocation. Unanimity needs no
+// groups: it compares every ballot with the first.
 #pragma once
 
 #include <algorithm>
-#include <cstdint>
+#include <array>
+#include <cstddef>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "core/variant.hpp"
-#include "util/arena.hpp"
 #include "util/small_function.hpp"
-#include "util/wordwise.hpp"
 
 namespace redundancy::core {
 
@@ -44,132 +37,42 @@ using Voter =
 
 namespace voter_detail {
 
-/// Does <Out, Eq> qualify for the word-wise digest-grouping route?
-template <typename Out, typename Eq>
-inline constexpr bool use_wordwise_v =
-    std::is_same_v<Eq, std::equal_to<Out>> && util::wordwise::byte_viewable_v<Out>;
+/// Electorates up to this size group their ballots on the stack.
+inline constexpr std::size_t kStackGroups = 16;
 
-/// Quadratic scalar grouping shared by the reference voters: fills
-/// parallel arrays of representatives and their supporter counts.
-template <typename Out, typename Eq>
-void group_scalar(const std::vector<Ballot<Out>>& ballots, const Eq& eq,
-                  std::vector<const Out*>& reps,
-                  std::vector<std::size_t>& counts) {
-  for (const auto& b : ballots) {
-    if (!b.result.has_value()) continue;
-    const Out& v = b.result.value();
-    bool found = false;
-    for (std::size_t g = 0; g < reps.size(); ++g) {
-      if (eq(*reps[g], v)) {
-        ++counts[g];
-        found = true;
-        break;
-      }
-    }
-    if (!found) {
-      reps.push_back(&v);
-      counts.push_back(1);
-    }
-  }
-}
-
-/// Digest-grouping result: ballot values grouped by 64-bit content digest.
-/// Arena-backed; valid until the enclosing ArenaScope closes.
+/// One group of equal ballot values: the first value seen and its
+/// supporters.
 template <typename Out>
-struct HashedGroups {
-  std::span<const Out*> reps;       ///< first value seen per digest
-  std::span<std::size_t> counts;    ///< supporters per group
-  std::span<std::uint64_t> digests; ///< digest per group
-  std::span<std::size_t> member_group;  ///< ballot index -> group (npos if failed)
-  std::size_t n_groups = 0;
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+struct Group {
+  const Out* rep;
+  std::size_t count;
 };
 
-template <typename Out>
-HashedGroups<Out> group_hashed(const std::vector<Ballot<Out>>& ballots,
-                               util::Arena& arena) {
-  const std::size_t n = ballots.size();
-  HashedGroups<Out> g;
-  g.reps = arena.alloc_array<const Out*>(n);
-  g.counts = arena.alloc_array<std::size_t>(n);
-  g.digests = arena.alloc_array<std::uint64_t>(n);
-  g.member_group = arena.alloc_array<std::size_t>(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    g.member_group[i] = HashedGroups<Out>::npos;
-    if (!ballots[i].result.has_value()) continue;
-    const Out& v = ballots[i].result.value();
-    const std::uint64_t d = util::wordwise::hash64_of(v);
-    std::size_t gi = g.n_groups;
-    for (std::size_t k = 0; k < g.n_groups; ++k) {
-      if (g.digests[k] == d) {
-        gi = k;
-        break;
-      }
-    }
-    if (gi == g.n_groups) {
-      g.reps[gi] = &v;
-      g.counts[gi] = 0;
-      g.digests[gi] = d;
-      ++g.n_groups;
-    }
-    g.counts[gi] += 1;
-    g.member_group[i] = gi;
+/// Group the successful ballots by `eq` (quadratic: Out need not be
+/// hashable or ordered) and return `decide(groups)`, the groups in the
+/// order their first value was seen.
+template <typename Out, typename Eq, typename Decide>
+Result<Out> grouped(const std::vector<Ballot<Out>>& ballots, const Eq& eq,
+                    Decide&& decide) {
+  // Left uninitialized: only groups[0, n) are read, each written first,
+  // and zeroing the array would cost more than a three-ballot vote.
+  std::array<Group<Out>, kStackGroups> stack;
+  std::vector<Group<Out>> heap;
+  std::span<Group<Out>> groups{stack};
+  if (ballots.size() > stack.size()) {
+    heap.resize(ballots.size());
+    groups = heap;
   }
-  return g;
-}
-
-/// Byte-exact confirmation of one hashed group: every member must equal
-/// the representative. False means a digest collision lumped unequal
-/// values together — the caller re-runs the scalar reference path.
-template <typename Out>
-[[nodiscard]] bool confirm_group(const std::vector<Ballot<Out>>& ballots,
-                                 const HashedGroups<Out>& g,
-                                 std::size_t group) {
-  const Out& rep = *g.reps[group];
-  for (std::size_t i = 0; i < ballots.size(); ++i) {
-    if (g.member_group[i] != group) continue;
-    if (!util::wordwise::equal_values(rep, ballots[i].result.value())) {
-      return false;
-    }
+  std::size_t n = 0;
+  for (const auto& b : ballots) {
+    const Out* v = b.result.try_value();
+    if (v == nullptr) continue;
+    std::size_t g = 0;
+    while (g < n && !eq(*groups[g].rep, *v)) ++g;
+    if (g == n) groups[n++] = {v, 0};
+    ++groups[g].count;
   }
-  return true;
-}
-
-template <typename Out, typename Eq>
-Result<Out> majority_scalar(const std::vector<Ballot<Out>>& ballots,
-                            const Eq& eq) {
-  const std::size_t n = ballots.size();
-  if (n == 0) return failure(FailureKind::adjudication_failed, "no ballots");
-  // Group equal outputs; Out need not be hashable or ordered, so this is
-  // the quadratic grouping — N is small (3..9) in every realistic use.
-  std::vector<std::size_t> counts;
-  std::vector<const Out*> reps;
-  group_scalar(ballots, eq, reps, counts);
-  for (std::size_t g = 0; g < reps.size(); ++g) {
-    if (2 * counts[g] > n) return *reps[g];
-  }
-  return failure(FailureKind::adjudication_failed, "no majority quorum");
-}
-
-template <typename Out, typename Eq>
-Result<Out> plurality_scalar(const std::vector<Ballot<Out>>& ballots,
-                             const Eq& eq) {
-  std::vector<std::size_t> counts;
-  std::vector<const Out*> reps;
-  group_scalar(ballots, eq, reps, counts);
-  if (reps.empty()) {
-    return failure(FailureKind::adjudication_failed, "all variants failed");
-  }
-  std::size_t best = 0;
-  for (std::size_t g = 1; g < reps.size(); ++g) {
-    if (counts[g] > counts[best]) best = g;
-  }
-  const auto ties = static_cast<std::size_t>(
-      std::count(counts.begin(), counts.end(), counts[best]));
-  if (ties > 1) {
-    return failure(FailureKind::adjudication_failed, "plurality tie");
-  }
-  return *reps[best];
+  return decide(std::span<const Group<Out>>{groups.data(), n});
 }
 
 }  // namespace voter_detail
@@ -182,132 +85,78 @@ Result<Out> plurality_scalar(const std::vector<Ballot<Out>>& ballots,
 /// `adjudication_failed`.
 template <typename Out, typename Eq = std::equal_to<Out>>
 [[nodiscard]] Voter<Out> majority_voter(Eq eq = Eq{}) {
-  if constexpr (voter_detail::use_wordwise_v<Out, Eq>) {
-    return [](const std::vector<Ballot<Out>>& ballots) -> Result<Out> {
-      const std::size_t n = ballots.size();
-      if (n == 0) {
-        return failure(FailureKind::adjudication_failed, "no ballots");
-      }
-      util::Arena& arena = util::thread_arena();
-      util::ArenaScope scope{arena};
-      const auto groups = voter_detail::group_hashed(ballots, arena);
-      for (std::size_t g = 0; g < groups.n_groups; ++g) {
-        if (2 * groups.counts[g] > n) {
-          if (voter_detail::confirm_group(ballots, groups, g)) {
-            return *groups.reps[g];
+  return [eq](const std::vector<Ballot<Out>>& ballots) -> Result<Out> {
+    const std::size_t n = ballots.size();
+    if (n == 0) return failure(FailureKind::adjudication_failed, "no ballots");
+    return voter_detail::grouped(
+        ballots, eq,
+        [n](std::span<const voter_detail::Group<Out>> groups) -> Result<Out> {
+          for (const auto& g : groups) {
+            if (2 * g.count > n) return *g.rep;
           }
-          // Digest collision: the reference path re-derives the verdict.
-          return voter_detail::majority_scalar(ballots, std::equal_to<Out>{});
-        }
-      }
-      return failure(FailureKind::adjudication_failed, "no majority quorum");
-    };
-  } else {
-    return [eq](const std::vector<Ballot<Out>>& ballots) -> Result<Out> {
-      return voter_detail::majority_scalar(ballots, eq);
-    };
-  }
+          return failure(FailureKind::adjudication_failed,
+                         "no majority quorum");
+        });
+  };
 }
 
 /// Plurality voter: the largest agreeing group wins; ties fail.
 template <typename Out, typename Eq = std::equal_to<Out>>
 [[nodiscard]] Voter<Out> plurality_voter(Eq eq = Eq{}) {
-  if constexpr (voter_detail::use_wordwise_v<Out, Eq>) {
-    return [](const std::vector<Ballot<Out>>& ballots) -> Result<Out> {
-      util::Arena& arena = util::thread_arena();
-      util::ArenaScope scope{arena};
-      const auto groups = voter_detail::group_hashed(ballots, arena);
-      if (groups.n_groups == 0) {
-        return failure(FailureKind::adjudication_failed, "all variants failed");
-      }
-      std::size_t best = 0;
-      std::size_t ties = 1;
-      for (std::size_t g = 1; g < groups.n_groups; ++g) {
-        if (groups.counts[g] > groups.counts[best]) {
-          best = g;
-          ties = 1;
-        } else if (groups.counts[g] == groups.counts[best]) {
-          ++ties;
-        }
-      }
-      if (ties > 1) {
-        return failure(FailureKind::adjudication_failed, "plurality tie");
-      }
-      if (voter_detail::confirm_group(ballots, groups, best)) {
-        return *groups.reps[best];
-      }
-      return voter_detail::plurality_scalar(ballots, std::equal_to<Out>{});
-    };
-  } else {
-    return [eq](const std::vector<Ballot<Out>>& ballots) -> Result<Out> {
-      return voter_detail::plurality_scalar(ballots, eq);
-    };
-  }
+  return [eq](const std::vector<Ballot<Out>>& ballots) -> Result<Out> {
+    return voter_detail::grouped(
+        ballots, eq,
+        [](std::span<const voter_detail::Group<Out>> groups) -> Result<Out> {
+          if (groups.empty()) {
+            return failure(FailureKind::adjudication_failed,
+                           "all variants failed");
+          }
+          std::size_t best = 0;
+          std::size_t ties = 1;
+          for (std::size_t g = 1; g < groups.size(); ++g) {
+            if (groups[g].count > groups[best].count) {
+              best = g;
+              ties = 1;
+            } else if (groups[g].count == groups[best].count) {
+              ++ties;
+            }
+          }
+          if (ties > 1) {
+            return failure(FailureKind::adjudication_failed, "plurality tie");
+          }
+          return *groups[best].rep;
+        });
+  };
 }
 
 /// Unanimity comparator: any divergence (or any failure) is flagged.
 ///
 /// This is the adjudicator of the security mechanisms — process replicas
 /// (Cox et al.) and N-variant data (Nguyen-Tuong et al.) — where divergence
-/// means a (possibly malicious) fault was activated in some replica. The
-/// word-wise fast path only uses digests to *detect* divergence (digests
-/// differing proves the values differ); agreement is always confirmed by
-/// full byte comparison, so a hash collision can never hide an attack.
+/// means a (possibly malicious) fault was activated in some replica.
 template <typename Out, typename Eq = std::equal_to<Out>>
 [[nodiscard]] Voter<Out> unanimity_voter(Eq eq = Eq{}) {
-  if constexpr (voter_detail::use_wordwise_v<Out, Eq>) {
-    return [](const std::vector<Ballot<Out>>& ballots) -> Result<Out> {
-      if (ballots.empty()) {
-        return failure(FailureKind::adjudication_failed, "no ballots");
+  return [eq](const std::vector<Ballot<Out>>& ballots) -> Result<Out> {
+    if (ballots.empty()) {
+      return failure(FailureKind::adjudication_failed, "no ballots");
+    }
+    const Out* first = nullptr;
+    for (const auto& b : ballots) {
+      if (!b.result.has_value()) {
+        return failure(FailureKind::detected_attack,
+                       "replica " + b.variant_name + " failed: " +
+                           b.result.error().describe(),
+                       b.result.error().cause);
       }
-      const Out* first = nullptr;
-      std::uint64_t first_digest = 0;
-      for (const auto& b : ballots) {
-        if (!b.result.has_value()) {
-          return failure(FailureKind::detected_attack,
-                         "replica " + b.variant_name + " failed: " +
-                             b.result.error().describe(),
-                         b.result.error().cause);
-        }
-        if (first == nullptr) {
-          first = &b.result.value();
-          first_digest = util::wordwise::hash64_of(*first);
-          continue;
-        }
-        // Digest mismatch is proof of divergence (fast fail). Digest match
-        // is only a hint: confirm byte-exactly before trusting it.
-        const Out& v = b.result.value();
-        if (util::wordwise::hash64_of(v) != first_digest ||
-            !util::wordwise::equal_values(*first, v)) {
-          return failure(FailureKind::detected_attack,
-                         "divergence at replica " + b.variant_name);
-        }
+      if (first == nullptr) {
+        first = &b.result.value();
+      } else if (!eq(*first, b.result.value())) {
+        return failure(FailureKind::detected_attack,
+                       "divergence at replica " + b.variant_name);
       }
-      return *first;
-    };
-  } else {
-    return [eq](const std::vector<Ballot<Out>>& ballots) -> Result<Out> {
-      if (ballots.empty()) {
-        return failure(FailureKind::adjudication_failed, "no ballots");
-      }
-      const Out* first = nullptr;
-      for (const auto& b : ballots) {
-        if (!b.result.has_value()) {
-          return failure(FailureKind::detected_attack,
-                         "replica " + b.variant_name + " failed: " +
-                             b.result.error().describe(),
-                         b.result.error().cause);
-        }
-        if (first == nullptr) {
-          first = &b.result.value();
-        } else if (!eq(*first, b.result.value())) {
-          return failure(FailureKind::detected_attack,
-                         "divergence at replica " + b.variant_name);
-        }
-      }
-      return *first;
-    };
-  }
+    }
+    return *first;
+  };
 }
 
 /// Median voter for totally ordered outputs — the classic inexact-voting

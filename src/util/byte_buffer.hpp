@@ -9,9 +9,9 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
-
-#include "util/wordwise.hpp"
 
 namespace redundancy::util {
 
@@ -47,11 +47,13 @@ class ByteBuffer {
     append(reinterpret_cast<const std::byte*>(s.data()), s.size());
   }
 
-  /// Word-wise byte equality (see util/wordwise.hpp) — checkpoint blobs
-  /// compare at SIMD speed in the adjudication voters.
+  /// Byte equality: a size check, then memcmp (the voters compare
+  /// checkpoint blobs with it). An empty buffer may have no storage, and
+  /// memcmp must not see a null pointer.
   [[nodiscard]] friend bool operator==(const ByteBuffer& a,
                                        const ByteBuffer& b) noexcept {
-    return wordwise::equal(a.span(), b.span());
+    return a.size() == b.size() &&
+           (a.size() == 0 || std::memcmp(a.data(), b.data(), a.size()) == 0);
   }
 
   /// Sequential reader over a ByteBuffer.

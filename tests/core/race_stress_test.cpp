@@ -2,6 +2,7 @@
 // (cmake -DREDUNDANCY_SANITIZE=thread|address). ctest label: stress.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -112,6 +113,88 @@ TEST(RaceStress, PatternsDestroyedWithLegsInFlight) {
   EXPECT_EQ(count->started.load(), count->finished.load())
       << "every leg that started has settled";
   EXPECT_GE(count->started.load(), kBurst * (3 + 1 + 1));
+}
+
+/// What one component's variant did, shared with it so it outlives the
+/// pattern's stragglers.
+struct ComponentTally {
+  std::atomic<std::size_t> executions{0};
+  std::atomic<std::size_t> failures{0};
+};
+
+TEST(RaceStress, LateLegsFoldExactlyWhileTheOwnerKeepsCalling) {
+  // Threaded selection over one fast passing component and slow failing
+  // ones: each call returns on the fast arrival and closes its race, so a
+  // slow leg that had started settles later, into the late-leg fold, while
+  // the owner keeps calling run() and metrics(). Once the pool drains, the
+  // metrics must equal what the variants themselves counted.
+  using PS = ParallelSelection<int, int>;
+  constexpr int kSlowFailing = 6;
+  constexpr int kRounds = 12;
+  constexpr int kCalls = 60;
+  using Tallies = std::array<ComponentTally, kSlowFailing + 1>;
+  struct Round {
+    std::shared_ptr<Tallies> tally;
+    std::unique_ptr<PS> ps;
+    bool disable = false;
+  };
+  std::vector<Round> rounds;
+  for (int r = 0; r < kRounds; ++r) {
+    // Even rounds take a failed component out of service, so its late
+    // failures go through the failed-flag fold too.
+    Round round{std::make_shared<Tallies>(), nullptr, r % 2 == 0};
+    std::vector<PS::Checked> components;
+    components.push_back(
+        {make_variant<int, int>(
+             "fast",
+             [tally = round.tally](const int& x) -> Result<int> {
+               (*tally)[0].executions.fetch_add(1);
+               return x + 1;
+             }),
+         accept_all<int, int>()});
+    for (int c = 1; c <= kSlowFailing; ++c) {
+      components.push_back(
+          {make_variant<int, int>(
+               "slow-failing",
+               [tally = round.tally, c](const int&) -> Result<int> {
+                 std::this_thread::sleep_for(std::chrono::microseconds(50 * c));
+                 (*tally)[c].executions.fetch_add(1);
+                 (*tally)[c].failures.fetch_add(1);
+                 return failure(FailureKind::crash);
+               }),
+           accept_all<int, int>()});
+    }
+    round.ps = std::make_unique<PS>(
+        std::move(components),
+        PS::Options{.disable_on_failure = round.disable,
+                    .concurrency = Concurrency::threaded});
+    for (int i = 0; i < kCalls; ++i) {
+      ASSERT_EQ(round.ps->run(i).value(), i + 1);
+      (void)round.ps->metrics();
+    }
+    rounds.push_back(std::move(round));
+  }
+  util::ThreadPool::shared().wait_idle();
+  for (std::size_t r = 0; r < rounds.size(); ++r) {
+    const Round& round = rounds[r];
+    std::size_t executions = 0;
+    std::size_t failures = 0;
+    std::size_t ran_and_failed = 0;  // components that failed at least once
+    for (const ComponentTally& t : *round.tally) {
+      executions += t.executions.load();
+      failures += t.failures.load();
+      ran_and_failed += t.failures.load() > 0 ? 1 : 0;
+    }
+    const Metrics& m = round.ps->metrics();
+    EXPECT_EQ(m.variant_executions, executions) << "round " << r;
+    EXPECT_EQ(m.variant_failures, failures) << "round " << r;
+    // Self-checking components: every execution is an adjudication.
+    EXPECT_EQ(m.adjudications, executions) << "round " << r;
+    EXPECT_EQ(m.disabled_components, round.disable ? ran_and_failed : 0)
+        << "round " << r;
+    EXPECT_EQ((*round.tally)[0].executions.load(),
+              static_cast<std::size_t>(kCalls));
+  }
 }
 
 }  // namespace

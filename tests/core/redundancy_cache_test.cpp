@@ -1,5 +1,6 @@
 // core::RedundancyCache — storage, admission, invalidation, single-flight
-// coalescing, and the allocation-free hit guarantee the patterns rely on.
+// coalescing, and the allocation-free hit guarantee the patterns rely on;
+// beside it, the same guarantee for a warmed-up join-all electorate.
 //
 // Every test uses its own cache instance with a unique metrics label:
 // cache.* counters live in the process-wide obs::MetricsRegistry, so a
@@ -18,6 +19,9 @@
 #include <vector>
 
 #include "core/cache_epoch.hpp"
+#include "core/parallel_evaluation.hpp"
+#include "core/voters.hpp"
+#include "util/placement.hpp"
 #include "util/thread_pool.hpp"
 
 // Thread-local allocation counter threaded through global operator new. It
@@ -150,11 +154,13 @@ TEST(RedundancyCache, FailuresCachedWhenOptedIn) {
 
 TEST(RedundancyCache, TtlExpiresEntries) {
   auto cfg = config("rc_ttl");
-  cfg.ttl_ns = 2'000'000;  // 2ms
+  // The first lookup must land within the TTL of the store: 100 ms leaves
+  // room for a descheduled thread on a loaded host.
+  cfg.ttl_ns = 100'000'000;
   Cache cache{cfg};
   cache.store(5, Result<int>{50});
   EXPECT_TRUE(cache.lookup(5).has_value());
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  std::this_thread::sleep_for(std::chrono::milliseconds(150));
   EXPECT_FALSE(cache.lookup(5).has_value());
   EXPECT_EQ(cache.stats().invalidations, 1u);
 }
@@ -388,6 +394,72 @@ TEST(RedundancyCache, HitPathPerformsZeroHeapAllocations) {
   }
   EXPECT_EQ(g_allocs - before, 0u)
       << "cache-hit requests must not touch the heap";
+#endif
+}
+
+/// Heap allocations on this thread during `fn`.
+template <typename Fn>
+std::uint64_t allocations_in(Fn&& fn) {
+  const std::uint64_t before = g_allocs;
+  fn();
+  return g_allocs - before;
+}
+
+TEST(ParallelEvaluation, WarmJoinAllCallPerformsZeroHeapAllocations) {
+#ifdef REDUNDANCY_ALLOC_COUNTING_UNRELIABLE
+  GTEST_SKIP() << "sanitizer build interposes the allocator";
+#else
+  // Healthy NVP-3 over uint64_t (a no-quorum verdict would allocate its
+  // failure text). The names are longer than the small-string buffer, so
+  // a ballot that copied its variant's name per call would allocate.
+  using PE = ParallelEvaluation<std::uint64_t, std::uint64_t>;
+  auto version = [](std::string name) {
+    return make_variant<std::uint64_t, std::uint64_t>(
+        std::move(name), [](const std::uint64_t& x) -> Result<std::uint64_t> {
+          return x * 3 + 1;
+        });
+  };
+  auto nvp3 = [&](Concurrency mode) {
+    return PE{{version("version-alpha-of-three"),
+               version("version-bravo-of-three"),
+               version("version-charlie-of-three")},
+              majority_voter<std::uint64_t>(),
+              mode};
+  };
+  constexpr std::uint64_t kCalls = 1'000;
+
+  auto sequential = nvp3(Concurrency::sequential);
+  (void)sequential.run(0);  // warm
+  const std::uint64_t seq_allocs = allocations_in([&] {
+    for (std::uint64_t i = 0; i < kCalls; ++i) {
+      ASSERT_EQ(sequential.run(i).value(), i * 3 + 1);
+    }
+  });
+  EXPECT_EQ(seq_allocs, 0u) << "sequential join-all calls touched the heap";
+
+  // Threaded: past the placement streak the legs run on this thread. A leg
+  // preempted past the inline budget sends the next call back to the pool,
+  // whose task nodes may allocate here; such calls are not the inline path
+  // and are left out of the count.
+  auto threaded = nvp3(Concurrency::threaded);
+  for (std::uint64_t i = 0; i < 2 * util::Placement::kInlineStreak; ++i) {
+    (void)threaded.run(i);
+  }
+  std::uint64_t inline_calls = 0;
+  std::uint64_t inline_allocs = 0;
+  for (std::uint64_t i = 0; inline_calls < kCalls && i < 50 * kCalls; ++i) {
+    const std::uint64_t submitted =
+        util::ThreadPool::submitted_by_this_thread();
+    Result<std::uint64_t> out = failure(FailureKind::crash);
+    const std::uint64_t allocs =
+        allocations_in([&] { out = threaded.run(i); });
+    ASSERT_EQ(out.value(), i * 3 + 1);
+    if (util::ThreadPool::submitted_by_this_thread() != submitted) continue;
+    ++inline_calls;
+    inline_allocs += allocs;
+  }
+  ASSERT_EQ(inline_calls, kCalls) << "too few calls ran inline";
+  EXPECT_EQ(inline_allocs, 0u) << "inline join-all calls touched the heap";
 #endif
 }
 

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <string>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace redundancy::util {
 namespace {
@@ -107,6 +111,71 @@ TEST(ByteBuffer, ConstructFromExistingBytes) {
   ByteBuffer buf{raw};
   EXPECT_EQ(buf.size(), 8u);
   EXPECT_EQ(buf.bytes(), raw);
+}
+
+// ---------------------------------------------------------------------------
+// operator== (a size check, then memcmp) on random contents, every
+// single-byte corruption, and payloads at every offset
+// ---------------------------------------------------------------------------
+
+std::vector<std::byte> random_bytes(Rng& rng, std::size_t n) {
+  std::vector<std::byte> out(n);
+  for (auto& b : out) {
+    b = static_cast<std::byte>(rng.below(256));
+  }
+  return out;
+}
+
+TEST(ByteBufferEquality, MatchesScalarOnRandomSizes) {
+  Rng rng{20250805};
+  // Every length 0..96, then some larger blobs.
+  std::vector<std::size_t> sizes;
+  for (std::size_t n = 0; n <= 96; ++n) sizes.push_back(n);
+  for (std::size_t n : {127, 128, 129, 1000, 4096, 10000}) sizes.push_back(n);
+  for (std::size_t n : sizes) {
+    const auto a = random_bytes(rng, n);
+    const auto b = a;  // identical copy
+    EXPECT_TRUE(ByteBuffer{a} == ByteBuffer{b}) << "size " << n;
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+  }
+}
+
+TEST(ByteBufferEquality, DetectsEverySingleByteCorruption) {
+  Rng rng{42};
+  for (std::size_t n : {1, 2, 7, 8, 9, 31, 32, 33, 63, 64, 65, 257, 1024}) {
+    const auto a = random_bytes(rng, n);
+    const ByteBuffer original{a};
+    for (std::size_t pos = 0; pos < n; ++pos) {
+      auto b = a;
+      b[pos] ^= std::byte{0x01};  // minimal flip: one bit of one byte
+      EXPECT_FALSE(original == ByteBuffer{b})
+          << "size " << n << " corrupted at " << pos;
+    }
+  }
+}
+
+TEST(ByteBufferEquality, PayloadsAtEveryOffsetCompareCorrectly) {
+  // A buffer owns its storage, so instead of misaligned views the 777-byte
+  // payload is copied from every offset 0..15 of a shared backing and
+  // starts at that offset inside the buffer, after as many filler bytes.
+  Rng rng{7};
+  const auto backing = random_bytes(rng, 4096 + 16);
+  for (std::size_t off = 0; off < 16; ++off) {
+    const std::span<const std::byte> payload{backing.data() + off, 777};
+    std::vector<std::byte> bytes(off, std::byte{0x5A});
+    bytes.insert(bytes.end(), payload.begin(), payload.end());
+    const ByteBuffer a{bytes};
+    EXPECT_TRUE(a == ByteBuffer{bytes}) << "offset " << off;
+    bytes[off + 500] ^= std::byte{0x80};
+    EXPECT_FALSE(a == ByteBuffer{bytes}) << "offset " << off;
+  }
+}
+
+TEST(ByteBufferEquality, SizeMismatchNeverEqual) {
+  Rng rng{3};
+  const auto a = random_bytes(rng, 64);
+  std::vector<std::byte> b(a.begin(), a.begin() + 63);
+  EXPECT_FALSE(ByteBuffer{a} == ByteBuffer{b});
 }
 
 }  // namespace
