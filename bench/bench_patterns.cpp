@@ -10,6 +10,7 @@
 #include "core/parallel_evaluation.hpp"
 #include "core/parallel_selection.hpp"
 #include "core/sequential_alternatives.hpp"
+#include "obs/clock.hpp"
 #include "util/thread_pool.hpp"
 
 using namespace redundancy;
@@ -123,6 +124,43 @@ std::vector<core::Variant<int, int>> skewed_pool(std::size_t n) {
   }
   return out;
 }
+
+/// What placement weighs for a threaded join-all electorate: three legs of
+/// `leg_ns` each, run one after another on the caller (inline) or posted
+/// as one batch the caller joins (pooled), called from outside the pool or
+/// from a pool worker. Args: caller (0 outside, 1 worker), placement (0
+/// pooled, 1 inline), leg ns. Inline pays where the legs cost less than
+/// the caller's hop: a round trip from outside, a short fan-out on a worker.
+void BM_ElectorateLegsByCaller(benchmark::State& state) {
+  const bool on_worker = state.range(0) != 0;
+  const bool run_inline = state.range(1) != 0;
+  const auto leg_ns = static_cast<std::uint64_t>(state.range(2));
+  const auto spin = [leg_ns] {
+    const std::uint64_t t0 = obs::now_ns();
+    while (obs::now_ns() - t0 < leg_ns) {
+    }
+  };
+  util::BatchRunner batch;  // used by one thread at a time
+  const auto timed_call = [&] {
+    const std::uint64_t t0 = obs::now_ns();
+    if (run_inline) {
+      for (int i = 0; i < 3; ++i) spin();
+    } else {
+      for (int i = 0; i < 3; ++i) batch.add(spin);
+      batch.run_and_wait();
+    }
+    return static_cast<double>(obs::now_ns() - t0) / 1e9;
+  };
+  for (auto _ : state) {
+    state.SetIterationTime(
+        on_worker ? util::ThreadPool::shared().submit(timed_call).get()
+                  : timed_call());
+  }
+}
+BENCHMARK(BM_ElectorateLegsByCaller)
+    ->ArgsProduct({{0, 1}, {0, 1}, {1'000, 3'000, 6'000, 10'000}})
+    ->UseManualTime()
+    ->Unit(benchmark::kMicrosecond);
 
 void BM_SkewedThreadedJoinAll(benchmark::State& state) {
   core::ParallelEvaluation<int, int> pe{skewed_pool(5),

@@ -117,10 +117,11 @@ grep -q 'gateway_accepted_total{loop="1"}' "${OUT_DIR}/metrics_loops2.prom"
 grep -q 'gateway_requests_total{loop="0"}' "${OUT_DIR}/metrics_loops2.prom"
 grep -q 'gateway_requests_total{loop="1"}' "${OUT_DIR}/metrics_loops2.prom"
 
-# /echo is a short leaf: once 32 runs in a row stay under the 5 us inline
-# budget it runs on the loops. A run on a pool worker left cold by the
-# curl processes above can overrun the budget and restart that streak, so
-# keep-alive bursts of /echo follow until the loops report inline runs.
+# /echo is a short leaf: once 32 runs in a row stay under the inline
+# budget (one pool round trip, 20 us) it runs on the loops. A run on a pool
+# worker left cold by the curl processes above can overrun the budget and
+# restart that streak, so keep-alive bursts of /echo follow until the
+# loops report inline runs.
 inline_total() {
   curl -sf "localhost:${PORT}/metrics" |
     awk '/^gateway_inline_requests_total/ { n += $NF } END { print n + 0 }'
@@ -132,6 +133,18 @@ for burst in $(seq 1 20); do
   curl -sf "${echo_burst[@]}" > /dev/null
 done
 test "$(inline_total)" -gt 0
+
+# /vote fans out only until its threaded electorate has learned the calling
+# thread; then it is a short leaf too and earns the loops. Keep-alive
+# bursts of /vote follow until the inline count rises past /echo's.
+after_echo="$(inline_total)"
+vote_burst=()
+for i in $(seq 1 128); do vote_burst+=("localhost:${PORT}/vote?x=${i}"); done
+for burst in $(seq 1 20); do
+  [ "$(inline_total)" -gt "${after_echo}" ] && break
+  curl -sf "${vote_burst[@]}" > /dev/null
+done
+test "$(inline_total)" -gt "${after_echo}"
 
 kill "${server}"
 wait "${server}"   # exit code re-checks zero jobs in flight

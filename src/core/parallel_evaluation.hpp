@@ -13,11 +13,13 @@
 // barrier it accounts each ballot on its own thread. Where the electorate
 // runs is learned from its own runs (util/placement.hpp, the rule gateway
 // routes use): each pooled leg times itself, and once kInlineStreak calls
-// in a row had legs that summed under kInlineBudgetNs, the legs run one by
-// one on the calling thread, because the pool hand-off would cost more than
-// the legs; one inline call over budget sends the next call back to the
-// pool. The legs of one call therefore must not wait on each other, which
-// Concurrency::sequential requires too.
+// in a row had legs that summed under kInlineBudgetNs (20 µs, about what
+// the pool hand-off costs, from a worker or from outside the pool), the
+// legs run one by one on the calling thread; one inline call over budget
+// sends the next call back to the pool. The legs of one call therefore
+// must not wait on each other, which Concurrency::sequential requires too.
+// Once the legs run inline, a gateway route that calls run() queues no
+// pool work and earns its reactor (net/gateway.hpp).
 //
 // A join-all call, sequential, inline or pooled, votes on the instance's
 // ballot box: one Ballot per leg, whose index and name are written at
@@ -30,7 +32,8 @@
 // whatever they cost: the caller re-votes on the ballots that have arrived
 // so far, padding the missing ones with failure placeholders so the
 // electorate size stays fixed, and returns as soon as the voter reaches a
-// success verdict. Stragglers then finish in the background; their
+// success verdict. Every round votes on the same ballot box, so a re-vote
+// copies no name. Stragglers then finish in the background; their
 // execution cost is folded into the metrics on the next call.
 #pragma once
 
@@ -148,7 +151,8 @@ class ParallelEvaluation : public PatternCore<In, Out> {
       voted = arrived.size();
       ++rounds;
       ++this->metrics_.adjudications;
-      Result<Out> v = voter_(padded(arrived, n));
+      fill_box(arrived);
+      Result<Out> v = voter_(box_);
       // A success verdict short-circuits the join: everything not yet in is
       // cancelled (or finishes as an unobserved straggler).
       this->record_verdict(ctx, {.electorate = n,
@@ -164,50 +168,53 @@ class ParallelEvaluation : public PatternCore<In, Out> {
 
     std::vector<LegOutcome<Out>> arrived = race.close();
     for (const auto& leg : arrived) this->account_leg(leg);
-    const bool failed_seen = failed_count<Out>(arrived) > 0;
+    const std::size_t failed = failed_count<Out>(arrived);
     if (early.has_value()) {
-      this->conclude(*early, failed_seen);
+      this->conclude(*early, failed > 0);
       return std::move(*early);
     }
 
     // Every variant finished without an early success: vote the full set.
-    std::sort(arrived.begin(), arrived.end(), [](const auto& a, const auto& b) {
-      return a.index() < b.index();
-    });
-    std::vector<Ballot<Out>> ballots;
-    ballots.reserve(arrived.size());
-    for (auto& leg : arrived) ballots.push_back(std::move(leg.ballot));
+    // The race is closed, so its arrivals move into the box.
+    fill_box(std::span<LegOutcome<Out>>{arrived});
     ++this->metrics_.adjudications;
-    Result<Out> verdict = voter_(ballots);
+    Result<Out> verdict = voter_(box_);
     this->record_verdict(ctx, {.electorate = n,
-                               .seen = ballots.size(),
-                               .failed = failed_count<Out>(arrived),
+                               .seen = arrived.size(),
+                               .failed = failed,
                                .round = rounds + 1},
                          verdict);
-    this->conclude(verdict, failed_seen);
+    this->conclude(verdict, failed > 0);
     return verdict;
   }
 
-  /// Arrived ballots plus failure placeholders for the rest, in variant
-  /// order, so the voter sees the full electorate size (a strict majority
-  /// of n stays a strict majority once every ballot is in).
-  std::vector<Ballot<Out>> padded(std::span<const LegOutcome<Out>> arrived,
-                                  std::size_t n) const {
-    std::vector<Ballot<Out>> ballots;
-    ballots.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto it =
-          std::find_if(arrived.begin(), arrived.end(),
-                       [i](const auto& leg) { return leg.index() == i; });
-      if (it != arrived.end()) {
-        ballots.push_back(it->ballot);
+  /// Fill the box for one incremental vote: every arrived result in its
+  /// leg's ballot, a failure placeholder in the others, so the voter sees
+  /// the full electorate size (a strict majority of n stays a strict
+  /// majority once every ballot is in). A re-vote copies the results, which
+  /// the open race still holds; the final vote moves them. A ballot that
+  /// already holds the placeholder, left by an earlier round or call, is
+  /// not rewritten.
+  template <typename Leg>
+  void fill_box(std::span<Leg> arrived) {
+    static const Failure kNotYet =
+        failure(FailureKind::unavailable, "ballot not yet available");
+    const auto holds_placeholder = [](const Result<Out>& r) {
+      return !r.has_value() && r.error().kind == kNotYet.kind &&
+             r.error().detail == kNotYet.detail;
+    };
+    for (Ballot<Out>& b : box_) {
+      const auto it = std::find_if(
+          arrived.begin(), arrived.end(),
+          [&b](const auto& leg) { return leg.index == b.variant_index; });
+      if (it == arrived.end()) {
+        if (!holds_placeholder(b.result)) b.result = kNotYet;
+      } else if constexpr (std::is_const_v<Leg>) {
+        b.result = it->result;
       } else {
-        ballots.push_back({i, this->legs().variants[i].name,
-                           failure(FailureKind::unavailable,
-                                   "ballot not yet available")});
+        b.result = std::move(it->result);
       }
     }
-    return ballots;
   }
 
   Voter<Out> voter_;

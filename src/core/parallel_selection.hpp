@@ -94,26 +94,30 @@ class ParallelSelection : public PatternCore<In, Out> {
   }
 
   Result<Out> run_sequential(const In& input, obs::SpanContext ctx) {
-    Result<Out> selected =
-        failure(FailureKind::no_alternatives, "all components disabled");
+    std::optional<Result<Out>> passed;
     std::optional<std::size_t> winner;
     std::size_t executed = 0;
     std::size_t failed = 0;
-    std::optional<LegOutcome<Out>> slot;
     for (std::size_t i = 0; i < this->width(); ++i) {
       if (!this->legs().variants[i].enabled) continue;
       if (options_.lazy && winner) break;
-      LegOutcome<Out>& leg = run_leg(this->legs(), i, input, ctx, slot);
-      this->account_leg(leg);
+      bool judged = false;
+      Result<Out> r = run_leg(this->legs(), i, input, ctx, nullptr, &judged);
+      this->account_leg(i, judged, r.has_value());
       ++executed;
-      if (!leg.ok()) {
+      if (!r.has_value()) {
         ++failed;
       } else if (!winner) {
-        selected = std::move(leg.ballot.result);
+        passed.emplace(std::move(r));
         winner = i;
         acting_ = i;
       }
     }
+    // The failure is built only when no component passed.
+    Result<Out> selected =
+        passed ? std::move(*passed)
+               : failure(FailureKind::no_alternatives,
+                         "all components disabled");
     this->record_verdict(
         ctx, {.electorate = this->width(), .seen = executed, .failed = failed},
         selected, winner);
@@ -135,9 +139,9 @@ class ParallelSelection : public PatternCore<In, Out> {
     for (const auto& leg : arrived) this->account_leg(leg);
     const std::size_t failed = failed_count<Out>(arrived);
     Result<Out> verdict =
-        winner ? std::move(arrived[*winner].ballot.result)
+        winner ? std::move(arrived[*winner].result)
             : failure(FailureKind::no_alternatives, "no passing component");
-    if (winner) acting_ = arrived[*winner].index();
+    if (winner) acting_ = arrived[*winner].index;
     // Selection is by completion time: the verdict is the first passing
     // ballot, everything not yet in was cancelled.
     this->record_verdict(ctx,

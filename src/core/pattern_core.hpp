@@ -141,7 +141,7 @@ class PatternCore {
     if (disable_failed_) disable(leg);
   }
   void account_leg(const LegOutcome<Out>& leg) {
-    account_leg(leg.index(), leg.judged, leg.ok());
+    account_leg(leg.index, leg.judged, leg.ok());
   }
 
   /// A request's outcome: unrecovered, or a recovery when the verdict

@@ -5,9 +5,9 @@
 // (Figure 1b and 1c). run_leg() is the only place a variant is invoked:
 // it opens the leg's span (when the request is sampled), turns a throw
 // into a FailureKind::crash ballot and applies the leg's check, in every
-// pattern and every mode. One form returns the result (a join-all
-// electorate writes it into its ballot box); the other builds the
-// LegOutcome a race hands back.
+// pattern and every mode. It returns the leg's result; a join-all
+// electorate writes it into its ballot box, a race into a LegOutcome, and
+// neither copies the variant's name.
 //
 // A Race runs legs on the shared pool when a pattern may decide before
 // every leg is in: incremental voting, first-passing selection, hedging.
@@ -56,17 +56,16 @@ struct Legs {
   [[nodiscard]] std::size_t size() const noexcept { return variants.size(); }
 };
 
-/// One settled leg: its ballot (a failure when the variant failed, threw,
-/// or had its result rejected) and whether a check judged it.
+/// One settled leg: which leg, its result (a failure when the variant
+/// failed, threw, or had its result rejected) and whether a check judged
+/// it.
 template <typename Out>
 struct LegOutcome {
-  Ballot<Out> ballot;
+  std::size_t index = 0;
+  Result<Out> result;
   bool judged = false;
 
-  [[nodiscard]] bool ok() const noexcept { return ballot.result.has_value(); }
-  [[nodiscard]] std::size_t index() const noexcept {
-    return ballot.variant_index;
-  }
+  [[nodiscard]] bool ok() const noexcept { return result.has_value(); }
 };
 
 /// A variant's result, with a throw turned into a crash. `latency`, when
@@ -119,22 +118,6 @@ Result<Out> run_leg(const Legs<In, Out>& legs, std::size_t i, const In& input,
   const bool checked = !legs.checks.empty() && judge(legs, i, input, out);
   if (judged != nullptr) *judged = checked;
   if (span) span->set_ok(out.has_value());
-  return out;
-}
-
-/// run_leg into a race arrival: leg i's outcome is built in `slot` (in
-/// place, which keeps a fan-out's slots free of temporaries) and returned.
-template <typename In, typename Out>
-LegOutcome<Out>& run_leg(const Legs<In, Out>& legs, std::size_t i,
-                         const In& input, obs::SpanContext ctx,
-                         std::optional<LegOutcome<Out>>& slot,
-                         obs::Histogram* latency = nullptr) {
-  bool judged = false;
-  LegOutcome<Out>& out = slot.emplace(LegOutcome<Out>{
-      {i, legs.variants[i].name,
-       run_leg(legs, i, input, ctx, latency, &judged)},
-      false});
-  out.judged = judged;
   return out;
 }
 
@@ -212,13 +195,14 @@ class Race {
   /// arrival order; when it holds the race closes at once, so the verdict's
   /// ballots are exactly the ones it saw. Returns true when the deadline
   /// ended the wait. The wait is ThreadPool::help_until: a worker helps run
-  /// queued tasks meanwhile, an external caller blocks.
+  /// queued tasks meanwhile, an external caller blocks until a leg settles
+  /// or the deadline passes, whichever comes first.
   template <typename Decided>
   bool wait(Decided&& decided, std::uint64_t deadline_ns = 0) {
     State& st = *st_;
     std::unique_lock lock(st.m);
     bool expired = false;
-    batch_.pool().help_until(lock, st.cv, [&] {
+    const auto done = [&] {
       if (decided(std::span<const LegOutcome<Out>>{st.arrivals})) {
         close_locked(st);
         return true;
@@ -226,7 +210,8 @@ class Race {
       if (st.settled == st.posted) return true;
       expired = deadline_ns != 0 && obs::now_ns() >= deadline_ns;
       return expired;
-    });
+    };
+    batch_.pool().help_until(lock, st.cv, done, deadline_ns);
     return expired;
   }
 
@@ -279,15 +264,15 @@ class Race {
       st.cv.notify_all();
       return;
     }
-    std::optional<LegOutcome<Out>> slot;
-    LegOutcome<Out>& out =
-        run_leg(*st.legs, i, st.input, st.ctx, slot, st.latency);
+    bool judged = false;
+    Result<Out> out =
+        run_leg(*st.legs, i, st.input, st.ctx, st.latency, &judged);
     std::lock_guard lock(st.m);
     ++st.settled;
     if (st.closed) {
-      st.late->add(i, st.legs->variants[i].cost, out.judged, out.ok());
+      st.late->add(i, st.legs->variants[i].cost, judged, out.has_value());
     } else {
-      st.arrivals.push_back(std::move(out));
+      st.arrivals.push_back({i, std::move(out), judged});
     }
     st.cv.notify_all();
   }

@@ -119,20 +119,19 @@ class SequentialAlternatives : public PatternCore<In, Out> {
     Failure last = failure(FailureKind::no_alternatives, "no alternatives");
     std::size_t attempted = 0;
     std::size_t failed = 0;
-    std::optional<LegOutcome<Out>> slot;
     for (std::size_t i = 0; i < limit; ++i) {
       if (!this->legs().variants[i].enabled) continue;
       if (i > 0 && options_.rollback) {
         options_.rollback();
         ++this->metrics_.rollbacks;
       }
-      LegOutcome<Out>& leg =
-          run_leg(this->legs(), i, input, ctx, slot, &this->leg_latency());
-      this->account_leg(leg);
+      bool judged = false;
+      Result<Out> verdict = run_leg(this->legs(), i, input, ctx,
+                                    &this->leg_latency(), &judged);
+      this->account_leg(i, judged, verdict.has_value());
       ++attempted;
-      if (leg.ok()) {
+      if (verdict.has_value()) {
         last_used_ = i;
-        Result<Out> verdict = std::move(leg.ballot.result);
         this->record_verdict(
             ctx, {.electorate = limit, .seen = attempted, .failed = failed},
             verdict, i);
@@ -140,7 +139,7 @@ class SequentialAlternatives : public PatternCore<In, Out> {
         return verdict;
       }
       ++failed;
-      last = leg.ballot.result.error();
+      last = verdict.error();
     }
     return exhausted(
         ctx, {.electorate = limit, .seen = attempted, .failed = failed}, last);
@@ -190,13 +189,13 @@ class SequentialAlternatives : public PatternCore<In, Out> {
                                      [](const auto& leg) { return !leg.ok(); });
       return exhausted(ctx, tally,
                        last != arrived.rend()
-                           ? last->ballot.result.error()
+                           ? last->result.error()
                            : failure(FailureKind::no_alternatives,
                                      "no passing alternative"));
     }
     LegOutcome<Out>& won = arrived[*winner];
-    last_used_ = won.index();
-    Result<Out> verdict = std::move(won.ballot.result);
+    last_used_ = won.index;
+    Result<Out> verdict = std::move(won.result);
     this->record_verdict(ctx, tally, verdict, last_used_);
     this->conclude(verdict, tally.failed > 0 || last_used_ != eligible.front());
     return verdict;

@@ -190,9 +190,16 @@ void Gateway::on_request(Reactor& reactor, std::uint64_t conn_id,
 
 http::Response Gateway::run_route(Route& route,
                                   const Request& request) noexcept {
-  // A route that already fans out is on the pool for good: its runs skip
-  // the measurement and write nothing shared.
-  const bool learning = !route.fans_out.load(std::memory_order_relaxed);
+  // Every run of a route still placed by timing teaches the placement,
+  // wherever it ran. A run that joined pool work paid (or made its loop
+  // pay) a pool round trip however short it looked, so it restarts the
+  // streak like an over-budget run; a route that stops fanning out earns
+  // its loop back. A run that posted work it does not join binds the route
+  // to the pool, whose runs then skip the measurement and write nothing
+  // shared.
+  const bool learning = !route.pool_bound.load(std::memory_order_relaxed);
+  const std::uint64_t posted0 =
+      learning ? util::ThreadPool::posted_by_this_thread() : 0;
   const std::uint64_t submitted0 =
       learning ? util::ThreadPool::submitted_by_this_thread() : 0;
   const std::uint64_t t0 = learning ? obs::now_ns() : 0;
@@ -202,12 +209,13 @@ http::Response Gateway::run_route(Route& route,
   } catch (...) {
     response = {500, "text/plain; charset=utf-8", "handler error\n"};
   }
-  if (learning) {
-    if (util::ThreadPool::submitted_by_this_thread() != submitted0) {
-      route.fans_out.store(true, std::memory_order_relaxed);
-    } else {
-      route.placement.observe(obs::now_ns() - t0);
-    }
+  if (!learning) return response;
+  if (util::ThreadPool::posted_by_this_thread() != posted0) {
+    route.pool_bound.store(true, std::memory_order_relaxed);
+  } else if (util::ThreadPool::submitted_by_this_thread() != submitted0) {
+    route.placement.reset();
+  } else {
+    route.placement.observe(obs::now_ns() - t0);
   }
   return response;
 }

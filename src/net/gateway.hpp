@@ -39,12 +39,19 @@
 // sequential alternatives with the result cache, N-of-M voting). Where a
 // handler runs is learned from the route's own runs by util::Placement, the
 // rule threaded join-all electorates use too, with no option: every route
-// starts on the pool, and after kInlineStreak consecutive runs that each
-// took under util::Placement::kInlineBudgetNs and queued no pool work it
-// runs on the reactor that parsed the request, its response leaving with
-// that parse pass's flush. One inline run over budget sends the route back
-// to the pool; a route that ever queues pool work (a fan-out such as /vote
-// or /fast) stays there for good. Both paths score the request against
+// starts on the pool, and after kInlineStreak (32) consecutive runs that
+// each took under kInlineBudgetNs (20 µs, the pool round trip it saves)
+// and queued no pool work it runs on the reactor that parsed the request,
+// its response leaving with that parse pass's flush. Every run, pool or
+// loop, is measured: one over budget, or one that joined pool work (a
+// run_all), restarts the streak and sends the route back to the pool, so
+// /vote earns the loop once its electorate runs on the calling thread. A
+// reactor that joins pool work runs what the workers leave unclaimed of
+// its own batch (ThreadPool::run_all), so it never waits on workers that
+// queue behind a lock it holds. It cannot do that for work it posts
+// without joining (a race's or a hedge's legs, as /fast's cache misses
+// post), so a route whose run posts such work stays on the pool for good,
+// where the waiter helps. Both paths score the request against
 // Options::slo and leave a flight-recorder record the same way, and the
 // per-loop counter gateway.inline_requests counts the inline runs.
 //
@@ -97,12 +104,6 @@ class Gateway {
   /// callable concurrently. Throwing yields a 500 for that request only.
   using Handler = std::function<http::Response(const Request&)>;
 
-  /// Consecutive runs under budget that move a route onto its loop
-  /// (util/placement.hpp). A handler under budget costs its loop less than
-  /// the two cross-thread wake-ups a pool hop adds (loop → worker, worker →
-  /// loop).
-  static constexpr std::uint32_t kInlineStreak = util::Placement::kInlineStreak;
-
   struct Options {
     ConnManager::Options conn;
     EventLoop::Options loop;
@@ -133,7 +134,7 @@ class Gateway {
     route.handler = std::move(handler);
     route.scored = true;
     route.placement.reset();
-    route.fans_out.store(false, std::memory_order_relaxed);
+    route.pool_bound.store(false, std::memory_order_relaxed);
   }
 
   /// Register an ops route: served like any route but never scored against
@@ -181,20 +182,20 @@ class Gateway {
 
  private:
   /// Where a route runs is read by the reactors on every request. It is
-  /// written by pool runs only while the route is still earning its
-  /// streak, by inline runs only when one overruns the budget, and never by
-  /// runs of a route that fans out, so in steady state the line stays
-  /// shared-clean.
+  /// written only when the streak moves: by runs still earning it, and by
+  /// runs that overrun the budget or join pool work. The runs of a
+  /// pool-bound route write nothing.
   struct Route {
     Handler handler;
     /// Scored against Options::slo: true for add_route(), false for the
     /// ops routes.
     bool scored = true;
     util::Placement placement;
-    std::atomic<bool> fans_out{false};  ///< queued pool work: pool for good
+    /// A run posted pool work it does not join: on the pool for good.
+    std::atomic<bool> pool_bound{false};
 
     [[nodiscard]] bool on_loop() const noexcept {
-      return !fans_out.load(std::memory_order_relaxed) &&
+      return !pool_bound.load(std::memory_order_relaxed) &&
              placement.inline_ok();
     }
   };

@@ -18,9 +18,11 @@ namespace {
 // recursive fan-out cache-local and contention-free.
 thread_local ThreadPool* tls_pool = nullptr;
 thread_local std::size_t tls_index = 0;
-// Tasks this thread has put on any pool's queues (see
-// ThreadPool::submitted_by_this_thread).
+// Tasks this thread has put on any pool's queues, and those of them no
+// run_all joins (see ThreadPool::submitted_by_this_thread and
+// posted_by_this_thread).
 thread_local std::uint64_t tls_submitted = 0;
+thread_local std::uint64_t tls_posted = 0;
 // Where this thread's next steal sweep starts. It advances by one per
 // sweep; a worker seeds it with its own index + 1, so starved workers
 // start their sweeps at different victims instead of stampeding one deque.
@@ -133,6 +135,55 @@ void free_node(pool_detail::TaskNode* n) {
   }
 }
 
+// The join state of one run_all. Its tasks are claimed by index, so any
+// thread may run the next unclaimed one: a thread running one of the
+// batch's wrappers or, outside the pool, the waiter itself. A waiter that
+// ran its own tasks leaves wrappers with nothing to claim that may run
+// after the call, so the wrappers and the waiter share the state, and the
+// last of them frees it.
+struct JoinState {
+  JoinState(std::span<ThreadPool::Task> t, std::size_t holders)
+      : tasks(t), remaining(t.size()), holders(holders) {}
+
+  // Claim and run the next unclaimed task; false once every task is taken.
+  bool run_next() {
+    const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= tasks.size()) return false;
+    std::exception_ptr error;
+    try {
+      tasks[i]();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    if (error) {
+      std::lock_guard lock(m);
+      if (!first_error) first_error = error;
+    }
+    // acq_rel: completions happen-before the last one's notify, and thus
+    // before the waiter returns. Only the last takes the mutex, so a batch
+    // of N costs one lock round-trip instead of N.
+    if (remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      std::lock_guard lock(m);
+      done = true;
+      cv.notify_all();
+    }
+    return true;
+  }
+
+  void release() {
+    if (holders.fetch_sub(1, std::memory_order_acq_rel) == 1) delete this;
+  }
+
+  const std::span<ThreadPool::Task> tasks;
+  std::atomic<std::size_t> next{0};  // next unclaimed task
+  std::atomic<std::size_t> remaining;
+  std::atomic<std::size_t> holders;  // the waiter and every wrapper
+  std::mutex m;
+  std::condition_variable cv;
+  bool done = false;               // guarded by m
+  std::exception_ptr first_error;  // guarded by m
+};
+
 }  // namespace
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -160,8 +211,13 @@ std::uint64_t ThreadPool::submitted_by_this_thread() noexcept {
   return tls_submitted;
 }
 
+std::uint64_t ThreadPool::posted_by_this_thread() noexcept {
+  return tls_posted;
+}
+
 void ThreadPool::post(Task task) {
   TaskNode* node = alloc_node(std::move(task));
+  ++tls_posted;
   enqueue_chain(node, node, 1);
 }
 
@@ -179,6 +235,7 @@ void ThreadPool::submit_batch(std::span<Task> tasks, bool helpable) {
       tail = node;
     }
   }
+  tls_posted += tasks.size();
   enqueue_chain(head, tail, tasks.size());
 }
 
@@ -441,45 +498,15 @@ void ThreadPool::worker_loop(std::size_t self) {
 
 void ThreadPool::run_all(std::span<Task> tasks, ExceptionPolicy policy) {
   if (tasks.empty()) return;
-  struct State {
-    std::atomic<std::size_t> remaining;
-    std::mutex m;
-    std::condition_variable cv;
-    bool done = false;               // guarded by m
-    std::exception_ptr first_error;  // guarded by m
-  };
-  // run_all is a barrier: this frame outlives every wrapper, so the join
-  // state lives on the stack and wrappers borrow it (and the tasks) by raw
-  // pointer — 16 bytes captured, always inline in the Task buffer. The
-  // whole batch goes in with one pending epoch and one wake-up, and
-  // completions count down on an atomic: only the LAST wrapper takes the
-  // mutex (to flip `done` and notify), so a batch of N costs one lock
-  // round-trip instead of N. The waiter reads `done` — never the atomic —
-  // under the mutex, so it cannot pop this frame until the last wrapper
-  // has released m, after which no wrapper touches st again.
-  State st;
-  st.remaining.store(tasks.size(), std::memory_order_relaxed);
+  auto* st = new JoinState(tasks, tasks.size() + 1);
+  // The whole batch goes in with one pending epoch and one wake-up; each
+  // wrapper captures one pointer, always inline in the Task buffer.
   TaskNode* head = nullptr;
   TaskNode* tail = nullptr;
-  for (Task& t : tasks) {
-    TaskNode* node = alloc_node(Task{[st_ptr = &st, task = &t] {
-      std::exception_ptr error;
-      try {
-        (*task)();
-      } catch (...) {
-        error = std::current_exception();
-      }
-      if (error) {
-        std::lock_guard lock(st_ptr->m);
-        if (!st_ptr->first_error) st_ptr->first_error = error;
-      }
-      // acq_rel: completions happen-before the last wrapper's notify, and
-      // thus before the waiter returns.
-      if (st_ptr->remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        std::lock_guard lock(st_ptr->m);
-        st_ptr->done = true;
-        st_ptr->cv.notify_all();
-      }
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    TaskNode* node = alloc_node(Task{[st] {
+      st->run_next();
+      st->release();
     }});
     if (head == nullptr) {
       head = tail = node;
@@ -489,19 +516,38 @@ void ThreadPool::run_all(std::span<Task> tasks, ExceptionPolicy policy) {
     }
   }
   enqueue_chain(head, tail, tasks.size());
-  // Helper fast path: drain work without touching the join mutex — the
-  // countdown is the only thing the loop reads. Only when the queues run
-  // dry with wrappers still in flight (another worker claimed them) does
-  // the waiter fall through to the lock + cv slow path.
+  std::unique_lock lock(st->m, std::defer_lock);
   if (on_worker_thread()) {
-    while (st.remaining.load(std::memory_order_acquire) != 0) {
+    // Helper fast path: drain work without touching the join mutex — the
+    // countdown is the only thing the loop reads. Only when the queues run
+    // dry with tasks still in flight (another worker claimed them) does
+    // the waiter fall through to the lock + cv slow path.
+    while (st->remaining.load(std::memory_order_acquire) != 0) {
       if (!try_run_one()) break;
     }
+    lock.lock();
+    help_until(lock, st->cv, [&] { return st->done; });
+  } else {
+    // Once a poll passes with tasks unclaimed — the workers are busy, or
+    // queued behind a lock this caller holds (a gateway route run on its
+    // reactor) — the caller runs them itself, so its wait always ends.
+    lock.lock();
+    while (!st->done) {
+      if (st->cv.wait_for(lock, std::chrono::milliseconds(1)) ==
+              std::cv_status::timeout &&
+          !st->done) {
+        lock.unlock();
+        while (st->run_next()) {
+        }
+        lock.lock();
+      }
+    }
   }
-  std::unique_lock lock(st.m);
-  help_until(lock, st.cv, [&] { return st.done; });
-  if (policy == ExceptionPolicy::forward && st.first_error) {
-    std::rethrow_exception(st.first_error);
+  const std::exception_ptr error = st->first_error;
+  lock.unlock();
+  st->release();
+  if (policy == ExceptionPolicy::forward && error) {
+    std::rethrow_exception(error);
   }
 }
 

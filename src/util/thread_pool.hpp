@@ -31,9 +31,11 @@
 // Waiters (run_all, and the patterns' race in core/race.hpp) that are
 // themselves pool workers *help*: while blocked they steal and execute
 // queued tasks, so nested fan-out on the shared pool cannot deadlock even
-// when every worker is itself waiting. External waiters block instead —
-// helping would let a slow stolen task delay an already-decided
-// early-return verdict.
+// when every worker is itself waiting. External waiters do not run other
+// work — helping would let a slow stolen task delay an already-decided
+// early-return verdict — but a run_all waiter runs the tasks of its own
+// batch that no worker has claimed after a poll, so its wait ends even
+// when every worker is blocked on a lock it holds.
 //
 // When the obs:: layer is enabled the engine reports itself through the
 // metrics registry: pool.tasks_posted/executed/stolen/helped counters, a
@@ -42,6 +44,7 @@
 // cost is one relaxed atomic load per site.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -180,10 +183,11 @@ class ThreadPool {
 
   /// Run all tasks, blocking until every one has completed. Exceptions are
   /// swallowed by default; ExceptionPolicy::forward rethrows the first task
-  /// exception in the waiting thread. The waiting thread helps execute
-  /// queued tasks. run_all is a barrier, so the enqueued wrappers borrow
-  /// the caller's tasks and the join state by raw pointer — two words per
-  /// task, and the whole batch is submitted with one wake-up.
+  /// exception in the waiting thread. A waiting worker helps execute queued
+  /// tasks; an external waiter runs the tasks of its batch that are still
+  /// unclaimed after each 1 ms poll. run_all is a barrier, so the caller's
+  /// tasks are borrowed, not moved, and the whole batch is submitted with
+  /// one wake-up.
   void run_all(std::span<Task> tasks,
                ExceptionPolicy policy = ExceptionPolicy::swallow);
   void run_all(std::vector<Task> tasks,
@@ -210,11 +214,17 @@ class ThreadPool {
   /// caller just waits: helping would risk running a slow straggler inline
   /// and missing an already-decided early verdict (core/race.hpp).
   /// `lock` must be held on entry and is held again on return; done() is
-  /// only evaluated under the lock.
+  /// only evaluated under the lock. Between notifications the wait polls
+  /// done() every millisecond and, when `deadline_ns` is set (a
+  /// steady-clock time in ns, as obs::now_ns() reads it), also wakes at the
+  /// deadline, so a done() that reads the clock sees it pass on time.
   template <typename Pred>
   void help_until(std::unique_lock<std::mutex>& lock,
-                  std::condition_variable& cv, Pred done) {
+                  std::condition_variable& cv, Pred done,
+                  std::uint64_t deadline_ns = 0) {
+    using Clock = std::chrono::steady_clock;
     const bool helper = on_worker_thread();
+    const Clock::time_point deadline{std::chrono::nanoseconds{deadline_ns}};
     while (!done()) {
       if (helper) {
         lock.unlock();
@@ -223,17 +233,25 @@ class ThreadPool {
         if (done()) break;
         if (ran) continue;
       }
-      cv.wait_for(lock, std::chrono::milliseconds(1));
+      const Clock::time_point poll =
+          Clock::now() + std::chrono::milliseconds(1);
+      cv.wait_until(lock, deadline_ns != 0 ? std::min(poll, deadline) : poll);
     }
   }
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
   /// Tasks the calling thread has queued on any ThreadPool so far (post,
-  /// submit, submit_batch, run_all). Read before and
-  /// after a call, it tells whether that call fanned out: the gateway uses
-  /// it to keep routes that submit work off its loop threads.
+  /// submit, submit_batch, run_all). Read before and after a call, it tells
+  /// whether that call fanned out: the gateway sends a route that did back
+  /// to the pool.
   [[nodiscard]] static std::uint64_t submitted_by_this_thread() noexcept;
+
+  /// The part of submitted_by_this_thread() that no run_all joins (post,
+  /// submit, submit_batch): work an external caller that waits for it
+  /// cannot run itself. The gateway keeps a route that posts such work off
+  /// its loop threads for good.
+  [[nodiscard]] static std::uint64_t posted_by_this_thread() noexcept;
 
   /// Number of tasks queued but not yet claimed by a worker. Transiently
   /// over-counts during a submission (the counter rises before the nodes

@@ -7,6 +7,7 @@
 // test's latency observations cannot skew another's budget.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <string>
@@ -124,6 +125,41 @@ TEST(Hedging, SlowPrimaryIsHedgedAndFallbackWins) {
   EXPECT_GE(engine.metrics().hedged_launches, 1u);
   EXPECT_EQ(engine.metrics().requests, 1u);
   util::ThreadPool::shared().wait_idle();  // let the straggler retire
+}
+
+TEST(Hedging, ExternalCallerHedgesAtItsBudgetNotAtTheNextPoll) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "sanitizer builds stretch the pool's wake-ups";
+#else
+  // The caller is not a pool worker, so its wait sleeps on the race's
+  // condition variable; that sleep must end at the 200 us hedge deadline,
+  // not at the wait's 1 ms poll.
+  Engine engine{{variant("slow-primary",
+                         [](const int&) -> Result<int> {
+                           std::this_thread::sleep_for(
+                               std::chrono::milliseconds(20));
+                           return 1;
+                         }),
+                 variant("fast-fallback",
+                         [](const int&) -> Result<int> { return 2; })},
+                accept_all<int, int>()};
+  engine.set_obs_label("hedge_external_deadline");
+  engine.set_hedge(fast_hedge(200'000));
+  constexpr int kCalls = 9;
+  std::vector<std::chrono::steady_clock::duration> elapsed;
+  for (int i = 0; i < kCalls; ++i) {
+    util::ThreadPool::shared().wait_idle();  // the last primary retires
+    const auto start = std::chrono::steady_clock::now();
+    const Result<int> r = engine.run(i);
+    elapsed.push_back(std::chrono::steady_clock::now() - start);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r.value(), 2);
+  }
+  util::ThreadPool::shared().wait_idle();
+  std::nth_element(elapsed.begin(), elapsed.begin() + kCalls / 2,
+                   elapsed.end());
+  EXPECT_LT(elapsed[kCalls / 2], std::chrono::microseconds(800));
+#endif
 }
 
 TEST(Hedging, StragglerBookkeepingFoldsIntoMetrics) {

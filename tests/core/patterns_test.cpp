@@ -10,6 +10,7 @@
 #include "core/parallel_evaluation.hpp"
 #include "core/parallel_selection.hpp"
 #include "core/sequential_alternatives.hpp"
+#include "obs/clock.hpp"
 #include "util/placement.hpp"
 #include "util/thread_pool.hpp"
 
@@ -251,6 +252,44 @@ TEST(ParallelEvaluation, LightElectorateMovesOntoTheCallingWorker) {
         .submit(pooled_calls_beside_a_sequential_twin)
         .get();
   });
+}
+
+TEST(ParallelEvaluation, MidweightLegsEarnTheCallingThread) {
+  // Three legs of 3 us cost less than handing them to the pool, from a
+  // worker or from outside the pool (BM_ElectorateLegsByCaller), so after
+  // its streak the electorate runs them on either caller.
+  constexpr std::uint64_t kLegNs = 3'000;
+  static_assert(2 * 3 * kLegNs <= util::Placement::kInlineBudgetNs);
+  auto leg = [](std::string name) {
+    return make_variant<int, int>(std::move(name),
+                                  [](const int& x) -> Result<int> {
+                                    const std::uint64_t t0 = obs::now_ns();
+                                    while (obs::now_ns() - t0 < kLegNs) {
+                                    }
+                                    return x * 2;
+                                  });
+  };
+  auto inline_calls = [&leg] {
+    ParallelEvaluation<int, int> pe{{leg("a"), leg("b"), leg("c")},
+                                    majority_voter<int>(),
+                                    Concurrency::threaded};
+    int count = 0;
+    for (int i = 0; i < 200; ++i) {
+      count += queued_pool_work([&] { EXPECT_EQ(pe.run(i).value(), i * 2); })
+                   ? 0
+                   : 1;
+    }
+    return count;
+  };
+  const int outside = inline_calls();
+  const int on_worker = util::ThreadPool::shared().submit(inline_calls).get();
+  if ((outside == 0 || on_worker == 0) && kSanitized) {
+    GTEST_SKIP() << "no call stayed within the inline budget here";
+  }
+  // A leg preempted past the budget sends a few calls back to the pool
+  // (on a loaded host, more); at a 5 us budget none would run inline.
+  EXPECT_GT(outside, 0);
+  EXPECT_GT(on_worker, 0);
 }
 
 TEST(ParallelEvaluation, HeavyLegsStayOnThePoolAndNeverSerialize) {

@@ -38,7 +38,7 @@ TEST(RaceStress, FirstPassingLegChurn) {
     race.wait(first_passing<int>(winner));
     const std::vector<LegOutcome<int>> arrived = race.close();
     ASSERT_TRUE(winner.has_value());
-    EXPECT_NE((arrived[*winner].ballot.result.value() + round) % 3, 0);
+    EXPECT_NE((arrived[*winner].result.value() + round) % 3, 0);
   }
   pool.wait_idle();
 }

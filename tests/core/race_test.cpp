@@ -52,8 +52,8 @@ TEST(Race, FirstPassingLegWins) {
   EXPECT_FALSE(race.wait(first_passing<int>(winner)));
   const std::vector<LegOutcome<int>> arrived = race.close();
   ASSERT_TRUE(winner.has_value());
-  EXPECT_EQ(arrived[*winner].ballot.result.value(), 7);
-  EXPECT_EQ(arrived[*winner].index(), 1u);
+  EXPECT_EQ(arrived[*winner].result.value(), 7);
+  EXPECT_EQ(arrived[*winner].index, 1u);
   pool.wait_idle();  // the slow straggler finishes detached
 }
 
@@ -111,11 +111,11 @@ TEST(Race, RejectedLegLosesToAcceptedLeg) {
   const std::vector<LegOutcome<int>> arrived = race.close();
   pool.wait_idle();
   ASSERT_TRUE(winner.has_value());
-  EXPECT_EQ(arrived[*winner].ballot.result.value(), 42);
-  EXPECT_EQ(arrived[*winner].index(), 1u);
+  EXPECT_EQ(arrived[*winner].result.value(), 42);
+  EXPECT_EQ(arrived[*winner].index, 1u);
   for (const auto& a : arrived) {
-    if (a.index() == 0) {
-      EXPECT_EQ(a.ballot.result.error().kind, FailureKind::acceptance_failed);
+    if (a.index == 0) {
+      EXPECT_EQ(a.result.error().kind, FailureKind::acceptance_failed);
     }
   }
 }
@@ -136,10 +136,10 @@ TEST(Race, ThrowingLegLosesAsACrash) {
   race.wait(first_passing<int>(winner));
   const std::vector<LegOutcome<int>> arrived = race.close();
   ASSERT_TRUE(winner.has_value());
-  EXPECT_EQ(arrived[*winner].ballot.result.value(), 11);
-  EXPECT_EQ(arrived[*winner].index(), 1u);
+  EXPECT_EQ(arrived[*winner].result.value(), 11);
+  EXPECT_EQ(arrived[*winner].index, 1u);
   ASSERT_EQ(arrived.size(), 2u);  // the thrower settled first, as a crash
-  EXPECT_EQ(arrived[0].ballot.result.error().kind, FailureKind::crash);
+  EXPECT_EQ(arrived[0].result.error().kind, FailureKind::crash);
 }
 
 TEST(Race, CloseSkipsUnstartedLegsAndFoldsLateOnes) {
@@ -193,7 +193,7 @@ TEST(Race, DeadlineEndsTheWaitAndALaterLegCanWin) {
   EXPECT_FALSE(race.wait(first_passing<int>(winner)));
   const std::vector<LegOutcome<int>> arrived = race.close();
   ASSERT_TRUE(winner.has_value());
-  EXPECT_EQ(arrived[*winner].ballot.result.value(), 2);
+  EXPECT_EQ(arrived[*winner].result.value(), 2);
   pool.wait_idle();
 }
 

@@ -1,6 +1,7 @@
 // core::RedundancyCache — storage, admission, invalidation, single-flight
 // coalescing, and the allocation-free hit guarantee the patterns rely on;
-// beside it, the same guarantee for a warmed-up join-all electorate.
+// beside it, the same guarantee for a warmed-up join-all electorate and
+// for the sequential selecting patterns.
 //
 // Every test uses its own cache instance with a unique metrics label:
 // cache.* counters live in the process-wide obs::MetricsRegistry, so a
@@ -20,7 +21,10 @@
 
 #include "core/cache_epoch.hpp"
 #include "core/parallel_evaluation.hpp"
+#include "core/parallel_selection.hpp"
+#include "core/sequential_alternatives.hpp"
 #include "core/voters.hpp"
+#include "obs/clock.hpp"
 #include "util/placement.hpp"
 #include "util/thread_pool.hpp"
 
@@ -460,6 +464,94 @@ TEST(ParallelEvaluation, WarmJoinAllCallPerformsZeroHeapAllocations) {
   }
   ASSERT_EQ(inline_calls, kCalls) << "too few calls ran inline";
   EXPECT_EQ(inline_allocs, 0u) << "inline join-all calls touched the heap";
+#endif
+}
+
+/// A healthy uint64_t component named `name` that busy-waits `spin_ns`
+/// before it answers. (Unused where the counting tests are skipped.)
+[[maybe_unused]] Variant<std::uint64_t, std::uint64_t> healthy(
+    std::string name, std::uint64_t spin_ns = 0) {
+  return make_variant<std::uint64_t, std::uint64_t>(
+      std::move(name),
+      [spin_ns](const std::uint64_t& x) -> Result<std::uint64_t> {
+        const std::uint64_t t0 = obs::now_ns();
+        while (obs::now_ns() - t0 < spin_ns) {
+        }
+        return x * 3 + 1;
+      });
+}
+
+/// 28 characters: past the small-string buffer, so a per-call copy of a
+/// component's name would allocate.
+[[maybe_unused]] std::string long_name(char tag) {
+  return std::string(27, 'n') + tag;
+}
+
+/// Heap allocations per call over `calls` warmed-up calls of `run(i)`,
+/// each checked against the healthy answer.
+template <typename Run>
+double allocations_per_call(Run&& run, std::uint64_t calls) {
+  (void)run(0);  // warm
+  const std::uint64_t allocs = allocations_in([&] {
+    for (std::uint64_t i = 0; i < calls; ++i) {
+      ASSERT_EQ(run(i).value(), i * 3 + 1);
+    }
+  });
+  return static_cast<double>(allocs) / static_cast<double>(calls);
+}
+
+TEST(SequentialPatterns, WarmHealthyCallsPerformZeroHeapAllocations) {
+#ifdef REDUNDANCY_ALLOC_COUNTING_UNRELIABLE
+  GTEST_SKIP() << "sanitizer build interposes the allocator";
+#else
+  using SA = SequentialAlternatives<std::uint64_t, std::uint64_t>;
+  SA alternatives{{healthy(long_name('p')), healthy(long_name('a'))},
+                  accept_all<std::uint64_t, std::uint64_t>()};
+  EXPECT_EQ(allocations_per_call([&](std::uint64_t i) {
+              return alternatives.run(i);
+            }, 1'000),
+            0.0)
+      << "sequential alternatives touched the heap";
+
+  using PS = ParallelSelection<std::uint64_t, std::uint64_t>;
+  PS selection{{PS::Checked{healthy(long_name('p')),
+                            accept_all<std::uint64_t, std::uint64_t>()},
+                PS::Checked{healthy(long_name('s')),
+                            accept_all<std::uint64_t, std::uint64_t>()}}};
+  EXPECT_EQ(allocations_per_call([&](std::uint64_t i) {
+              return selection.run(i);
+            }, 1'000),
+            0.0)
+      << "sequential parallel selection touched the heap";
+#endif
+}
+
+TEST(ParallelEvaluation, IncrementalRevotesCopyNoVariantNames) {
+#ifdef REDUNDANCY_ALLOC_COUNTING_UNRELIABLE
+  GTEST_SKIP() << "sanitizer build interposes the allocator";
+#else
+  // Staggered legs make a call vote in rounds: a alone (no majority yet),
+  // then a and b (a majority; c finishes as a straggler). Such a call
+  // allocates its race state, its arrivals, the placeholders of b and c
+  // and the verdict text of the round without a majority (five), and pool
+  // task nodes until the node caches are warm. Nothing depends on the
+  // variants' names: every round fills the instance's ballot box, whose
+  // names are written once.
+  using PE = ParallelEvaluation<std::uint64_t, std::uint64_t>;
+  auto per_call = [](const std::string& prefix) {
+    PE pe{{healthy(prefix + "a"), healthy(prefix + "b", 200'000),
+           healthy(prefix + "c", 400'000)},
+          majority_voter<std::uint64_t>(),
+          Concurrency::threaded,
+          Adjudication::incremental};
+    return allocations_per_call([&](std::uint64_t i) { return pe.run(i); },
+                                500);
+  };
+  const double short_names = per_call("n");
+  const double long_names = per_call(std::string(27, 'n'));
+  util::ThreadPool::shared().wait_idle();  // the stragglers retire
+  EXPECT_NEAR(long_names, short_names, 0.5);
+  EXPECT_LT(long_names, 6.0);
 #endif
 }
 

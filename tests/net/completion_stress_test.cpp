@@ -7,15 +7,23 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "core/parallel_evaluation.hpp"
+#include "core/sequential_alternatives.hpp"
+#include "core/voters.hpp"
 #include "net/loopback_client.hpp"
 #include "net/completion_queue.hpp"
 #include "net/event_loop.hpp"
 #include "net/gateway.hpp"
+#include "obs/clock.hpp"
 #include "obs/metrics_registry.hpp"
+#include "util/placement.hpp"
+#include "util/thread_pool.hpp"
 
 namespace redundancy::net {
 namespace {
@@ -210,7 +218,7 @@ TEST(GatewayStress, PlacementFlipsUnderLoadWhileStopRaces) {
   // a client reads must be its own, in request order, and no job may be
   // left in flight.
   constexpr int kClients = 4;
-  constexpr std::uint64_t kPhase = Gateway::kInlineStreak + 8;
+  constexpr std::uint64_t kPhase = util::Placement::kInlineStreak + 8;
   std::uint64_t inline_runs = 0;
   for (int round = 0; round < 6; ++round) {
     Gateway::Options options;
@@ -221,8 +229,9 @@ TEST(GatewayStress, PlacementFlipsUnderLoadWhileStopRaces) {
     gateway.add_route(
         "/phase", [&runs](const Gateway::Request& req) -> http::Response {
           if (runs.fetch_add(1, std::memory_order_relaxed) % kPhase == 0) {
-            const auto until = std::chrono::steady_clock::now() +
-                               std::chrono::microseconds(20);
+            const auto until =
+                std::chrono::steady_clock::now() +
+                std::chrono::nanoseconds(2 * util::Placement::kInlineBudgetNs);
             while (std::chrono::steady_clock::now() < until) {
             }
           }
@@ -287,6 +296,132 @@ TEST(GatewayStress, PlacementFlipsUnderLoadWhileStopRaces) {
   }
   // The phases did move the route onto the loops.
   EXPECT_GT(inline_runs, 0u);
+}
+
+TEST(GatewayStress, LockHoldingFanOutRoutesOutnumberingWorkersStillStop) {
+  // Routes shaped like the demo's /vote and /fast: each run holds its
+  // route's mutex across a pattern run that may use the pool. Every 100th
+  // /vote call spins its legs past the inline budget, so the calls after it
+  // queue their legs on the pool, from a reactor too when a loop starts one
+  // before that call has sent the route back to the pool; one /fast key in
+  // eight misses the cache, and a miss posts a hedged primary. More
+  // clients than pool workers pipeline both routes over 2 loops, so pool
+  // workers queue on a mutex that a reactor waiting for its legs may hold.
+  // Every answer must be right, and stop() must end with no job in flight.
+  using Vote = core::ParallelEvaluation<std::uint64_t, std::uint64_t>;
+  using Fast = core::SequentialAlternatives<std::uint64_t, std::uint64_t>;
+  constexpr std::uint64_t kOverrunEvery = 100;
+  constexpr std::uint64_t kLegSpinNs = util::Placement::kInlineBudgetNs / 2;
+  static_assert(3 * kLegSpinNs >= util::Placement::kInlineBudgetNs);
+  const int clients_n =
+      static_cast<int>(util::ThreadPool::shared().size()) + 4;
+  std::uint64_t inline_runs = 0;
+  for (int round = 0; round < 3; ++round) {
+    std::atomic<bool> spin{false};
+    const auto leg = [&spin](std::string name) {
+      return core::make_variant<std::uint64_t, std::uint64_t>(
+          std::move(name),
+          [&spin](const std::uint64_t& x) -> core::Result<std::uint64_t> {
+            if (spin.load(std::memory_order_relaxed)) {
+              const std::uint64_t t0 = obs::now_ns();
+              while (obs::now_ns() - t0 < kLegSpinNs) {
+              }
+            }
+            return x * 3 + 1;
+          });
+    };
+    std::mutex vote_m;
+    std::mutex fast_m;
+    std::uint64_t vote_calls = 0;  // guarded by vote_m
+    Vote vote{{leg("v1"), leg("v2"), leg("v3")},
+              core::majority_voter<std::uint64_t>(),
+              core::Concurrency::threaded};
+    Fast fast{{leg("primary"), leg("alternate")},
+              core::accept_all<std::uint64_t, std::uint64_t>()};
+    Fast::Options::Hedge hedge;
+    hedge.enabled = true;
+    hedge.fallback_budget_ns = 2'000'000;
+    fast.set_hedge(hedge);
+    fast.enable_cache();
+
+    Gateway::Options options;
+    options.loops = 2;
+    options.conn.max_pipeline = 4;
+    Gateway gateway{options};
+    const auto answer = [](const core::Result<std::uint64_t>& r) {
+      return r.has_value()
+                 ? http::Response{200, "text/plain; charset=utf-8",
+                                  std::to_string(r.value()) + "\n"}
+                 : http::Response{500, "text/plain; charset=utf-8", "no\n"};
+    };
+    gateway.add_route("/vote", [&](const Gateway::Request& req) {
+      const std::uint64_t x = http::query_param(req.query, "x").value_or(0);
+      std::lock_guard lock(vote_m);
+      spin.store(++vote_calls % kOverrunEvery == 0, std::memory_order_relaxed);
+      return answer(vote.run(x));
+    });
+    gateway.add_route("/fast", [&](const Gateway::Request& req) {
+      const std::uint64_t x = http::query_param(req.query, "x").value_or(0);
+      std::lock_guard lock(fast_m);
+      return answer(fast.run(x));
+    });
+    const std::uint64_t inline_before = inline_requests_total();
+    ASSERT_TRUE(gateway.start());
+
+    std::atomic<bool> stop_clients{false};
+    std::atomic<int> wrong{0};
+    std::atomic<int> answered{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < clients_n; ++c) {
+      clients.emplace_back([&, c] {
+        const int fd = loopback::connect_loopback(gateway.port());
+        if (fd < 0) return;
+        for (std::uint64_t i = 0; !stop_clients.load(std::memory_order_acquire);
+             ++i) {
+          const std::uint64_t v = i;
+          const std::uint64_t f =
+              i % 8 == 0 ? (static_cast<std::uint64_t>(c + 1) << 32) + i
+                         : i % 16;
+          if (!loopback::send_all(
+                  fd, "GET /vote?x=" + std::to_string(v) +
+                          " HTTP/1.1\r\n\r\nGET /fast?x=" +
+                          std::to_string(f) + " HTTP/1.1\r\n\r\n")) {
+            break;
+          }
+          bool complete = true;
+          for (const std::uint64_t x : {v, f}) {
+            const loopback::Reply reply = loopback::read_response(fd);
+            complete = reply.complete;  // false: the gateway stopped
+            if (!complete) break;
+            if (reply.status != 200 ||
+                reply.body != std::to_string(x * 3 + 1) + "\n") {
+              wrong.fetch_add(1, std::memory_order_relaxed);
+            }
+            answered.fetch_add(1, std::memory_order_relaxed);
+          }
+          if (!complete) break;
+        }
+        ::close(fd);
+      });
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(400));
+    gateway.stop();
+    EXPECT_EQ(gateway.jobs_inflight(), 0u);
+    for (std::size_t loop = 0; loop < 2; ++loop) {
+      EXPECT_EQ(gateway.jobs_inflight(loop), 0u);
+    }
+    stop_clients.store(true, std::memory_order_release);
+    for (auto& t : clients) t.join();
+    util::ThreadPool::shared().wait_idle();  // hedged stragglers retire
+    EXPECT_EQ(wrong.load(), 0);
+    EXPECT_GT(answered.load(), 0);
+    inline_runs += inline_requests_total() - inline_before;
+  }
+#if !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
+  // /vote did run on the loops between its electorate's overruns.
+  EXPECT_GT(inline_runs, 0u);
+#endif
+  (void)inline_runs;
 }
 
 }  // namespace

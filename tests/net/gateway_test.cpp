@@ -7,6 +7,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -16,6 +18,8 @@
 #include "obs/metrics_registry.hpp"
 #include "obs/obs.hpp"
 #include "obs/slo.hpp"
+#include "util/placement.hpp"
+#include "util/thread_pool.hpp"
 
 namespace redundancy::net {
 namespace {
@@ -84,6 +88,20 @@ Gateway::Options one_loop() {
   Gateway::Options options;
   options.loops = 1;
   return options;
+}
+
+/// Queue one trivial task on the shared pool and join it: a fan-out.
+void fan_out() {
+  std::vector<util::ThreadPool::Task> tasks;
+  tasks.emplace_back([] {});
+  util::ThreadPool::shared().run_all(std::move(tasks));
+}
+
+/// Busy-wait for `ns` nanoseconds.
+void spin_ns(std::uint64_t ns) {
+  const std::uint64_t t0 = obs::now_ns();
+  while (obs::now_ns() - t0 < ns) {
+  }
 }
 
 TEST(Gateway, ServesDemoRoutesThroughTheEngine) {
@@ -337,7 +355,7 @@ TEST(Gateway, ShortLeafRouteMovesOntoTheLoop) {
   }
   const std::uint64_t ran_inline = inline_requests() - before;
   // Placement starts cold: the first kInlineStreak runs are pool runs.
-  EXPECT_LE(ran_inline, kRequests - Gateway::kInlineStreak);
+  EXPECT_LE(ran_inline, kRequests - util::Placement::kInlineStreak);
   if (!kSanitized) {
     EXPECT_GT(ran_inline, kRequests / 2);
   }
@@ -349,7 +367,10 @@ TEST(Gateway, ShortLeafRouteMovesOntoTheLoop) {
 
 TEST(Gateway, FanOutAndSlowRoutesStayOnThePool) {
   Gateway gateway{one_loop()};
-  install_demo_routes(gateway);
+  gateway.add_route("/fanout", [](const Gateway::Request&) -> http::Response {
+    fan_out();
+    return {200, "text/plain; charset=utf-8", "f\n"};
+  });
   gateway.add_route("/sleepy", [](const Gateway::Request&) -> http::Response {
     std::this_thread::sleep_for(std::chrono::microseconds(100));
     return {200, "text/plain; charset=utf-8", "zz\n"};
@@ -359,16 +380,206 @@ TEST(Gateway, FanOutAndSlowRoutesStayOnThePool) {
   ASSERT_GE(fd, 0);
   const std::uint64_t before = inline_requests();
   for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(send_all(fd, "GET /vote?x=" + std::to_string(i) +
-                                 " HTTP/1.1\r\n\r\n"));
-    ASSERT_EQ(read_response(fd).status, 200);
+    ASSERT_TRUE(send_all(fd, "GET /fanout HTTP/1.1\r\n\r\n"));
+    ASSERT_EQ(read_response(fd).body, "f\n");
     ASSERT_TRUE(send_all(fd, "GET /sleepy HTTP/1.1\r\n\r\n"));
     ASSERT_EQ(read_response(fd).body, "zz\n");
   }
-  // /vote queues its variants on the pool; /sleepy never fits the budget.
+  // /fanout queues pool work on every run; /sleepy never fits the budget.
   EXPECT_EQ(inline_requests() - before, 0u);
   ::close(fd);
   gateway.stop();
+}
+
+TEST(Gateway, RouteThatPostsUnjoinedWorkStaysOnThePoolForGood) {
+  // Like /fast on a cache miss, the first run posts a task it does not
+  // join (a hedge's primary); every later run is a trivial leaf. A reactor
+  // could not run such a task itself while it waited for it, so the route
+  // never earns the loop.
+  std::atomic<bool> posted{false};
+  Gateway gateway{one_loop()};
+  gateway.add_route("/posts_once",
+                    [&posted](const Gateway::Request&) -> http::Response {
+                      if (!posted.exchange(true)) {
+                        util::ThreadPool::shared().post(
+                            util::ThreadPool::Task{[] {}});
+                      }
+                      return {200, "text/plain; charset=utf-8", "p\n"};
+                    });
+  ASSERT_TRUE(gateway.start());
+  const int fd = connect_loopback(gateway.port());
+  ASSERT_GE(fd, 0);
+  const std::uint64_t before = inline_requests();
+  for (int i = 0; i < 400; ++i) {
+    ASSERT_TRUE(send_all(fd, "GET /posts_once HTTP/1.1\r\n\r\n"));
+    ASSERT_EQ(read_response(fd).body, "p\n");
+  }
+  EXPECT_EQ(inline_requests() - before, 0u);
+  ::close(fd);
+  gateway.stop();
+  EXPECT_EQ(gateway.jobs_inflight(), 0u);
+}
+
+TEST(Gateway, RouteUnderOnePoolRoundTripEarnsTheLoop) {
+  // About 10 us of work: more than a trivial handler, less than the pool
+  // round trip the loop saves.
+  constexpr std::uint64_t kWorkNs = 10'000;
+  static_assert(2 * kWorkNs <= util::Placement::kInlineBudgetNs);
+  Gateway gateway{one_loop()};
+  gateway.add_route("/work", [](const Gateway::Request&) -> http::Response {
+    spin_ns(kWorkNs);
+    return {200, "text/plain; charset=utf-8", "w\n"};
+  });
+  ASSERT_TRUE(gateway.start());
+  const int fd = connect_loopback(gateway.port());
+  ASSERT_GE(fd, 0);
+  PROMOTE_OR_SKIP(fd, "/work");
+  ::close(fd);
+  gateway.stop();
+  EXPECT_EQ(gateway.jobs_inflight(), 0u);
+}
+
+TEST(Gateway, RouteThatStopsFanningOutEarnsTheLoop) {
+  std::atomic<int> fan_outs_left{40};
+  Gateway gateway{one_loop()};
+  gateway.add_route(
+      "/settles", [&fan_outs_left](const Gateway::Request&) -> http::Response {
+        if (fan_outs_left.fetch_sub(1) > 0) fan_out();
+        return {200, "text/plain; charset=utf-8", "s\n"};
+      });
+  ASSERT_TRUE(gateway.start());
+  const int fd = connect_loopback(gateway.port());
+  ASSERT_GE(fd, 0);
+  const int promoted_after = promote(fd, "/settles");
+  if (promoted_after == 0) {
+    ::close(fd);
+    if (kSanitized) GTEST_SKIP() << "/settles never fit the inline budget here";
+    FAIL() << "/settles never moved onto the loop";
+  }
+  // The fan-out runs all went to the pool, then a streak of plain ones.
+  EXPECT_GT(promoted_after,
+            40 + static_cast<int>(util::Placement::kInlineStreak));
+  ::close(fd);
+  gateway.stop();
+  EXPECT_EQ(gateway.jobs_inflight(), 0u);
+}
+
+TEST(Gateway, DemoVoteEarnsTheLoopOnceItsElectorateIsInline) {
+  // /vote's threaded electorate queues its legs on the pool until it has
+  // learned the calling thread; from then on the route is a short leaf.
+  Gateway gateway{one_loop()};
+  install_demo_routes(gateway);
+  ASSERT_TRUE(gateway.start());
+  const std::string expected = http_get(gateway.port(), "/fast?x=7").body;
+  const int fd = connect_loopback(gateway.port());
+  ASSERT_GE(fd, 0);
+  PROMOTE_OR_SKIP(fd, "/vote?x=7");
+  bool ran_inline = false;
+  const Reply vote = round_trip(fd, "/vote?x=7", &ran_inline);
+  EXPECT_EQ(vote.status, 200);
+  EXPECT_EQ(vote.body, expected);
+  ::close(fd);
+  gateway.stop();
+  EXPECT_EQ(gateway.jobs_inflight(), 0u);
+}
+
+TEST(Gateway, LoopRunThatQueuesPoolWorkSendsTheNextRunToThePool) {
+  std::atomic<bool> fan_next{false};
+  Gateway gateway{one_loop()};
+  gateway.add_route("/sometimes",
+                    [&fan_next](const Gateway::Request&) -> http::Response {
+                      if (fan_next.exchange(false)) fan_out();
+                      return {200, "text/plain; charset=utf-8", "t\n"};
+                    });
+  ASSERT_TRUE(gateway.start());
+  const int fd = connect_loopback(gateway.port());
+  ASSERT_GE(fd, 0);
+  // The fan-out lands on the loop only if the run before it stayed under
+  // budget; a sanitizer build can miss that now and then, so retry.
+  bool fanned_inline = false;
+  for (int attempt = 0; attempt < 20 && !fanned_inline; ++attempt) {
+    PROMOTE_OR_SKIP(fd, "/sometimes");
+    fan_next.store(true);
+    ASSERT_EQ(round_trip(fd, "/sometimes", &fanned_inline).body, "t\n");
+  }
+  if (!fanned_inline && kSanitized) {
+    ::close(fd);
+    GTEST_SKIP() << "no promoted run stayed within the inline budget here";
+  }
+  ASSERT_TRUE(fanned_inline);
+  bool next_ran_inline = true;
+  ASSERT_EQ(round_trip(fd, "/sometimes", &next_ran_inline).body, "t\n");
+  EXPECT_FALSE(next_ran_inline);
+  // The route stopped fanning out, so it earns the loop back.
+  PROMOTE_OR_SKIP(fd, "/sometimes");
+  ::close(fd);
+  gateway.stop();
+  EXPECT_EQ(gateway.jobs_inflight(), 0u);
+}
+
+TEST(Gateway, LoopRunJoiningPoolWorkBehindItsOwnLockStillAnswers) {
+  // A route on its loop holds its lock and joins pool work while every
+  // pool worker waits for that lock, as pool jobs of the same route queued
+  // behind it would. The reactor must run the joined task itself, not wait
+  // for a worker: the answer comes back well within a second, where
+  // waiting would last until the workers give up on the lock after 5 s.
+  const std::size_t workers = util::ThreadPool::shared().size();
+  std::timed_mutex route_m;
+  std::mutex gate_m;
+  std::condition_variable gate_cv;
+  bool holding = false;  // guarded by gate_m
+  std::atomic<bool> fan_next{false};
+  Gateway gateway{one_loop()};
+  gateway.add_route("/locked", [&](const Gateway::Request&) -> http::Response {
+    std::lock_guard lock(route_m);
+    if (fan_next.exchange(false)) {
+      {
+        std::lock_guard gate(gate_m);
+        holding = true;
+      }
+      gate_cv.notify_all();
+      fan_out();
+    }
+    return {200, "text/plain; charset=utf-8", "l\n"};
+  });
+  ASSERT_TRUE(gateway.start());
+  const int fd = connect_loopback(gateway.port());
+  ASSERT_GE(fd, 0);
+  PROMOTE_OR_SKIP(fd, "/locked");
+  // Occupy every worker: each waits until the route holds its lock, then
+  // queues on that lock.
+  std::atomic<std::size_t> blocked{0};
+  for (std::size_t i = 0; i < workers; ++i) {
+    util::ThreadPool::shared().post(util::ThreadPool::Task{[&] {
+      blocked.fetch_add(1);
+      {
+        std::unique_lock gate(gate_m);
+        gate_cv.wait_for(gate, std::chrono::seconds(5),
+                         [&] { return holding; });
+      }
+      if (route_m.try_lock_for(std::chrono::seconds(5))) route_m.unlock();
+    }});
+  }
+  while (blocked.load() < workers) std::this_thread::yield();
+  fan_next.store(true);
+  bool ran_inline = false;
+  const auto start = std::chrono::steady_clock::now();
+  const Reply reply = round_trip(fd, "/locked", &ran_inline);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  {
+    std::lock_guard gate(gate_m);
+    holding = true;  // release the workers if the run never got there
+  }
+  gate_cv.notify_all();
+  util::ThreadPool::shared().wait_idle();
+  ::close(fd);
+  gateway.stop();
+  EXPECT_EQ(reply.body, "l\n");
+  if (!ran_inline && kSanitized) {
+    GTEST_SKIP() << "the run after the promotion overran the budget here";
+  }
+  ASSERT_TRUE(ran_inline);
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
 }
 
 TEST(Gateway, OverBudgetInlineRunSendsTheRouteBackToThePool) {

@@ -155,8 +155,9 @@ TEST(PoolStress, JoinAllElectoratesFlipBetweenInlineAndPool) {
             kRequesters * static_cast<int>(util::Placement::kInlineStreak));
   EXPECT_EQ(inline_calls.load() + pooled_calls.load(), kRequesters * kCalls);
 #if !defined(__SANITIZE_THREAD__) && !defined(__SANITIZE_ADDRESS__)
-  // Under ThreadSanitizer even the light calls' legs sum past the budget,
-  // so every call stays pooled there and only that path is checked.
+  // Sanitizer builds slow the light calls' legs toward the budget, so
+  // whether any call earns the requester there depends on the host; only
+  // the pooled path is checked under them.
   EXPECT_GT(inline_calls.load(), 0);
 #endif
 }

@@ -5,8 +5,10 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <numeric>
 #include <optional>
 #include <stdexcept>
@@ -103,6 +105,43 @@ TEST(ThreadPool, RunAllSwallowPolicyIgnoresExceptions) {
   std::vector<ThreadPool::Task> tasks;
   tasks.emplace_back([] { throw std::runtime_error{"boom"}; });
   EXPECT_NO_THROW(pool.run_all(std::move(tasks)));
+}
+
+TEST(ThreadPool, ExternalRunAllRunsItsOwnTasksWhenEveryWorkerIsBlocked) {
+  // Both workers wait (up to 5 s) on a gate the caller opens only after its
+  // run_all returns, as pool jobs queued on a lock the caller holds would:
+  // no worker can take the batch, so the caller must run its own tasks once
+  // a poll finds them unclaimed. The batch's wrappers still run after the
+  // call, once the gate opens, and find nothing left to claim.
+  ThreadPool pool{2};
+  std::mutex m;
+  std::condition_variable cv;
+  bool open = false;
+  std::atomic<int> blocked{0};
+  for (int i = 0; i < 2; ++i) {
+    pool.post(ThreadPool::Task{[&] {
+      std::unique_lock lock(m);
+      blocked.fetch_add(1);
+      cv.wait_for(lock, std::chrono::seconds(5), [&] { return open; });
+    }});
+  }
+  while (blocked.load() < 2) std::this_thread::yield();
+  std::atomic<int> ran{0};
+  std::vector<ThreadPool::Task> tasks;
+  for (int i = 0; i < 3; ++i) {
+    tasks.emplace_back([&ran] { ran.fetch_add(1); });
+  }
+  const auto start = std::chrono::steady_clock::now();
+  pool.run_all(std::move(tasks));
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  {
+    std::lock_guard lock(m);
+    open = true;
+  }
+  cv.notify_all();
+  pool.wait_idle();
+  EXPECT_EQ(ran.load(), 3);
+  EXPECT_LT(elapsed, std::chrono::seconds(1));
 }
 
 TEST(ThreadPool, WaitIdleDrainsStragglers) {
