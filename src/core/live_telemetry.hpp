@@ -19,7 +19,7 @@
 //                              process exits, so scrapers can hit the
 //                              endpoints after the workload finished.
 //   REDUNDANCY_SLO_TARGETS     per-class SLOs as class=latency_ms@avail_pct
-//                              (e.g. "process_replicas.serve=50@99"):
+//                              (e.g. "process_replicas=50@99"):
 //                              registers the classes and feeds the engine
 //                              the recorder's spans, which score the classes
 //                              named after them. Each class adds a

@@ -47,6 +47,7 @@
 
 #include "core/concurrency.hpp"
 #include "core/pattern_core.hpp"
+#include "core/taxonomy.hpp"
 #include "core/voters.hpp"
 #include "obs/clock.hpp"
 #include "util/placement.hpp"
@@ -56,6 +57,10 @@ namespace redundancy::core {
 template <typename In, typename Out>
 class ParallelEvaluation : public PatternCore<In, Out> {
  public:
+  /// The Table-2 Pattern cell of every technique that runs on this class.
+  static constexpr ArchitecturalPattern kPattern =
+      ArchitecturalPattern::parallel_evaluation;
+
   ParallelEvaluation(std::vector<Variant<In, Out>> variants, Voter<Out> voter,
                      Concurrency mode = Concurrency::sequential,
                      Adjudication adjudication = Adjudication::join_all)

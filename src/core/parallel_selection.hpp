@@ -28,12 +28,17 @@
 
 #include "core/concurrency.hpp"
 #include "core/pattern_core.hpp"
+#include "core/taxonomy.hpp"
 
 namespace redundancy::core {
 
 template <typename In, typename Out>
 class ParallelSelection : public PatternCore<In, Out> {
  public:
+  /// The Table-2 Pattern cell of every technique that runs on this class.
+  static constexpr ArchitecturalPattern kPattern =
+      ArchitecturalPattern::parallel_selection;
+
   struct Checked {
     Variant<In, Out> variant;
     AcceptanceTest<In, Out> check;

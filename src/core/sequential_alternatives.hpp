@@ -34,12 +34,17 @@
 #include <vector>
 
 #include "core/pattern_core.hpp"
+#include "core/taxonomy.hpp"
 
 namespace redundancy::core {
 
 template <typename In, typename Out>
 class SequentialAlternatives : public PatternCore<In, Out> {
  public:
+  /// The Table-2 Pattern cell of every technique that runs on this class.
+  static constexpr ArchitecturalPattern kPattern =
+      ArchitecturalPattern::sequential_alternatives;
+
   struct Options {
     /// Invoked before every alternative after the first — the recovery-block
     /// "restore to the state before the primary ran". Installing a rollback

@@ -1,12 +1,12 @@
 // Umbrella header for instrumentation sites.
 //
-// Typical usage at a redundancy decision point:
+// Typical usage at a redundancy decision point, e.g. core::PatternCore:
 //
-//   obs::ScopedSpan span{"process_replicas.serve"};  // sampled request span
-//   ...fan replicas out, passing span.context()...
-//   obs::ScopedSpan child{"replica", ctx};            // child, any thread
-//   obs::record_adjudication(span.context(), ev);     // why the verdict
-//   counters.count(t0, accepted, recovered);          // exact, always-on
+//   obs::ScopedSpan span{"process_replicas"};      // sampled request span
+//   ...fan the legs out, passing span.context()...
+//   obs::ScopedSpan child{"variant", ctx};         // child, any thread
+//   obs::record_adjudication(span.context(), ev);  // why the verdict
+//   counters.count(t0, accepted, recovered);       // exact, always-on
 //
 // Every call is a no-op unless obs::enabled() (and compiles away entirely
 // under -DREDUNDANCY_OBS_NOOP).

@@ -219,7 +219,7 @@ class SloTracker final : public TraceSink {
 };
 
 /// Parse "class=latency_ms@availability_pct,..." (the REDUNDANCY_SLO_TARGETS
-/// format), e.g. "/fast=5@99.9,process_replicas.serve=50@99". Malformed
+/// format), e.g. "/fast=5@99.9,process_replicas=50@99". Malformed
 /// entries are skipped with a loud stderr warning; returns the valid
 /// (class, target) pairs.
 [[nodiscard]] std::vector<std::pair<std::string, SloTarget>>

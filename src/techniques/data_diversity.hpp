@@ -46,16 +46,40 @@ template <typename In, typename Out>
   return {"identity", [](const In& x) { return x; }, nullptr};
 }
 
+/// One variant per re-expression: `program` run on the re-expressed input,
+/// its output recovered for the original one.
+template <typename In, typename Out>
+[[nodiscard]] std::vector<core::Variant<In, Out>> reexpressed(
+    std::function<core::Result<Out>(const In&)> program,
+    std::vector<ReExpression<In, Out>> reexpressions) {
+  std::vector<core::Variant<In, Out>> variants;
+  variants.reserve(reexpressions.size());
+  for (auto& re : reexpressions) {
+    variants.push_back(core::make_variant<In, Out>(
+        re.name, [program, re](const In& input) -> core::Result<Out> {
+          const In expressed = re.express(input);
+          auto out = program(expressed);
+          if (!out.has_value()) return out;
+          return re.recover_output(input, out.value());
+        }));
+  }
+  return variants;
+}
+
 /// Retry block: run the program on the original input; if the acceptance
 /// test rejects (or the program fails), re-express and retry.
 template <typename In, typename Out>
 class RetryBlock {
  public:
+  using Engine = core::SequentialAlternatives<In, Out>;
+
   RetryBlock(std::function<core::Result<Out>(const In&)> program,
              std::vector<ReExpression<In, Out>> reexpressions,
              core::AcceptanceTest<In, Out> acceptance)
-      : engine_(wrap(std::move(program), std::move(reexpressions)),
-                std::move(acceptance)) {}
+      : engine_(reexpressed(std::move(program), std::move(reexpressions)),
+                std::move(acceptance)) {
+    engine_.set_obs_label("data_diversity");
+  }
 
   core::Result<Out> run(const In& input) { return engine_.run(input); }
 
@@ -70,32 +94,14 @@ class RetryBlock {
         .type = core::RedundancyType::data,
         .adjudicator = core::AdjudicatorKind::reactive_hybrid,
         .faults = core::TargetFaults::development,
-        .pattern = core::ArchitecturalPattern::sequential_alternatives,
+        .pattern = Engine::kPattern,
         .summary = "executes the same code with perturbed (re-expressed) "
                    "input data",
     };
   }
 
  private:
-  static std::vector<core::Variant<In, Out>> wrap(
-      std::function<core::Result<Out>(const In&)> program,
-      std::vector<ReExpression<In, Out>> reexpressions) {
-    std::vector<core::Variant<In, Out>> variants;
-    variants.reserve(reexpressions.size());
-    for (auto& re : reexpressions) {
-      variants.push_back(core::make_variant<In, Out>(
-          re.name,
-          [program, re](const In& input) -> core::Result<Out> {
-            const In expressed = re.express(input);
-            auto out = program(expressed);
-            if (!out.has_value()) return out;
-            return re.recover_output(input, out.value());
-          }));
-    }
-    return variants;
-  }
-
-  core::SequentialAlternatives<In, Out> engine_;
+  Engine engine_;
 };
 
 /// N-copy programming: all re-expressed copies run "in parallel" and an
@@ -109,8 +115,10 @@ class NCopyProgramming {
                    core::Voter<Out> voter = core::majority_voter<Out>(),
                    core::Concurrency mode = core::Concurrency::sequential,
                    core::Adjudication adjudication = core::Adjudication::join_all)
-      : engine_(wrap(std::move(program), std::move(reexpressions)),
-                std::move(voter), mode, adjudication) {}
+      : engine_(reexpressed(std::move(program), std::move(reexpressions)),
+                std::move(voter), mode, adjudication) {
+    engine_.set_obs_label("data_diversity");
+  }
 
   core::Result<Out> run(const In& input) { return engine_.run(input); }
 
@@ -120,24 +128,6 @@ class NCopyProgramming {
   }
 
  private:
-  static std::vector<core::Variant<In, Out>> wrap(
-      std::function<core::Result<Out>(const In&)> program,
-      std::vector<ReExpression<In, Out>> reexpressions) {
-    std::vector<core::Variant<In, Out>> variants;
-    variants.reserve(reexpressions.size());
-    for (auto& re : reexpressions) {
-      variants.push_back(core::make_variant<In, Out>(
-          re.name,
-          [program, re](const In& input) -> core::Result<Out> {
-            const In expressed = re.express(input);
-            auto out = program(expressed);
-            if (!out.has_value()) return out;
-            return re.recover_output(input, out.value());
-          }));
-    }
-    return variants;
-  }
-
   core::ParallelEvaluation<In, Out> engine_;
 };
 

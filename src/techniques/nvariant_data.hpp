@@ -9,12 +9,17 @@
 // flags the corruption. To evade detection the attacker would have to alter
 // each variant differently, with knowledge of every variant's encoding.
 //
+// A read is one core::ParallelEvaluation call (Figure 1a) labelled
+// "nvariant_data": one leg per variant decodes the cell, and the stock
+// unanimity voter compares the interpretations.
+//
 // Taxonomy: deliberate / data / reactive implicit / malicious faults.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
+#include "core/parallel_evaluation.hpp"
 #include "core/registry.hpp"
 #include "core/result.hpp"
 #include "util/rng.hpp"
@@ -23,15 +28,20 @@ namespace redundancy::techniques {
 
 class NVariantStore {
  public:
+  using Engine = core::ParallelEvaluation<std::size_t, std::int64_t>;
+
   /// `variants` independent encodings; masks are derived from `seed` and
   /// private to the store (the attacker does not see them).
   NVariantStore(std::size_t cells, std::size_t variants, std::uint64_t seed);
+  // The engine's legs point back at this store's variants.
+  NVariantStore(const NVariantStore&) = delete;
+  NVariantStore& operator=(const NVariantStore&) = delete;
 
   /// Legitimate write: encodes the value into every variant.
   core::Status write(std::size_t cell, std::int64_t value);
 
   /// Legitimate read: decodes every variant and compares interpretations.
-  [[nodiscard]] core::Result<std::int64_t> read(std::size_t cell) const;
+  [[nodiscard]] core::Result<std::int64_t> read(std::size_t cell);
 
   // --- attack surface ----------------------------------------------------
   /// Memory-corruption attack: the attacker smashes the concrete storage of
@@ -52,7 +62,7 @@ class NVariantStore {
         .type = core::RedundancyType::data,
         .adjudicator = core::AdjudicatorKind::reactive_implicit,
         .faults = core::TargetFaults::malicious,
-        .pattern = core::ArchitecturalPattern::parallel_evaluation,
+        .pattern = Engine::kPattern,
         .summary = "stores data in variants where identical concrete values "
                    "have different interpretations; comparison exposes "
                    "corruption",
@@ -62,11 +72,15 @@ class NVariantStore {
  private:
   [[nodiscard]] std::int64_t encode(std::size_t v, std::int64_t value) const;
   [[nodiscard]] std::int64_t decode(std::size_t v, std::int64_t raw) const;
+  /// One leg per variant: the cell as that variant interprets it.
+  [[nodiscard]] std::vector<core::Variant<std::size_t, std::int64_t>> decoders(
+      std::size_t variants) const;
 
   std::size_t cells_;
   std::vector<std::uint64_t> masks_;          ///< one per variant
   std::vector<std::vector<std::int64_t>> store_;  ///< [variant][cell]
-  mutable std::size_t detections_ = 0;
+  Engine engine_;
+  std::size_t detections_ = 0;
 };
 
 }  // namespace redundancy::techniques

@@ -20,6 +20,8 @@ namespace redundancy::techniques {
 template <typename In, typename Out>
 class NVersionProgramming {
  public:
+  using Engine = core::ParallelEvaluation<In, Out>;
+
   /// `versions` are the independently developed implementations. The
   /// default adjudicator is the strict-majority voter; pass e.g.
   /// core::median_voter for inexact voting. With Concurrency::threaded +
@@ -66,14 +68,14 @@ class NVersionProgramming {
         .type = core::RedundancyType::code,
         .adjudicator = core::AdjudicatorKind::reactive_implicit,
         .faults = core::TargetFaults::development,
-        .pattern = core::ArchitecturalPattern::parallel_evaluation,
+        .pattern = Engine::kPattern,
         .summary = "compares the results of executing different versions of "
                    "the program to identify errors",
     };
   }
 
  private:
-  core::ParallelEvaluation<In, Out> engine_;
+  Engine engine_;
 };
 
 }  // namespace redundancy::techniques

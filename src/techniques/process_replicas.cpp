@@ -1,16 +1,19 @@
 #include "techniques/process_replicas.hpp"
 
-#include <optional>
+#include <string>
 
 #include "obs/obs.hpp"
-#include "util/thread_pool.hpp"
 
 namespace redundancy::techniques {
 
 ProcessReplicas::ProcessReplicas(
     const vm::Program& program, Options options,
     std::function<void(vm::Vm&, std::size_t)> plant)
-    : program_(program), options_(options), plant_(std::move(plant)) {
+    : program_(program),
+      options_(options),
+      plant_(std::move(plant)),
+      engine_(replica_legs(), core::unanimity_voter<vm::Behaviour>()) {
+  engine_.set_obs_label("process_replicas");
   if (options_.partition_addresses) {
     partitions_ =
         vm::partition_address_space(options_.memory_words, options_.replicas);
@@ -34,6 +37,18 @@ ProcessReplicas::ProcessReplicas(
   reset();
 }
 
+std::vector<core::Variant<ProcessReplicas::Request, vm::Behaviour>>
+ProcessReplicas::replica_legs() {
+  std::vector<core::Variant<Request, vm::Behaviour>> legs;
+  for (std::size_t r = 0; r < options_.replicas; ++r) {
+    legs.push_back(core::make_variant<Request, vm::Behaviour>(
+        "replica-" + std::to_string(r), [this, r](const Request& request) {
+          return vms_[r]->run(partitions_[r].base, request);
+        }));
+  }
+  return legs;
+}
+
 void ProcessReplicas::reset() {
   for (std::size_t r = 0; r < vms_.size(); ++r) {
     vms_[r]->reset();
@@ -42,68 +57,18 @@ void ProcessReplicas::reset() {
   }
 }
 
-core::Result<vm::Behaviour> ProcessReplicas::serve(
-    const std::vector<std::int64_t>& request) {
-  ++requests_;
-  obs::ScopedSpan span{"process_replicas.serve"};
-  const obs::SpanContext ctx = span.context();
-  const std::uint64_t t0 = obs::enabled() ? obs::now_ns() : 0;
-  std::vector<core::Ballot<vm::Behaviour>> ballots;
-  ballots.reserve(vms_.size());
-  if (options_.concurrency == core::Concurrency::threaded) {
-    // Replicas are disjoint VMs, so each can run on its own worker; the
-    // barrier below keeps the comparison over the complete behaviour set.
-    std::vector<std::optional<core::Ballot<vm::Behaviour>>> slots(vms_.size());
-    util::BatchRunner batch;
-    for (std::size_t r = 0; r < vms_.size(); ++r) {
-      batch.add([this, r, &slots, &request, ctx] {
-        obs::ScopedSpan rspan{"replica", ctx};
-        rspan.set_detail("replica-" + std::to_string(r));
-        slots[r].emplace(r, "replica-" + std::to_string(r),
-                         vms_[r]->run(partitions_[r].base, request));
-        rspan.set_ok(slots[r]->result.has_value());
-      });
-    }
-    batch.run_and_wait();
-    for (auto& slot : slots) ballots.push_back(std::move(*slot));
-  } else {
-    for (std::size_t r = 0; r < vms_.size(); ++r) {
-      obs::ScopedSpan rspan{"replica", ctx};
-      rspan.set_detail("replica-" + std::to_string(r));
-      auto behaviour = vms_[r]->run(partitions_[r].base, request);
-      rspan.set_ok(behaviour.has_value());
-      ballots.push_back(
-          {r, "replica-" + std::to_string(r), std::move(behaviour)});
+core::Result<vm::Behaviour> ProcessReplicas::serve(const Request& request) {
+  auto verdict = engine_.run(request);
+  // Unanimity flags any divergence or failed replica as an attack.
+  if (!verdict.has_value() &&
+      verdict.error().kind == core::FailureKind::detected_attack) {
+    ++detections_;
+    if (obs::enabled()) {
+      static obs::Counter& detected =
+          obs::counter("technique.detections", "process_replicas");
+      detected.add();
     }
   }
-  auto verdict = core::unanimity_voter<vm::Behaviour>()(ballots);
-  const bool attack = !verdict.has_value() &&
-                      verdict.error().kind == core::FailureKind::detected_attack;
-  if (attack) ++detections_;
-  if (ctx.active()) {
-    obs::AdjudicationEvent event;
-    event.technique = "process_replicas";
-    event.electorate = ballots.size();
-    event.ballots_seen = ballots.size();
-    for (const auto& b : ballots) {
-      if (!b.result.has_value()) ++event.ballots_failed;
-    }
-    event.accepted = verdict.has_value();
-    event.verdict = verdict.has_value()
-                        ? "ok"
-                        : (attack ? "divergence: " + verdict.error().describe()
-                                  : verdict.error().describe());
-    obs::record_adjudication(ctx, std::move(event));
-  }
-  if (t0 != 0) {
-    static obs::TechniqueCounters counters{"process_replicas"};
-    static obs::Counter& detected =
-        obs::counter("technique.detections", "process_replicas");
-    // Unanimity masks nothing: an accepted verdict had no failed replica.
-    counters.count(t0, verdict.has_value(), false);
-    if (attack) detected.add();
-  }
-  span.set_ok(verdict.has_value());
   return verdict;
 }
 

@@ -24,6 +24,8 @@ namespace redundancy::techniques {
 template <typename In, typename Out>
 class RecoveryBlocks {
  public:
+  using Engine = core::SequentialAlternatives<In, Out>;
+
   /// Stateless form: no rollback is needed because alternates are pure.
   RecoveryBlocks(std::vector<core::Variant<In, Out>> alternates,
                  core::AcceptanceTest<In, Out> acceptance)
@@ -39,7 +41,7 @@ class RecoveryBlocks {
       : store_(std::in_place, 2),
         state_(&state),
         engine_(std::move(alternates), std::move(acceptance),
-                typename core::SequentialAlternatives<In, Out>::Options{
+                typename Engine::Options{
                     .rollback =
                         [this] {
                           if (state_ != nullptr) {
@@ -73,8 +75,7 @@ class RecoveryBlocks {
   /// fail. Stateless form only — the engine ignores hedging when a rollback
   /// is installed.
   void enable_hedging(
-      typename core::SequentialAlternatives<In, Out>::Options::Hedge hedge =
-          {.enabled = true}) {
+      typename Engine::Options::Hedge hedge = {.enabled = true}) {
     hedge.enabled = true;
     engine_.set_hedge(hedge);
   }
@@ -97,7 +98,7 @@ class RecoveryBlocks {
         .type = core::RedundancyType::code,
         .adjudicator = core::AdjudicatorKind::reactive_explicit,
         .faults = core::TargetFaults::development,
-        .pattern = core::ArchitecturalPattern::sequential_alternatives,
+        .pattern = Engine::kPattern,
         .summary = "check the results of executing a program version and "
                    "switch to a different version if the current execution "
                    "fails",
@@ -107,7 +108,7 @@ class RecoveryBlocks {
  private:
   std::optional<env::CheckpointStore> store_;
   env::Checkpointable* state_ = nullptr;
-  core::SequentialAlternatives<In, Out> engine_;
+  Engine engine_;
 };
 
 /// Concurrent recovery blocks: primary and alternates race on the shared

@@ -7,7 +7,8 @@
 // exception handling generalized into a first-class, inspectable table.
 //
 // Taxonomy: deliberate / code / reactive explicit / development faults.
-// Pattern: sequential alternatives.
+// Pattern: intra-component. The failure's signature picks one rule; a
+// failed recovery action is not followed by another.
 #pragma once
 
 #include <functional>
@@ -57,7 +58,7 @@ class RuleEngine {
         .type = core::RedundancyType::code,
         .adjudicator = core::AdjudicatorKind::reactive_explicit,
         .faults = core::TargetFaults::development,
-        .pattern = core::ArchitecturalPattern::sequential_alternatives,
+        .pattern = core::ArchitecturalPattern::intra_component,
         .summary = "failure handlers coded at design time are activated "
                    "through registries when matching failures occur",
     };

@@ -23,7 +23,8 @@ namespace redundancy::techniques {
 template <typename In, typename Out>
 class SelfCheckingProgramming {
  public:
-  using Component = typename core::ParallelSelection<In, Out>::Checked;
+  using Engine = core::ParallelSelection<In, Out>;
+  using Component = typename Engine::Checked;
 
   /// Build a self-checking component of form (a): implementation + built-in
   /// acceptance test.
@@ -61,10 +62,9 @@ class SelfCheckingProgramming {
       std::vector<Component> components,
       core::Concurrency mode = core::Concurrency::sequential)
       : engine_(std::move(components),
-                typename core::ParallelSelection<In, Out>::Options{
-                    .disable_on_failure = true,
-                    .lazy = false,
-                    .concurrency = mode}) {
+                typename Engine::Options{.disable_on_failure = true,
+                                         .lazy = false,
+                                         .concurrency = mode}) {
     engine_.set_obs_label("self_checking");
   }
 
@@ -90,14 +90,14 @@ class SelfCheckingProgramming {
         .type = core::RedundancyType::code,
         .adjudicator = core::AdjudicatorKind::reactive_hybrid,
         .faults = core::TargetFaults::development,
-        .pattern = core::ArchitecturalPattern::parallel_selection,
+        .pattern = Engine::kPattern,
         .summary = "parallelizes the execution of recovery blocks: acting "
                    "components are replaced by hot spares on failure",
     };
   }
 
  private:
-  core::ParallelSelection<In, Out> engine_;
+  Engine engine_;
 };
 
 }  // namespace redundancy::techniques

@@ -8,7 +8,8 @@
 //
 // Taxonomy: deliberate / code / reactive explicit / development faults
 // (here: performance faults, a non-functional development fault).
-// Pattern: sequential alternatives.
+// Pattern: intra-component. The monitor switches implementation on a
+// windowed SLA, not per request: no request tries a second alternative.
 #pragma once
 
 #include <deque>
@@ -60,7 +61,7 @@ class SelfOptimizing {
         .type = core::RedundancyType::code,
         .adjudicator = core::AdjudicatorKind::reactive_explicit,
         .faults = core::TargetFaults::development,
-        .pattern = core::ArchitecturalPattern::sequential_alternatives,
+        .pattern = core::ArchitecturalPattern::intra_component,
         .summary = "changes the executing components to recover from "
                    "performance degradation",
     };

@@ -11,7 +11,10 @@
 // accounting and taxonomy.
 //
 // Taxonomy: opportunistic / code / reactive explicit / development faults.
-// Pattern: sequential alternatives.
+// Pattern: intra-component. The binding is the one component the consumer
+// holds: after a failure it searches the registry for a substitute, wires
+// a converter and stays rebound, so there is no fixed list of alternatives
+// for a Figure-1 pattern to run in turn.
 #pragma once
 
 #include <memory>
@@ -61,7 +64,7 @@ class ServiceSubstitution {
         .type = core::RedundancyType::code,
         .adjudicator = core::AdjudicatorKind::reactive_explicit,
         .faults = core::TargetFaults::development,
-        .pattern = core::ArchitecturalPattern::sequential_alternatives,
+        .pattern = core::ArchitecturalPattern::intra_component,
         .summary = "links to alternative services (adapted via converters "
                    "when interfaces merely resemble) to overcome failures",
     };

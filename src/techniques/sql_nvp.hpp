@@ -20,7 +20,6 @@
 
 #include "core/metrics.hpp"
 #include "core/redundancy_cache.hpp"
-#include "core/registry.hpp"
 #include "sql/store.hpp"
 
 namespace redundancy::techniques {
@@ -80,21 +79,6 @@ class ReplicatedSqlServer final : public sql::SqlStore {
   }
   [[nodiscard]] const core::Metrics& metrics() const noexcept {
     return metrics_;
-  }
-
-  [[nodiscard]] static core::TaxonomyEntry taxonomy() {
-    // The same Table 2 row as classic NVP — this is its service-level
-    // incarnation, included for the SQL experiment's bookkeeping.
-    return {
-        .name = "N-version programming (SQL servers)",
-        .intention = core::Intention::deliberate,
-        .type = core::RedundancyType::code,
-        .adjudicator = core::AdjudicatorKind::reactive_implicit,
-        .faults = core::TargetFaults::development,
-        .pattern = core::ArchitecturalPattern::parallel_evaluation,
-        .summary = "executes every statement on diverse SQL engines, votes "
-                   "on outputs and reconciles state digests",
-    };
   }
 
  private:

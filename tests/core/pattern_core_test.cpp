@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -67,6 +68,10 @@ struct ModeCase {
   std::string name;
   std::function<Probe()> run;
 };
+
+// gtest would print the case as raw bytes, the std::function's pointers
+// included, and every test listing would differ: print its name instead.
+void PrintTo(const ModeCase& mode, std::ostream* os) { *os << mode.name; }
 
 /// Healthy legs of the early-return modes run this much slower than the
 /// thrower, so closing the race cannot skip the thrower before it starts.

@@ -1,8 +1,28 @@
 // Verifies that the taxonomy entries the implementations declare reproduce
-// the paper's Table 2 — row order, and all four dimension cells per row.
+// the paper's Table 2 — row order, and all four dimension cells per row —
+// and that each row's Pattern cell is the Figure-1 pattern its class runs.
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/registry.hpp"
+#include "techniques/checkpoint_recovery.hpp"
+#include "techniques/data_diversity.hpp"
+#include "techniques/genetic_repair.hpp"
+#include "techniques/microreboot.hpp"
+#include "techniques/nvariant_data.hpp"
+#include "techniques/nvp.hpp"
+#include "techniques/process_replicas.hpp"
+#include "techniques/recovery_blocks.hpp"
+#include "techniques/rejuvenation.hpp"
+#include "techniques/robust_data.hpp"
+#include "techniques/rule_engine.hpp"
+#include "techniques/rx.hpp"
+#include "techniques/self_checking.hpp"
+#include "techniques/self_optimizing.hpp"
+#include "techniques/service_substitution.hpp"
+#include "techniques/workarounds.hpp"
+#include "techniques/wrappers.hpp"
 
 namespace redundancy::core {
 namespace {
@@ -87,6 +107,69 @@ TEST_F(Table2Test, EveryCellMatchesPaper) {
     EXPECT_EQ(entry->adjudicator, row.adjudicator) << row.name;
     EXPECT_EQ(entry->faults, row.faults) << row.name;
     EXPECT_FALSE(entry->summary.empty()) << row.name;
+  }
+}
+
+// The Pattern column is this repo's addition, not the paper's. A class that
+// runs on a Figure-1 pattern class names it as its Engine; one that does
+// not runs no Figure-1 pattern and may claim only an intra-component or
+// environment-level placement.
+struct ClassRow {
+  TaxonomyEntry entry;
+  std::optional<ArchitecturalPattern> runs;  ///< its Engine's pattern
+};
+
+template <typename Technique>
+ClassRow row_of() {
+  if constexpr (requires { Technique::Engine::kPattern; }) {
+    return {Technique::taxonomy(), Technique::Engine::kPattern};
+  } else {
+    return {Technique::taxonomy(), std::nullopt};
+  }
+}
+
+bool is_figure1(ArchitecturalPattern p) {
+  return p == ArchitecturalPattern::parallel_evaluation ||
+         p == ArchitecturalPattern::parallel_selection ||
+         p == ArchitecturalPattern::sequential_alternatives;
+}
+
+TEST_F(Table2Test, PatternCellIsThePatternClassThatRuns) {
+  using namespace redundancy::techniques;
+  const ClassRow rows[] = {
+      row_of<NVersionProgramming<int, int>>(),
+      row_of<RecoveryBlocks<int, int>>(),
+      row_of<SelfCheckingProgramming<int, int>>(),
+      row_of<SelfOptimizing>(),
+      row_of<RuleEngine>(),
+      row_of<HeapHealer>(),
+      row_of<RobustList>(),
+      row_of<RetryBlock<int, int>>(),
+      row_of<NVariantStore>(),
+      {rejuvenation_taxonomy(), std::nullopt},  // a policy, not a class
+      row_of<RxRecovery>(),
+      row_of<ProcessReplicas>(),
+      row_of<ServiceSubstitution>(),
+      row_of<GeneticRepair>(),
+      row_of<AutomaticWorkarounds>(),
+      row_of<CheckpointRecovery>(),
+      row_of<MicrorebootContainer>(),
+  };
+  const auto& registered = TechniqueRegistry::instance().entries();
+  ASSERT_EQ(registered.size(), std::size(rows));
+  for (std::size_t i = 0; i < std::size(rows); ++i) {
+    const TaxonomyEntry& entry = rows[i].entry;
+    EXPECT_TRUE(entry == registered[i]) << "row " << i << ": " << entry.name;
+    const std::string_view claims = to_string(entry.pattern);
+    if (rows[i].runs) {
+      EXPECT_EQ(entry.pattern, *rows[i].runs)
+          << entry.name << " claims " << claims << " but runs "
+          << to_string(*rows[i].runs);
+    } else {
+      EXPECT_FALSE(is_figure1(entry.pattern))
+          << entry.name << " claims " << claims
+          << " but runs no pattern class";
+    }
   }
 }
 

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+
+#include "obs/obs.hpp"
 
 namespace redundancy::techniques {
 namespace {
@@ -86,6 +89,32 @@ TEST(RetryBlock, RecoveryTransformMapsOutputBack) {
   auto out = rb.run(Pair{7, 0});
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out.value(), 70);
+}
+
+TEST(RetryBlock, ReportsUnderDataDiversity) {
+  if (!obs::kCompiledIn) {
+    GTEST_SKIP() << "obs compiled out (REDUNDANCY_OBS_NOOP)";
+  }
+  obs::Counter& requests =
+      obs::counter(obs::TechniqueCounters::kRequests, "data_diversity");
+  const std::uint64_t requests0 = requests.total();
+  RetryBlock<Pair, std::int64_t> rb{
+      buggy_sum, {identity_reexpression<Pair, std::int64_t>(), shift(1)},
+      plausible_sum()};
+  auto& recorder = obs::Recorder::instance();
+  auto sink = std::make_shared<obs::CollectingSink>();
+  recorder.clear_sinks();
+  recorder.set_sample_every(1);
+  recorder.add_sink(sink);
+  recorder.set_enabled(true);
+  const auto out = rb.run(Pair{4, 4});
+  recorder.flush();
+  recorder.set_enabled(false);
+  recorder.clear_sinks();
+  ASSERT_TRUE(out.has_value());
+  ASSERT_EQ(sink->adjudications().size(), 1u);
+  EXPECT_EQ(sink->adjudications()[0].technique, "data_diversity");
+  EXPECT_EQ(requests.total() - requests0, 1u);
 }
 
 TEST(NCopy, MajorityAcrossReExpressedCopies) {

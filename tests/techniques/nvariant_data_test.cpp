@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/obs.hpp"
+
 namespace redundancy::techniques {
 namespace {
 
@@ -67,6 +69,29 @@ TEST(NVariantData, SingleVariantDegradesToPlainStorage) {
   ASSERT_TRUE(out.has_value());
   EXPECT_EQ(out.value(), 0x41414141);
   EXPECT_EQ(store.detections(), 0u);
+}
+
+TEST(NVariantData, ReadsWriteTechniqueSeries) {
+  if (!obs::kCompiledIn) {
+    GTEST_SKIP() << "obs compiled out (REDUNDANCY_OBS_NOOP)";
+  }
+  obs::Counter& requests =
+      obs::counter(obs::TechniqueCounters::kRequests, "nvariant_data");
+  obs::Counter& unrecovered =
+      obs::counter(obs::TechniqueCounters::kUnrecovered, "nvariant_data");
+  const std::uint64_t requests0 = requests.total();
+  const std::uint64_t unrecovered0 = unrecovered.total();
+  NVariantStore store{4, 3, 7};
+  ASSERT_TRUE(store.write(0, 5).has_value());
+  store.smash_all_variants(1, 0x41414141);
+  obs::Recorder::instance().set_enabled(true);
+  const auto clean = store.read(0);
+  const auto smashed = store.read(1);
+  obs::Recorder::instance().set_enabled(false);
+  ASSERT_TRUE(clean.has_value());
+  ASSERT_FALSE(smashed.has_value());
+  EXPECT_EQ(requests.total() - requests0, 2u);
+  EXPECT_EQ(unrecovered.total() - unrecovered0, 1u);
 }
 
 class VariantCountTest : public ::testing::TestWithParam<std::size_t> {};

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+#include <string>
+
 #include "obs/obs.hpp"
 #include "vm/attacks.hpp"
 
@@ -62,6 +66,45 @@ TEST(ProcessReplicas, AttackRequestWritesTechniqueUnrecovered) {
   ASSERT_TRUE(benign.has_value());
   EXPECT_EQ(requests.total() - requests0, 2u);
   EXPECT_EQ(unrecovered.total() - unrecovered0, 1u);
+}
+
+TEST(ProcessReplicas, SampledAttackIsOneVerdictOverEveryReplicaLeg) {
+  if (!obs::kCompiledIn) {
+    GTEST_SKIP() << "obs compiled out (REDUNDANCY_OBS_NOOP)";
+  }
+  auto replicas = make_replicas({.replicas = 3});
+  const std::size_t base = replicas.partitions()[0].base;
+  auto& recorder = obs::Recorder::instance();
+  auto sink = std::make_shared<obs::CollectingSink>();
+  recorder.clear_sinks();
+  recorder.set_sample_every(1);
+  recorder.add_sink(sink);
+  recorder.set_enabled(true);
+  const auto out = replicas.serve(vm::absolute_address_attack(base));
+  recorder.flush();
+  recorder.set_enabled(false);
+  recorder.clear_sinks();
+  ASSERT_FALSE(out.has_value());
+
+  ASSERT_EQ(sink->adjudications().size(), 1u);
+  const obs::AdjudicationEvent& verdict = sink->adjudications()[0];
+  EXPECT_EQ(verdict.technique, "process_replicas");
+  EXPECT_EQ(verdict.electorate, 3u);
+  EXPECT_FALSE(verdict.accepted);
+  const obs::SpanRecord* pattern = nullptr;
+  for (const auto& span : sink->spans()) {
+    if (span.span_id == verdict.parent_id) pattern = &span;
+  }
+  ASSERT_NE(pattern, nullptr);
+  EXPECT_EQ(pattern->name, "process_replicas");
+  std::multiset<std::string> legs;
+  for (const auto& span : sink->spans()) {
+    if (span.parent_id != pattern->span_id) continue;
+    EXPECT_EQ(span.name, "variant");
+    legs.insert(span.detail);
+  }
+  EXPECT_EQ(legs, (std::multiset<std::string>{"replica-0", "replica-1",
+                                              "replica-2"}));
 }
 
 TEST(ProcessReplicas, CodeInjectionDetectedByTagging) {

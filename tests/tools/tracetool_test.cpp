@@ -156,6 +156,7 @@ TEST(TracetoolAttribution, FaultClassMirrorsTable2) {
   EXPECT_EQ(fault_class_of("recovery_blocks"), "development");
   EXPECT_EQ(fault_class_of("self_checking"), "development");
   EXPECT_EQ(fault_class_of("process_replicas"), "malicious");
+  EXPECT_EQ(fault_class_of("nvariant_data"), "malicious");
   EXPECT_EQ(fault_class_of("checkpoint_recovery"), "Heisenbugs");
   EXPECT_EQ(fault_class_of("microreboot"), "Heisenbugs");
   EXPECT_EQ(fault_class_of("not_a_technique"), "—");

@@ -116,6 +116,7 @@ std::string fault_class_of(const std::string& technique) {
       {"sequential_alternatives", "development"},
       {"data_diversity", "development"},
       {"process_replicas", "malicious"},
+      {"nvariant_data", "malicious"},
       {"checkpoint_recovery", "Heisenbugs"},
       {"process_pair", "Heisenbugs"},
       {"microreboot", "Heisenbugs"},
