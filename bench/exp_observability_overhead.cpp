@@ -45,8 +45,10 @@ int busy_variant(const int& x) {
 core::ParallelEvaluation<int, int> make_engine() {
   std::vector<core::Variant<int, int>> variants;
   for (int i = 0; i < 3; ++i) {
-    variants.push_back(core::make_variant<int, int>(
-        "v" + std::to_string(i), busy_variant, 1.0));
+    std::string name = "v";
+    name += std::to_string(i);
+    variants.push_back(
+        core::make_variant<int, int>(std::move(name), busy_variant, 1.0));
   }
   return core::ParallelEvaluation<int, int>(std::move(variants),
                                             core::majority_voter<int>());

@@ -146,6 +146,21 @@ for burst in $(seq 1 20); do
 done
 test "$(inline_total)" -gt "${after_echo}"
 
+# /fast's cache misses race a hedged primary on the pool only until the
+# primary has learned the calling thread; then a miss is a short leaf too.
+# Keep-alive bursts of /fast over fresh keys (every request a miss) follow
+# until the inline count rises past its value after /vote.
+after_vote="$(inline_total)"
+for burst in $(seq 1 20); do
+  [ "$(inline_total)" -gt "${after_vote}" ] && break
+  fast_burst=()
+  for i in $(seq 1 128); do
+    fast_burst+=("localhost:${PORT}/fast?x=$((burst * 1000 + i))")
+  done
+  curl -sf "${fast_burst[@]}" > /dev/null
+done
+test "$(inline_total)" -gt "${after_vote}"
+
 kill "${server}"
 wait "${server}"   # exit code re-checks zero jobs in flight
 trap - EXIT

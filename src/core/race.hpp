@@ -18,9 +18,29 @@
 // bookkeeping to the pattern's LateLegs fold instead of to this call.
 // Legs may outlive the call and the pattern that posted them, so the race
 // state shares ownership of everything they touch.
+//
+// Every waiter, pool worker or not, follows one rule (Race::wait). It runs
+// no other queued work. Each posted leg is claimed exactly once, by its
+// pool task or by the waiter, as run_all claims its tasks by index. A leg
+// may be posted *guarded*: a deadline is meant to overtake it, so the
+// waiter never runs it while a deadline is pending (running it inline
+// would hold the hedge back until it returned); a leg still running when
+// a deadline passes has overrun it and counts as guarded from then on.
+// When every worker is running a task, so none is free to take them, the
+// waiter claims its unclaimed legs itself, lowest first, the guarded ones
+// last and only with no deadline pending. A pool worker does so at once:
+// its legs sit in its own deque, and sleeping would idle the worker they
+// were queued on. A waiter outside the pool first lets an unguarded leg of
+// its race that is running on a worker finish, since that leg may decide
+// the race before one the waiter started could return. The wait re-checks
+// every 1 ms, so it ends even when every worker is busy or queued behind a
+// lock the waiter holds.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -57,22 +77,24 @@ struct Legs {
 };
 
 /// One settled leg: which leg, its result (a failure when the variant
-/// failed, threw, or had its result rejected) and whether a check judged
-/// it.
+/// failed, threw, or had its result rejected), whether a check judged it
+/// and, in a race with a latency histogram, the variant's run time.
 template <typename Out>
 struct LegOutcome {
   std::size_t index = 0;
   Result<Out> result;
   bool judged = false;
+  std::uint64_t ns = 0;  ///< as recorded in the race's histogram; else 0
 
   [[nodiscard]] bool ok() const noexcept { return result.has_value(); }
 };
 
 /// A variant's result, with a throw turned into a crash. `latency`, when
-/// set, records the variant's run time.
+/// set, records the variant's run time, which also lands in `*ns` when
+/// given.
 template <typename In, typename Out>
 Result<Out> run_variant(const Variant<In, Out>& v, const In& input,
-                        obs::Histogram* latency) {
+                        obs::Histogram* latency, std::uint64_t* ns = nullptr) {
   const std::uint64_t t0 = latency != nullptr ? obs::now_ns() : 0;
   Result<Out> r = [&]() -> Result<Out> {
     try {
@@ -81,7 +103,11 @@ Result<Out> run_variant(const Variant<In, Out>& v, const In& input,
       return failure(FailureKind::crash, v.name + " threw");
     }
   }();
-  if (latency != nullptr) latency->record(obs::now_ns() - t0);
+  if (latency != nullptr) {
+    const std::uint64_t took = obs::now_ns() - t0;
+    latency->record(took);
+    if (ns != nullptr) *ns = took;
+  }
   return r;
 }
 
@@ -102,19 +128,19 @@ bool judge(const Legs<In, Out>& legs, std::size_t i, const In& input,
 
 /// The one leg runner: leg i's result, a failure when the variant failed,
 /// threw or had its result rejected. `judged`, when given, says whether a
-/// check judged the leg. The leg's span is built only for a sampled
-/// request.
+/// check judged the leg; `ns` receives the run time `latency` records. The
+/// leg's span is built only for a sampled request.
 template <typename In, typename Out>
 Result<Out> run_leg(const Legs<In, Out>& legs, std::size_t i, const In& input,
                     obs::SpanContext ctx, obs::Histogram* latency = nullptr,
-                    bool* judged = nullptr) {
+                    bool* judged = nullptr, std::uint64_t* ns = nullptr) {
   const Variant<In, Out>& v = legs.variants[i];
   std::optional<obs::ScopedSpan> span;
   if (ctx.active()) {
     span.emplace(legs.span, ctx);
     span->set_detail(v.name);
   }
-  Result<Out> out = run_variant(v, input, latency);
+  Result<Out> out = run_variant(v, input, latency, ns);
   const bool checked = !legs.checks.empty() && judge(legs, i, input, out);
   if (judged != nullptr) *judged = checked;
   if (span) span->set_ok(out.has_value());
@@ -145,6 +171,45 @@ struct LateLegs {
   std::vector<std::atomic<bool>> failed;
 };
 
+/// Per-leg flags of one race: posted, guarded, claimed, settled. The flags
+/// of the first 64 legs live in the race state itself, so a race allocates
+/// nothing for them.
+class LegFlags {
+ public:
+  static constexpr std::uint8_t kPosted = 1;
+  static constexpr std::uint8_t kGuarded = 2;  ///< for a deadline to overtake
+  static constexpr std::uint8_t kClaimed = 4;
+  static constexpr std::uint8_t kSettled = 8;  ///< set under the race lock
+
+  explicit LegFlags(std::size_t legs)
+      : more_(legs > kInline
+                  ? std::make_unique<std::atomic<std::uint8_t>[]>(legs -
+                                                                  kInline)
+                  : nullptr) {}
+
+  void set(std::size_t i, std::uint8_t flags) noexcept {
+    at(i).fetch_or(flags, std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint8_t get(std::size_t i) noexcept {
+    return at(i).load(std::memory_order_relaxed);
+  }
+  /// True for the one caller that claims leg i; only it runs the leg.
+  [[nodiscard]] bool claim(std::size_t i) noexcept {
+    return (at(i).fetch_or(kClaimed, std::memory_order_acq_rel) & kClaimed) ==
+           0;
+  }
+
+ private:
+  static constexpr std::size_t kInline = 64;
+
+  std::atomic<std::uint8_t>& at(std::size_t i) noexcept {
+    return i < kInline ? first_[i] : more_[i - kInline];
+  }
+
+  std::array<std::atomic<std::uint8_t>, kInline> first_{};
+  std::unique_ptr<std::atomic<std::uint8_t>[]> more_;
+};
+
 template <typename In, typename Out>
 class Race {
  public:
@@ -169,6 +234,7 @@ class Race {
     std::size_t n = 0;
     for (std::size_t i = 0; i < st_->legs->size(); ++i) {
       if (!pick(i)) continue;
+      st_->flags.set(i, LegFlags::kPosted);
       batch_.add([st = st_, i] { run(*st, i); });
       ++n;
     }
@@ -180,12 +246,15 @@ class Race {
     return n;
   }
 
-  /// Post one leg.
-  void post(std::size_t i) {
+  /// Post one leg; a `guarded` one is left to the pool while a deadline is
+  /// pending (see the file comment).
+  void post(std::size_t i, bool guarded = false) {
     {
       std::lock_guard lock(st_->m);
       ++st_->posted;
     }
+    st_->flags.set(i, guarded ? LegFlags::kPosted | LegFlags::kGuarded
+                              : LegFlags::kPosted);
     batch_.pool().post(util::ThreadPool::Task{[st = st_, i] { run(*st, i); }});
   }
 
@@ -194,25 +263,47 @@ class Race {
   /// `decided` runs under the race lock and sees this call's arrivals in
   /// arrival order; when it holds the race closes at once, so the verdict's
   /// ballots are exactly the ones it saw. Returns true when the deadline
-  /// ended the wait. The wait is ThreadPool::help_until: a worker helps run
-  /// queued tasks meanwhile, an external caller blocks until a leg settles
-  /// or the deadline passes, whichever comes first.
+  /// ended the wait; the legs then still running count as guarded. While
+  /// every worker is busy (ThreadPool::saturated()) the waiter runs its own
+  /// unclaimed legs (see the file comment).
   template <typename Decided>
   bool wait(Decided&& decided, std::uint64_t deadline_ns = 0) {
+    using Clock = std::chrono::steady_clock;
     State& st = *st_;
+    util::ThreadPool& pool = batch_.pool();
+    const bool worker = pool.on_worker_thread();
     std::unique_lock lock(st.m);
-    bool expired = false;
-    const auto done = [&] {
+    for (;;) {
       if (decided(std::span<const LegOutcome<Out>>{st.arrivals})) {
         close_locked(st);
+        return false;
+      }
+      if (st.settled == st.posted) return false;
+      const std::uint64_t now = obs::now_ns();
+      if (deadline_ns != 0 && now >= deadline_ns) {
+        guard_running(st);
         return true;
       }
-      if (st.settled == st.posted) return true;
-      expired = deadline_ns != 0 && obs::now_ns() >= deadline_ns;
-      return expired;
-    };
-    batch_.pool().help_until(lock, st.cv, done, deadline_ns);
-    return expired;
+      if (pool.saturated()) {
+        if (const std::size_t i = claim_for_waiter(st, worker, deadline_ns);
+            i < st.legs->size()) {
+          lock.unlock();
+          execute(st, i);
+          lock.lock();
+          continue;
+        }
+      }
+      std::uint64_t until = now + 1'000'000;  // the 1 ms poll
+      if (deadline_ns != 0) until = std::min(until, deadline_ns);
+      st.cv.wait_until(lock,
+                       Clock::time_point{std::chrono::nanoseconds{until}});
+    }
+  }
+
+  /// Whether leg i has been claimed. Before close() that means it ran or is
+  /// running.
+  [[nodiscard]] bool claimed(std::size_t i) noexcept {
+    return (st_->flags.get(i) & LegFlags::kClaimed) != 0;
   }
 
   /// End the race (idempotent): cancel unstarted legs, send later
@@ -231,7 +322,8 @@ class Race {
           legs(std::move(l)),
           late(std::move(f)),
           ctx(c),
-          latency(h) {
+          latency(h),
+          flags(legs->size()) {
       arrivals.reserve(legs->size());
     }
 
@@ -248,6 +340,7 @@ class Race {
     std::size_t settled = 0;                ///< ran or skipped; guarded by m
     bool closed = false;                    ///< guarded by m
     util::CancellationToken token;
+    LegFlags flags;
   };
 
   static void close_locked(State& st) {
@@ -256,23 +349,70 @@ class Race {
     st.token.cancel();
   }
 
-  /// The pool task of leg i.
+  /// The pool task of leg i: it runs the leg unless the waiter claimed it
+  /// first, and then settles nothing.
   static void run(State& st, std::size_t i) {
+    if (st.flags.claim(i)) execute(st, i);
+  }
+
+  static constexpr std::uint8_t kState = LegFlags::kPosted |
+                                         LegFlags::kGuarded |
+                                         LegFlags::kClaimed |
+                                         LegFlags::kSettled;
+  /// Running (claimed, not settled) and unguarded.
+  static constexpr std::uint8_t kRunning =
+      LegFlags::kPosted | LegFlags::kClaimed;
+
+  /// The waiter's own pick (under the race lock), claimed: the lowest
+  /// unguarded unclaimed leg, else, with no deadline pending, the lowest
+  /// guarded one; none for a waiter outside the pool while an unguarded leg
+  /// runs on a worker. legs->size() when there is none.
+  static std::size_t claim_for_waiter(State& st, bool worker,
+                                      std::uint64_t deadline_ns) {
+    const std::size_t n = st.legs->size();
+    for (std::size_t i = 0; i < n && !worker; ++i) {
+      if ((st.flags.get(i) & kState) == kRunning) return n;
+    }
+    for (const std::uint8_t wanted :
+         {LegFlags::kPosted, std::uint8_t{LegFlags::kPosted |
+                                          LegFlags::kGuarded}}) {
+      if (wanted != LegFlags::kPosted && deadline_ns != 0) break;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (st.flags.get(i) == wanted && st.flags.claim(i)) return i;
+      }
+    }
+    return n;
+  }
+
+  /// A deadline passed: the unguarded legs still running have overrun it.
+  static void guard_running(State& st) {
+    for (std::size_t i = 0; i < st.legs->size(); ++i) {
+      if ((st.flags.get(i) & kState) == kRunning) {
+        st.flags.set(i, LegFlags::kGuarded);
+      }
+    }
+  }
+
+  /// Run claimed leg i and settle it.
+  static void execute(State& st, std::size_t i) {
     if (st.token.cancelled()) {  // skipped before it started: no work done
       std::lock_guard lock(st.m);
       ++st.settled;
+      st.flags.set(i, LegFlags::kSettled);
       st.cv.notify_all();
       return;
     }
     bool judged = false;
+    std::uint64_t ns = 0;
     Result<Out> out =
-        run_leg(*st.legs, i, st.input, st.ctx, st.latency, &judged);
+        run_leg(*st.legs, i, st.input, st.ctx, st.latency, &judged, &ns);
     std::lock_guard lock(st.m);
     ++st.settled;
+    st.flags.set(i, LegFlags::kSettled);
     if (st.closed) {
       st.late->add(i, st.legs->variants[i].cost, judged, out.has_value());
     } else {
-      st.arrivals.push_back({i, std::move(out), judged});
+      st.arrivals.push_back({i, std::move(out), judged, ns});
     }
     st.cv.notify_all();
   }

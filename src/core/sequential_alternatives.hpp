@@ -23,6 +23,30 @@
 // into the metrics on the next call — the same discipline the parallel
 // patterns use. Hedging engages only for stateless blocks (no rollback
 // installed): concurrent alternatives cannot share a restore point.
+//
+// A hedge pays a pool hand-off to cover a slow primary, so it is paid only
+// for a primary that has been slow. Where the primary runs is learned from
+// its own runs (util/placement.hpp, the rule gateway routes and threaded
+// join-all electorates use): the primary is the first eligible
+// alternative, the leg a hedge would overtake. Posted, it times its own
+// run; one still running when the race closes counts as over budget, and
+// one no thread ever claimed teaches nothing. Once kInlineStreak primaries
+// in a row ran under kInlineBudgetNs (20 µs, the pool round trip), a call
+// runs the alternatives one by one on the calling thread, as without
+// hedging, builds no race and touches no heap; one primary over budget
+// sends the next call back to the race. A primary that turns slow after
+// such a streak is therefore not hedged on that one call: the misjudgement
+// Placement accepts once per kInlineStreak + 1 runs.
+//
+// In the race the primary is posted guarded (core/race.hpp) only when it
+// overran its hedge budget within the last kInlineStreak races: the waiter
+// then leaves it to the pool until the budget passes and, when no worker
+// is free, answers with the alternates. Any other primary the waiter runs
+// itself when no worker is free to take it, as run_sequential would, so a
+// caller on a saturated pool (or the only worker) neither sleeps out the
+// budget nor skips a primary it has no reason to distrust. A guarded
+// primary no worker claims teaches nothing, so after kInlineStreak such
+// races the primary is tried again.
 #pragma once
 
 #include <algorithm>
@@ -35,6 +59,8 @@
 
 #include "core/pattern_core.hpp"
 #include "core/taxonomy.hpp"
+#include "obs/clock.hpp"
+#include "util/placement.hpp"
 
 namespace redundancy::core {
 
@@ -88,7 +114,8 @@ class SequentialAlternatives : public PatternCore<In, Out> {
         // The race's legs may outlive this call, so they need their own
         // copy of the input.
         if constexpr (std::is_copy_constructible_v<In>) {
-          return run_hedged(input, ctx);
+          if (!primary_.inline_ok()) return run_hedged(input, ctx);
+          return run_sequential(input, ctx, &primary_);
         }
       }
       return run_sequential(input, ctx);
@@ -119,7 +146,10 @@ class SequentialAlternatives : public PatternCore<In, Out> {
   }
 
  private:
-  Result<Out> run_sequential(const In& input, obs::SpanContext ctx) {
+  /// The alternatives one by one on the calling thread. `primary`, when
+  /// set, learns the first one's run time.
+  Result<Out> run_sequential(const In& input, obs::SpanContext ctx,
+                             util::Placement* primary = nullptr) {
     const std::size_t limit = attempt_limit();
     Failure last = failure(FailureKind::no_alternatives, "no alternatives");
     std::size_t attempted = 0;
@@ -131,8 +161,10 @@ class SequentialAlternatives : public PatternCore<In, Out> {
         ++this->metrics_.rollbacks;
       }
       bool judged = false;
+      std::uint64_t ns = 0;
       Result<Out> verdict = run_leg(this->legs(), i, input, ctx,
-                                    &this->leg_latency(), &judged);
+                                    &this->leg_latency(), &judged, &ns);
+      if (primary != nullptr && attempted == 0) primary->observe(ns);
       this->account_leg(i, judged, verdict.has_value());
       ++attempted;
       if (verdict.has_value()) {
@@ -153,42 +185,64 @@ class SequentialAlternatives : public PatternCore<In, Out> {
   Result<Out> run_hedged(const In& input, obs::SpanContext ctx) {
     // Eligible alternatives in priority order, honouring max_attempts.
     const std::size_t limit = attempt_limit();
-    std::vector<std::size_t> eligible;
-    eligible.reserve(limit);
-    for (std::size_t i = 0; i < limit; ++i) {
-      if (this->legs().variants[i].enabled) eligible.push_back(i);
-    }
-    if (eligible.empty()) {
+    const std::size_t first = next_eligible(0, limit);
+    if (first == limit) {
       return exhausted(
           ctx, {.electorate = limit},
           failure(FailureKind::no_alternatives, "no alternatives"));
     }
 
     auto race = this->race(input, ctx, &this->leg_latency());
-    race.post(eligible.front());
-    std::size_t next = 1;
+    const bool distrusted = distrust_ > 0;
+    if (distrusted) --distrust_;
+    race.post(first, distrusted);
+    std::size_t posted = 1;
+    std::size_t next = next_eligible(first + 1, limit);
+    std::uint64_t primary_budget = 0;  // the budget of the first hedge point
     std::optional<std::size_t> winner;
     for (;;) {
-      const bool more = next < eligible.size();
+      const bool more = next < limit;
       // The budget is re-read from the live histogram at every hedge point,
       // so it adapts as latency observations accumulate mid-burst.
-      const std::uint64_t deadline =
-          more ? obs::now_ns() + hedge_budget_ns() : 0;
+      const std::uint64_t budget = more ? hedge_budget_ns() : 0;
+      if (posted == 1) primary_budget = budget;
+      const std::uint64_t deadline = more ? obs::now_ns() + budget : 0;
       const bool expired = race.wait(first_passing<Out>(winner), deadline);
       if (winner || !more) break;
       // Budget elapsed (a hedge) or everything launched so far already
       // failed (the classic sequential fall-through): activate the next
       // alternative. Only true hedges count as hedged launches.
       if (expired) ++this->metrics_.hedged_launches;
-      race.post(eligible[next++]);
+      race.post(next);
+      ++posted;
+      next = next_eligible(next + 1, limit);
     }
 
+    const bool primary_claimed = race.claimed(first);
     std::vector<LegOutcome<Out>> arrived = race.close();
+    // The primary's run time teaches its placement and, against its hedge
+    // budget, whether the next races guard it; one still running now was
+    // over both. One nobody claimed never ran and teaches nothing.
+    const auto primary =
+        std::find_if(arrived.begin(), arrived.end(),
+                     [first](const auto& leg) { return leg.index == first; });
+    if (primary != arrived.end()) {
+      primary_.observe(primary->ns);
+      const bool overran = primary_budget != 0 && primary->ns >= primary_budget;
+      distrust_ = overran ? util::Placement::kInlineStreak : 0;
+    } else if (primary_claimed) {
+      primary_.reset();
+      distrust_ = util::Placement::kInlineStreak;
+    }
+    std::size_t eligible = 0;
+    for (std::size_t i = first; i < limit; i = next_eligible(i + 1, limit)) {
+      ++eligible;
+    }
     for (const auto& leg : arrived) this->account_leg(leg);
-    const Tally tally{.electorate = eligible.size(),
+    const Tally tally{.electorate = eligible,
                       .seen = arrived.size(),
                       .failed = failed_count<Out>(arrived),
-                      .unfinished = next - arrived.size()};
+                      .unfinished = posted - arrived.size()};
     if (!winner) {
       const auto last = std::find_if(arrived.rbegin(), arrived.rend(),
                                      [](const auto& leg) { return !leg.ok(); });
@@ -202,8 +256,15 @@ class SequentialAlternatives : public PatternCore<In, Out> {
     last_used_ = won.index;
     Result<Out> verdict = std::move(won.result);
     this->record_verdict(ctx, tally, verdict, last_used_);
-    this->conclude(verdict, tally.failed > 0 || last_used_ != eligible.front());
+    this->conclude(verdict, tally.failed > 0 || last_used_ != first);
     return verdict;
+  }
+
+  /// The first enabled alternative at or after `from`, or `limit`.
+  [[nodiscard]] std::size_t next_eligible(std::size_t from,
+                                          std::size_t limit) const noexcept {
+    while (from < limit && !this->legs().variants[from].enabled) ++from;
+    return from;
   }
 
   /// No alternative passed: the verdict carries the last failure seen.
@@ -224,6 +285,9 @@ class SequentialAlternatives : public PatternCore<In, Out> {
 
   Options options_;
   std::size_t last_used_ = 0;
+  util::Placement primary_;  ///< hedged primary: raced or on the caller
+  /// Races left that post the primary guarded: it overran its hedge budget.
+  std::uint32_t distrust_ = 0;
 };
 
 }  // namespace redundancy::core

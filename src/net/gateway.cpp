@@ -168,7 +168,7 @@ void Gateway::on_request(Reactor& reactor, std::uint64_t conn_id,
   }
   Request owned{std::string{request.method}, std::string{request.path},
                 std::string{request.query}, std::string{request.body}};
-  if (route.on_loop()) {
+  if (route.placement.inline_ok()) {
     // A short leaf: answering here saves the loop → worker → loop trip,
     // and the response leaves with this parse pass's flush.
     http::Response response = run_route(route, owned);
@@ -190,29 +190,19 @@ void Gateway::on_request(Reactor& reactor, std::uint64_t conn_id,
 
 http::Response Gateway::run_route(Route& route,
                                   const Request& request) noexcept {
-  // Every run of a route still placed by timing teaches the placement,
-  // wherever it ran. A run that joined pool work paid (or made its loop
-  // pay) a pool round trip however short it looked, so it restarts the
-  // streak like an over-budget run; a route that stops fanning out earns
-  // its loop back. A run that posted work it does not join binds the route
-  // to the pool, whose runs then skip the measurement and write nothing
-  // shared.
-  const bool learning = !route.pool_bound.load(std::memory_order_relaxed);
-  const std::uint64_t posted0 =
-      learning ? util::ThreadPool::posted_by_this_thread() : 0;
-  const std::uint64_t submitted0 =
-      learning ? util::ThreadPool::submitted_by_this_thread() : 0;
-  const std::uint64_t t0 = learning ? obs::now_ns() : 0;
+  // Every run teaches the route's placement, wherever it ran. A run that
+  // queued pool work paid (or made its loop pay) a pool round trip however
+  // short it looked, so it restarts the streak like an over-budget run; a
+  // route that stops queueing pool work earns its loop back.
+  const std::uint64_t submitted0 = util::ThreadPool::submitted_by_this_thread();
+  const std::uint64_t t0 = obs::now_ns();
   http::Response response;
   try {
     response = route.handler(request);
   } catch (...) {
     response = {500, "text/plain; charset=utf-8", "handler error\n"};
   }
-  if (!learning) return response;
-  if (util::ThreadPool::posted_by_this_thread() != posted0) {
-    route.pool_bound.store(true, std::memory_order_relaxed);
-  } else if (util::ThreadPool::submitted_by_this_thread() != submitted0) {
+  if (util::ThreadPool::submitted_by_this_thread() != submitted0) {
     route.placement.reset();
   } else {
     route.placement.observe(obs::now_ns() - t0);

@@ -38,22 +38,23 @@
 // paper's redundancy patterns directly on the serving path (hedged
 // sequential alternatives with the result cache, N-of-M voting). Where a
 // handler runs is learned from the route's own runs by util::Placement, the
-// rule threaded join-all electorates use too, with no option: every route
-// starts on the pool, and after kInlineStreak (32) consecutive runs that
-// each took under kInlineBudgetNs (20 µs, the pool round trip it saves)
-// and queued no pool work it runs on the reactor that parsed the request,
-// its response leaving with that parse pass's flush. Every run, pool or
-// loop, is measured: one over budget, or one that joined pool work (a
-// run_all), restarts the streak and sends the route back to the pool, so
-// /vote earns the loop once its electorate runs on the calling thread. A
-// reactor that joins pool work runs what the workers leave unclaimed of
-// its own batch (ThreadPool::run_all), so it never waits on workers that
-// queue behind a lock it holds. It cannot do that for work it posts
-// without joining (a race's or a hedge's legs, as /fast's cache misses
-// post), so a route whose run posts such work stays on the pool for good,
-// where the waiter helps. Both paths score the request against
-// Options::slo and leave a flight-recorder record the same way, and the
-// per-loop counter gateway.inline_requests counts the inline runs.
+// rule threaded join-all electorates and hedged primaries use too, with no
+// option: every route starts on the pool, and after kInlineStreak (32)
+// consecutive runs that each took under kInlineBudgetNs (20 µs, the pool
+// round trip it saves) and queued no pool work it runs on the reactor that
+// parsed the request, its response leaving with that parse pass's flush.
+// Every run, pool or loop, is measured: one over budget, or one that queued
+// pool work of any kind, restarts the streak and sends the route back to
+// the pool. So /vote earns the loop once its electorate runs on the calling
+// thread, and /fast once its hedged primary does. A reactor waiting in
+// ThreadPool::run_all or core::Race::wait runs what the workers leave
+// unclaimed of its own batch or legs, so those waits end even when every
+// worker queues behind a lock the handler holds. Other waits on pool work
+// from a loop-placed handler (a submit()'s future, a post() it waits for
+// by hand) get no such rescue. Both paths
+// score the request against Options::slo and leave a flight-recorder record
+// the same way, and the per-loop counter gateway.inline_requests counts the
+// inline runs.
 //
 // The built-in ops routes /metrics, /healthz and /slo are served from a
 // short-TTL cached render, so a scrape storm costs at most one render per
@@ -134,7 +135,6 @@ class Gateway {
     route.handler = std::move(handler);
     route.scored = true;
     route.placement.reset();
-    route.pool_bound.store(false, std::memory_order_relaxed);
   }
 
   /// Register an ops route: served like any route but never scored against
@@ -183,21 +183,13 @@ class Gateway {
  private:
   /// Where a route runs is read by the reactors on every request. It is
   /// written only when the streak moves: by runs still earning it, and by
-  /// runs that overrun the budget or join pool work. The runs of a
-  /// pool-bound route write nothing.
+  /// runs that overrun the budget or queue pool work.
   struct Route {
     Handler handler;
     /// Scored against Options::slo: true for add_route(), false for the
     /// ops routes.
     bool scored = true;
     util::Placement placement;
-    /// A run posted pool work it does not join: on the pool for good.
-    std::atomic<bool> pool_bound{false};
-
-    [[nodiscard]] bool on_loop() const noexcept {
-      return !pool_bound.load(std::memory_order_relaxed) &&
-             placement.inline_ok();
-    }
   };
 
   /// One front-door shard: everything a loop thread touches, owned by it.

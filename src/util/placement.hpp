@@ -1,16 +1,18 @@
 // Placement: whether a short piece of work runs on the pool or on the
 // thread that asked for it, learned from the work's own runs.
 //
-// Two users share the rule: a gateway route (net/gateway.hpp), whose
-// handler may run on the reactor that parsed the request, and a threaded
+// Three users share the rule: a gateway route (net/gateway.hpp), whose
+// handler may run on the reactor that parsed the request; a threaded
 // join-all electorate (core/parallel_evaluation.hpp), whose legs may run
-// on the calling thread. Either starts on the pool. The budget is the hop
-// it avoids: work that finishes in under kInlineBudgetNs costs the calling
-// thread less than handing it to the pool, so kInlineStreak consecutive
-// such runs move it onto the calling thread; one run over budget sends it
-// back. Misjudged work therefore blocks its caller at most once per
-// kInlineStreak + 1 runs. The caller times each run and reports it through
-// observe().
+// on the calling thread; and a hedged primary
+// (core/sequential_alternatives.hpp), which may run on the calling thread
+// instead of racing a hedge on the pool. Each starts on the pool. The
+// budget is the hop it avoids: work that finishes in under kInlineBudgetNs
+// costs the calling thread less than handing it to the pool, so
+// kInlineStreak consecutive such runs move it onto the calling thread; one
+// run over budget sends it back. Misjudged work therefore blocks its
+// caller at most once per kInlineStreak + 1 runs. The caller times each
+// run and reports it through observe().
 #pragma once
 
 #include <atomic>
@@ -31,6 +33,17 @@ class Placement {
   /// near 20 µs there too.
   static constexpr std::uint64_t kInlineBudgetNs = 20'000;
   static constexpr std::uint32_t kInlineStreak = 32;
+
+  Placement() = default;
+  /// A copy starts from the original's streak, so the patterns that hold a
+  /// Placement stay copyable and movable.
+  Placement(const Placement& other) noexcept
+      : streak_(other.streak_.load(std::memory_order_relaxed)) {}
+  Placement& operator=(const Placement& other) noexcept {
+    streak_.store(other.streak_.load(std::memory_order_relaxed),
+                  std::memory_order_relaxed);
+    return *this;
+  }
 
   /// True once the work has earned the calling thread.
   [[nodiscard]] bool inline_ok() const noexcept {

@@ -18,11 +18,9 @@ namespace {
 // recursive fan-out cache-local and contention-free.
 thread_local ThreadPool* tls_pool = nullptr;
 thread_local std::size_t tls_index = 0;
-// Tasks this thread has put on any pool's queues, and those of them no
-// run_all joins (see ThreadPool::submitted_by_this_thread and
-// posted_by_this_thread).
+// Tasks this thread has put on any pool's queues (see
+// ThreadPool::submitted_by_this_thread).
 thread_local std::uint64_t tls_submitted = 0;
-thread_local std::uint64_t tls_posted = 0;
 // Where this thread's next steal sweep starts. It advances by one per
 // sweep; a worker seeds it with its own index + 1, so starved workers
 // start their sweeps at different victims instead of stampeding one deque.
@@ -211,13 +209,8 @@ std::uint64_t ThreadPool::submitted_by_this_thread() noexcept {
   return tls_submitted;
 }
 
-std::uint64_t ThreadPool::posted_by_this_thread() noexcept {
-  return tls_posted;
-}
-
 void ThreadPool::post(Task task) {
   TaskNode* node = alloc_node(std::move(task));
-  ++tls_posted;
   enqueue_chain(node, node, 1);
 }
 
@@ -235,7 +228,6 @@ void ThreadPool::submit_batch(std::span<Task> tasks, bool helpable) {
       tail = node;
     }
   }
-  tls_posted += tasks.size();
   enqueue_chain(head, tail, tasks.size());
 }
 
@@ -418,12 +410,12 @@ bool ThreadPool::try_run_one() {
   TaskNode* node = acquire_task(on_worker_thread() ? tls_index : kNoWorker);
   if (node == nullptr) return false;
   if (!node->helpable) {
-    // This frame may sit above a lock-holding wait (a pattern's help loop):
+    // This frame may sit above a lock-holding wait (a helping run_all):
     // running a route job here could re-take that lock and self-deadlock.
     // Hand the node back and wake a dedicated worker for it. In practice
-    // help still makes progress: a waiting worker's own hedge/ballot legs
-    // land in its own deque and are claimed before the injector is
-    // consulted, so only externally-injected jobs are declined.
+    // help still makes progress: a waiting worker's own batch lands in its
+    // own deque and is claimed before the injector is consulted, so only
+    // externally-injected jobs are declined.
     active_.fetch_sub(1, std::memory_order_release);
     node->next = nullptr;
     enqueue_chain(node, node, 1);

@@ -28,14 +28,16 @@
 // builder the pattern executors use, so a steady-state variant fan-out
 // performs no allocation beyond recycled task nodes.
 //
-// Waiters (run_all, and the patterns' race in core/race.hpp) that are
-// themselves pool workers *help*: while blocked they steal and execute
-// queued tasks, so nested fan-out on the shared pool cannot deadlock even
-// when every worker is itself waiting. External waiters do not run other
-// work — helping would let a slow stolen task delay an already-decided
-// early-return verdict — but a run_all waiter runs the tasks of its own
-// batch that no worker has claimed after a poll, so its wait ends even
-// when every worker is blocked on a lock it holds.
+// A run_all waiter that is itself a pool worker *helps*: while blocked it
+// steals and executes queued tasks, so nested fan-out on the shared pool
+// cannot deadlock even when every worker is itself waiting. An external
+// run_all waiter does not run other work, but it runs the tasks of its own
+// batch that no worker has claimed after a 1 ms poll, so its wait ends even
+// when every worker is blocked on a lock it holds. A pattern's race
+// (core/race.hpp) has one rule for both kinds of waiter: it runs no other
+// work, and runs its own unclaimed legs itself when every worker is busy
+// (saturated()), but for a leg a pending hedge deadline is meant to
+// overtake.
 //
 // When the obs:: layer is enabled the engine reports itself through the
 // metrics registry: pool.tasks_posted/executed/stolen/helped counters, a
@@ -210,21 +212,16 @@ class ThreadPool {
 
   /// Wait until done() holds. A caller that is itself a worker of this pool
   /// helps with queued work instead of blocking (otherwise nested fan-out
-  /// could leave every worker waiting on tasks nobody runs). An external
-  /// caller just waits: helping would risk running a slow straggler inline
-  /// and missing an already-decided early verdict (core/race.hpp).
+  /// could leave every worker waiting on tasks nobody runs); an external
+  /// caller just waits. run_all's workers and the result cache's coalesced
+  /// waiters wait here; a race waits by its own rule (core/race.hpp).
   /// `lock` must be held on entry and is held again on return; done() is
   /// only evaluated under the lock. Between notifications the wait polls
-  /// done() every millisecond and, when `deadline_ns` is set (a
-  /// steady-clock time in ns, as obs::now_ns() reads it), also wakes at the
-  /// deadline, so a done() that reads the clock sees it pass on time.
+  /// done() every millisecond.
   template <typename Pred>
   void help_until(std::unique_lock<std::mutex>& lock,
-                  std::condition_variable& cv, Pred done,
-                  std::uint64_t deadline_ns = 0) {
-    using Clock = std::chrono::steady_clock;
+                  std::condition_variable& cv, Pred done) {
     const bool helper = on_worker_thread();
-    const Clock::time_point deadline{std::chrono::nanoseconds{deadline_ns}};
     while (!done()) {
       if (helper) {
         lock.unlock();
@@ -233,9 +230,7 @@ class ThreadPool {
         if (done()) break;
         if (ran) continue;
       }
-      const Clock::time_point poll =
-          Clock::now() + std::chrono::milliseconds(1);
-      cv.wait_until(lock, deadline_ns != 0 ? std::min(poll, deadline) : poll);
+      cv.wait_for(lock, std::chrono::milliseconds(1));
     }
   }
 
@@ -247,11 +242,16 @@ class ThreadPool {
   /// to the pool.
   [[nodiscard]] static std::uint64_t submitted_by_this_thread() noexcept;
 
-  /// The part of submitted_by_this_thread() that no run_all joins (post,
-  /// submit, submit_batch): work an external caller that waits for it
-  /// cannot run itself. The gateway keeps a route that posts such work off
-  /// its loop threads for good.
-  [[nodiscard]] static std::uint64_t posted_by_this_thread() noexcept;
+  /// True while every worker is running a task (a racy snapshot, in which
+  /// tasks run nested or by outside helpers count too). A race waiter runs
+  /// its own unclaimed legs only then: a worker that is parked, starting up
+  /// or between tasks would take them.
+  [[nodiscard]] bool saturated() const noexcept {
+    return active_.load(std::memory_order_acquire) >= nworkers_;
+  }
+
+  /// True on one of this pool's worker threads.
+  [[nodiscard]] bool on_worker_thread() const noexcept;
 
   /// Number of tasks queued but not yet claimed by a worker. Transiently
   /// over-counts during a submission (the counter rises before the nodes
@@ -288,7 +288,6 @@ class ThreadPool {
   using InjectorLane = pool_detail::InjectorLane;
 
   void worker_loop(std::size_t self);
-  [[nodiscard]] bool on_worker_thread() const noexcept;
 
   /// Claim the next runnable node for worker `self`, or for an outside
   /// helper when self == kNoWorker: own deque (workers only), then the

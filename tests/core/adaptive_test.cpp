@@ -11,7 +11,9 @@ namespace {
 std::vector<Ballot<int>> ballots(std::vector<Result<int>> results) {
   std::vector<Ballot<int>> out;
   for (std::size_t i = 0; i < results.size(); ++i) {
-    out.push_back({i, "v" + std::to_string(i), std::move(results[i])});
+    std::string name = "v";
+    name += std::to_string(i);
+    out.push_back({i, std::move(name), std::move(results[i])});
   }
   return out;
 }

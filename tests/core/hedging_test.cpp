@@ -162,6 +162,90 @@ TEST(Hedging, ExternalCallerHedgesAtItsBudgetNotAtTheNextPoll) {
 #endif
 }
 
+TEST(Hedging, FastPrimaryEarnsTheCallerAndAnOverrunSendsItBackToTheRace) {
+  // A primary under the pool round trip 32 calls in a row runs on the
+  // caller; the first primary over budget there is not hedged (the
+  // misjudgement util::Placement accepts), and the call after it races.
+  std::atomic<bool> slow{false};
+  Engine engine{{variant("primary",
+                         [&slow](const int& v) -> Result<int> {
+                           if (slow.load()) {
+                             std::this_thread::sleep_for(
+                                 std::chrono::milliseconds(10));
+                           }
+                           return v;
+                         }),
+                 variant("alternate",
+                         [](const int& v) -> Result<int> { return v; })},
+                accept_all<int, int>()};
+  engine.set_obs_label("hedge_placement");
+  engine.set_hedge(fast_hedge(2'000'000));
+  const auto raced = [&](int v) {
+    const std::uint64_t before = util::ThreadPool::submitted_by_this_thread();
+    EXPECT_EQ(engine.run(v).value(), v);
+    return util::ThreadPool::submitted_by_this_thread() != before;
+  };
+  EXPECT_TRUE(raced(0)) << "a fresh engine races";
+  bool earned = false;
+  for (int i = 1; i < 5000 && !earned; ++i) earned = !raced(i);
+  util::ThreadPool::shared().wait_idle();
+  if (!earned) GTEST_SKIP() << "the primary never fit the inline budget here";
+  const std::size_t hedges = engine.metrics().hedged_launches;
+  slow.store(true);
+  EXPECT_FALSE(raced(-1)) << "the slow primary ran on the caller";
+  EXPECT_EQ(engine.metrics().hedged_launches, hedges);
+  EXPECT_EQ(engine.last_used(), 0u);
+  EXPECT_TRUE(raced(-2)) << "the overrun sent the next call to the race";
+  EXPECT_GT(engine.metrics().hedged_launches, hedges);
+  util::ThreadPool::shared().wait_idle();
+}
+
+TEST(Hedging, UntriedPrimaryRunsOnTheCallerWhenNoWorkerIsFree) {
+  // Every worker of the shared pool is held, so none can take the posted
+  // primary. It has never overrun a budget, so the waiter runs it itself at
+  // once: it neither sleeps out the 1 s budget nor answers with the
+  // alternate.
+  util::ThreadPool& pool = util::ThreadPool::shared();
+  pool.wait_idle();
+  std::atomic<bool> release{false};
+  std::atomic<std::size_t> held{0};
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    pool.post(util::ThreadPool::Task{[&release, &held] {
+      held.fetch_add(1);
+      const auto until =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (!release.load() && std::chrono::steady_clock::now() < until) {
+        std::this_thread::yield();
+      }
+    }});
+  }
+  while (held.load() < pool.size()) std::this_thread::yield();
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> on_caller{false};
+  Engine engine{{variant("primary",
+                         [&on_caller, caller](const int& v) -> Result<int> {
+                           on_caller.store(std::this_thread::get_id() ==
+                                           caller);
+                           return v;
+                         }),
+                 variant("alternate",
+                         [](const int&) -> Result<int> { return -1; })},
+                accept_all<int, int>()};
+  engine.set_obs_label("hedge_untried_primary");
+  engine.set_hedge(fast_hedge(1'000'000'000));
+  const auto start = std::chrono::steady_clock::now();
+  const Result<int> r = engine.run(7);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  release.store(true);
+  pool.wait_idle();
+  ASSERT_TRUE(r.has_value());
+  EXPECT_EQ(r.value(), 7);
+  EXPECT_TRUE(on_caller.load());
+  EXPECT_EQ(engine.metrics().hedged_launches, 0u);
+  EXPECT_EQ(engine.metrics().recoveries, 0u);
+  EXPECT_LT(elapsed, std::chrono::milliseconds(100));
+}
+
 TEST(Hedging, StragglerBookkeepingFoldsIntoMetrics) {
   Engine engine{{variant("slow-primary",
                          [](const int&) -> Result<int> {

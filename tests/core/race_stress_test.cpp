@@ -5,6 +5,7 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -14,6 +15,7 @@
 #include "core/parallel_selection.hpp"
 #include "core/race.hpp"
 #include "core/sequential_alternatives.hpp"
+#include "util/placement.hpp"
 #include "util/thread_pool.hpp"
 
 namespace redundancy::core {
@@ -194,6 +196,86 @@ TEST(RaceStress, LateLegsFoldExactlyWhileTheOwnerKeepsCalling) {
         << "round " << r;
     EXPECT_EQ((*round.tally)[0].executions.load(),
               static_cast<std::size_t>(kCalls));
+  }
+}
+
+TEST(RaceStress, EveryWorkerInsideAHedgedWaitAtOnce) {
+  // One task per worker of the shared pool; in every round they all enter
+  // a hedged call together, so no worker is free to run a primary or an
+  // alternate. In the first round each waiter runs its untried primary
+  // itself. That primary overran its budget, so the next kInlineStreak
+  // races leave it to the pool: each waiter sleeps out the budget and runs
+  // its own alternate. Then one race tries the primary on the caller again.
+  // Every call answers.
+  using SA = SequentialAlternatives<int, int>;
+  const std::size_t workers = util::ThreadPool::shared().size();
+  constexpr int kRounds = 40;
+  typename SA::Options::Hedge hedge;
+  hedge.enabled = true;
+  hedge.fallback_budget_ns = 200'000;
+  hedge.min_samples = 1'000'000;  // pin the budget
+  hedge.min_budget_ns = 0;
+  std::vector<std::unique_ptr<SA>> engines;
+  for (std::size_t w = 0; w < workers; ++w) {
+    engines.push_back(std::make_unique<SA>(
+        std::vector<Variant<int, int>>{
+            make_variant<int, int>("spinning-primary",
+                                   [](const int& x) -> Result<int> {
+                                     const auto until =
+                                         std::chrono::steady_clock::now() +
+                                         std::chrono::milliseconds(2);
+                                     while (std::chrono::steady_clock::now() <
+                                            until) {
+                                     }
+                                     return x + 1;
+                                   }),
+            make_variant<int, int>("alternate",
+                                   [](const int& x) -> Result<int> {
+                                     return x + 1;
+                                   })},
+        accept_all<int, int>()));
+    engines.back()->set_obs_label("race_stress_every_worker");
+    engines.back()->set_hedge(hedge);
+  }
+  std::atomic<std::size_t> arrived{0};
+  std::atomic<int> wrong{0};
+  // Hedges of each engine after the first round and before the last one.
+  // In the last round a worker that finished early is free and may run a
+  // waiter's primary, so it is left out.
+  std::vector<std::size_t> after_first(workers);
+  std::vector<std::size_t> before_last(workers);
+  std::vector<std::future<void>> done;
+  for (std::size_t w = 0; w < workers; ++w) {
+    done.push_back(util::ThreadPool::shared().submit([&, w] {
+      for (int round = 0; round < kRounds; ++round) {
+        arrived.fetch_add(1);
+        while (arrived.load() < (round + 1) * workers) {
+          std::this_thread::yield();
+        }
+        const int x = round * 1000 + static_cast<int>(w);
+        const Result<int> r = engines[w]->run(x);
+        if (!r.has_value() || r.value() != x + 1) wrong.fetch_add(1);
+        const std::size_t hedges = engines[w]->metrics().hedged_launches;
+        if (round == 0) after_first[w] = hedges;
+        if (round == kRounds - 2) before_last[w] = hedges;
+      }
+    }));
+  }
+  for (auto& d : done) {
+    ASSERT_EQ(d.wait_for(std::chrono::seconds(60)), std::future_status::ready)
+        << "a hedged wait never ended";
+  }
+  util::ThreadPool::shared().wait_idle();
+  EXPECT_EQ(wrong.load(), 0);
+  for (std::size_t w = 0; w < workers; ++w) {
+    EXPECT_EQ(engines[w]->metrics().requests,
+              static_cast<std::size_t>(kRounds));
+    EXPECT_EQ(after_first[w], 0u) << "the untried primary was skipped";
+    // Rounds 1 to kRounds - 2 hedged, but for the re-try after
+    // kInlineStreak guarded races.
+    static_assert(static_cast<int>(util::Placement::kInlineStreak) + 1 <
+                  kRounds - 1);
+    EXPECT_EQ(before_last[w], static_cast<std::size_t>(kRounds - 3));
   }
 }
 

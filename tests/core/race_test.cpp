@@ -1,19 +1,27 @@
 // core::Race — the one race primitive under the threaded Figure-1 patterns:
 // the first passing leg wins, rejected and throwing legs lose, closing the
 // race skips legs that have not started, and legs that settle after the
-// close send their bookkeeping to the LateLegs fold.
+// close send their bookkeeping to the LateLegs fold. The WorkerWaiter
+// cases wait on a race from inside a pool task; ctest also runs them with
+// the shared pool at 1 worker (no thief exists) and at 2.
 #include "core/race.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "core/parallel_selection.hpp"
+#include "core/sequential_alternatives.hpp"
+#include "obs/clock.hpp"
 #include "util/thread_pool.hpp"
 
 namespace redundancy::core {
@@ -195,6 +203,141 @@ TEST(Race, DeadlineEndsTheWaitAndALaterLegCanWin) {
   ASSERT_TRUE(winner.has_value());
   EXPECT_EQ(arrived[*winner].result.value(), 2);
   pool.wait_idle();
+}
+
+TEST(Race, WaiterRunsItsOwnUnclaimedLegWhenNoWorkerIsFree) {
+  // The pool's only worker is held, so nothing but the waiter can run the
+  // leg: it claims the leg itself and the wait ends.
+  util::ThreadPool pool{1};
+  util::BatchRunner batch{&pool};
+  std::atomic<bool> release{false};
+  pool.post(util::ThreadPool::Task{[&release] {
+    while (!release.load()) std::this_thread::yield();
+  }});
+  while (pool.pending() != 0) std::this_thread::yield();
+  std::atomic<int> ran{0};
+  auto legs = legs_of({leg("only", [&ran](const int&) -> Result<int> {
+    ran.fetch_add(1);
+    return 5;
+  })});
+  Race<int, int> race{batch, 0, legs, std::make_shared<LateLegs>(0), {}};
+  race.post(0);
+  std::optional<std::size_t> winner;
+  EXPECT_FALSE(race.wait(first_passing<int>(winner)));
+  const std::vector<LegOutcome<int>> arrived = race.close();
+  ASSERT_TRUE(winner.has_value());
+  EXPECT_EQ(arrived[*winner].result.value(), 5);
+  release.store(true);
+  pool.wait_idle();  // the leg's own task finds it claimed
+  EXPECT_EQ(ran.load(), 1);
+}
+
+/// Busy-wait for `ns` nanoseconds.
+void spin_ns(std::uint64_t ns) {
+  const std::uint64_t t0 = obs::now_ns();
+  while (obs::now_ns() - t0 < ns) {
+  }
+}
+
+constexpr std::uint64_t kSlowLegNs = 20'000'000;  // 20 ms
+constexpr int kCalls = 5;
+
+/// Median wall time of kCalls calls of `call`, made from inside one task
+/// on the shared pool, `pause` apart; call(x) must answer x + 1.
+std::chrono::steady_clock::duration median_from_a_worker(
+    const std::function<Result<int>(int)>& call,
+    std::chrono::milliseconds pause = {}) {
+  std::vector<std::chrono::steady_clock::duration> elapsed;
+  util::ThreadPool::shared()
+      .submit([&] {
+        for (int i = 0; i < kCalls; ++i) {
+          const auto start = std::chrono::steady_clock::now();
+          const Result<int> r = call(i);
+          elapsed.push_back(std::chrono::steady_clock::now() - start);
+          EXPECT_EQ(r.value(), i + 1);
+          std::this_thread::sleep_for(pause);
+        }
+      })
+      .get();
+  util::ThreadPool::shared().wait_idle();  // the slow legs retire
+  std::nth_element(elapsed.begin(), elapsed.begin() + kCalls / 2,
+                   elapsed.end());
+  return elapsed[kCalls / 2];
+}
+
+TEST(WorkerWaiter, HedgedAlternativesAnswerWellBeforeASpinningPrimary) {
+  // Once the primary has overrun its 200 us budget, the waiter leaves it to
+  // the pool until the budget passes, then runs the alternate itself when
+  // no worker is free. The first call knows nothing of the primary yet:
+  // with no worker free (one worker) it runs the primary on the caller.
+  using SA = SequentialAlternatives<int, int>;
+  SA sa{{leg("spinning-primary",
+             [](const int& x) -> Result<int> {
+               spin_ns(kSlowLegNs);
+               return x + 1;
+             }),
+         leg("alternate", [](const int& x) -> Result<int> { return x + 1; })},
+        accept_all<int, int>()};
+  sa.set_obs_label("worker_waiter_hedge");
+  typename SA::Options::Hedge hedge;
+  hedge.enabled = true;
+  hedge.fallback_budget_ns = 200'000;
+  hedge.min_samples = 1'000'000;  // pin the budget
+  hedge.min_budget_ns = 0;
+  sa.set_hedge(hedge);
+  const auto median = median_from_a_worker([&](int x) { return sa.run(x); });
+  EXPECT_LT(median, std::chrono::milliseconds(10))
+      << "the waiting worker ran the 20 ms primary itself";
+  EXPECT_GE(sa.metrics().hedged_launches,
+            static_cast<std::size_t>(kCalls - 1));
+}
+
+TEST(WorkerWaiter, FirstWinsSelectionAnswersWellBeforeASpinningLeg) {
+  using PS = ParallelSelection<int, int>;
+  PS ps{{PS::Checked{leg("fast",
+                         [](const int& x) -> Result<int> { return x + 1; }),
+                     accept_all<int, int>()},
+         PS::Checked{leg("spinning",
+                         [](const int& x) -> Result<int> {
+                           spin_ns(kSlowLegNs);
+                           return x + 1;
+                         }),
+                     accept_all<int, int>()}},
+        PS::Options{.concurrency = Concurrency::threaded}};
+  ps.set_obs_label("worker_waiter_selection");
+  const auto median = median_from_a_worker([&](int x) { return ps.run(x); });
+  EXPECT_LT(median, std::chrono::milliseconds(10))
+      << "the waiting worker ran the 20 ms leg itself";
+}
+
+TEST(WorkerWaiter, FirstWinsSelectionAnswersWellBeforeASpinningFirstLeg) {
+  // The spinning leg comes first, so a free thief, which takes the oldest
+  // task, takes it, and the fast leg is left in the waiter's own deque: the
+  // waiter runs it once every worker is busy, without waiting for the
+  // spinning leg to settle. The calls are 25 ms apart so that the last
+  // call's spinning leg has retired and the thief is free: while it is
+  // busy no worker is, and the waiter runs its legs in index order, the
+  // spinning one first, as with one worker.
+  if (util::ThreadPool::shared().size() < 2) {
+    GTEST_SKIP() << "with one worker no thief exists; the waiter runs its "
+                    "legs in order, the spinning one first";
+  }
+  using PS = ParallelSelection<int, int>;
+  PS ps{{PS::Checked{leg("spinning",
+                         [](const int& x) -> Result<int> {
+                           spin_ns(kSlowLegNs);
+                           return x + 1;
+                         }),
+                     accept_all<int, int>()},
+         PS::Checked{leg("fast",
+                         [](const int& x) -> Result<int> { return x + 1; }),
+                     accept_all<int, int>()}},
+        PS::Options{.concurrency = Concurrency::threaded}};
+  ps.set_obs_label("worker_waiter_selection_reversed");
+  const auto median = median_from_a_worker([&](int x) { return ps.run(x); },
+                                           std::chrono::milliseconds(25));
+  EXPECT_LT(median, std::chrono::milliseconds(10))
+      << "the waiting worker waited for the 20 ms leg";
 }
 
 }  // namespace

@@ -526,6 +526,43 @@ TEST(SequentialPatterns, WarmHealthyCallsPerformZeroHeapAllocations) {
 #endif
 }
 
+TEST(SequentialPatterns, WarmInlineHedgedCallsPerformZeroHeapAllocations) {
+#ifdef REDUNDANCY_ALLOC_COUNTING_UNRELIABLE
+  GTEST_SKIP() << "sanitizer build interposes the allocator";
+#else
+  // Once its primary has earned the caller, a hedged call runs the
+  // alternatives on this thread and builds no race. A primary preempted
+  // past the inline budget sends the next call back to the race, whose
+  // state and task nodes allocate; such calls are left out of the count.
+  using SA = SequentialAlternatives<std::uint64_t, std::uint64_t>;
+  SA hedged{{healthy(long_name('p')), healthy(long_name('a'))},
+            accept_all<std::uint64_t, std::uint64_t>()};
+  hedged.set_obs_label("alloc_hedged");
+  typename SA::Options::Hedge hedge;
+  hedge.enabled = true;
+  hedged.set_hedge(hedge);
+  for (std::uint64_t i = 0; i < 2 * util::Placement::kInlineStreak; ++i) {
+    (void)hedged.run(i);
+  }
+  constexpr std::uint64_t kCalls = 1'000;
+  std::uint64_t inline_calls = 0;
+  std::uint64_t inline_allocs = 0;
+  for (std::uint64_t i = 0; inline_calls < kCalls && i < 50 * kCalls; ++i) {
+    const std::uint64_t submitted =
+        util::ThreadPool::submitted_by_this_thread();
+    Result<std::uint64_t> out = failure(FailureKind::crash);
+    const std::uint64_t allocs = allocations_in([&] { out = hedged.run(i); });
+    ASSERT_EQ(out.value(), i * 3 + 1);
+    if (util::ThreadPool::submitted_by_this_thread() != submitted) continue;
+    ++inline_calls;
+    inline_allocs += allocs;
+  }
+  util::ThreadPool::shared().wait_idle();
+  ASSERT_EQ(inline_calls, kCalls) << "too few calls ran inline";
+  EXPECT_EQ(inline_allocs, 0u) << "inline hedged calls touched the heap";
+#endif
+}
+
 TEST(ParallelEvaluation, IncrementalRevotesCopyNoVariantNames) {
 #ifdef REDUNDANCY_ALLOC_COUNTING_UNRELIABLE
   GTEST_SKIP() << "sanitizer build interposes the allocator";

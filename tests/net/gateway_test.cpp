@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/sequential_alternatives.hpp"
 #include "net/loopback_client.hpp"
 #include "obs/metrics_registry.hpp"
 #include "obs/obs.hpp"
@@ -391,30 +392,31 @@ TEST(Gateway, FanOutAndSlowRoutesStayOnThePool) {
   gateway.stop();
 }
 
-TEST(Gateway, RouteThatPostsUnjoinedWorkStaysOnThePoolForGood) {
-  // Like /fast on a cache miss, the first run posts a task it does not
-  // join (a hedge's primary); every later run is a trivial leaf. A reactor
-  // could not run such a task itself while it waited for it, so the route
-  // never earns the loop.
-  std::atomic<bool> posted{false};
+TEST(Gateway, RouteThatStopsPostingEarnsTheLoop) {
+  // Like /fast while its hedged primary still races, the first 40 runs post
+  // a task they do not join; every later run is a trivial leaf. A run that
+  // queued pool work of any kind restarts the streak, so the route earns
+  // the loop after a streak of plain runs.
+  std::atomic<int> posts_left{40};
   Gateway gateway{one_loop()};
-  gateway.add_route("/posts_once",
-                    [&posted](const Gateway::Request&) -> http::Response {
-                      if (!posted.exchange(true)) {
-                        util::ThreadPool::shared().post(
-                            util::ThreadPool::Task{[] {}});
-                      }
-                      return {200, "text/plain; charset=utf-8", "p\n"};
-                    });
+  gateway.add_route(
+      "/posts", [&posts_left](const Gateway::Request&) -> http::Response {
+        if (posts_left.fetch_sub(1) > 0) {
+          util::ThreadPool::shared().post(util::ThreadPool::Task{[] {}});
+        }
+        return {200, "text/plain; charset=utf-8", "p\n"};
+      });
   ASSERT_TRUE(gateway.start());
   const int fd = connect_loopback(gateway.port());
   ASSERT_GE(fd, 0);
-  const std::uint64_t before = inline_requests();
-  for (int i = 0; i < 400; ++i) {
-    ASSERT_TRUE(send_all(fd, "GET /posts_once HTTP/1.1\r\n\r\n"));
-    ASSERT_EQ(read_response(fd).body, "p\n");
+  const int promoted_after = promote(fd, "/posts");
+  if (promoted_after == 0) {
+    ::close(fd);
+    if (kSanitized) GTEST_SKIP() << "/posts never fit the inline budget here";
+    FAIL() << "/posts never moved onto the loop";
   }
-  EXPECT_EQ(inline_requests() - before, 0u);
+  EXPECT_GT(promoted_after,
+            40 + static_cast<int>(util::Placement::kInlineStreak));
   ::close(fd);
   gateway.stop();
   EXPECT_EQ(gateway.jobs_inflight(), 0u);
@@ -479,6 +481,39 @@ TEST(Gateway, DemoVoteEarnsTheLoopOnceItsElectorateIsInline) {
   EXPECT_EQ(vote.status, 200);
   EXPECT_EQ(vote.body, expected);
   ::close(fd);
+  gateway.stop();
+  EXPECT_EQ(gateway.jobs_inflight(), 0u);
+}
+
+TEST(Gateway, DemoFastEarnsTheLoopOnceItsPrimaryIsInline) {
+  // Every request here is a cache miss. /fast's misses race a hedged
+  // primary on the pool until the primary has learned the calling thread;
+  // from then on a miss is a short leaf, and the route earns the loop.
+  Gateway gateway{one_loop()};
+  install_demo_routes(gateway);
+  ASSERT_TRUE(gateway.start());
+  const int fd = connect_loopback(gateway.port());
+  ASSERT_GE(fd, 0);
+  int sent = 0;
+  bool ran_inline = false;
+  Reply fast;
+  std::uint64_t x = 1000;
+  for (; x < 6000 && !ran_inline; ++x) {
+    fast = round_trip(fd, "/fast?x=" + std::to_string(x), &ran_inline);
+    ASSERT_TRUE(fast.complete);
+    ASSERT_EQ(fast.status, 200);
+    ++sent;
+  }
+  ::close(fd);
+  if (!ran_inline) {
+    if (kSanitized) GTEST_SKIP() << "/fast never fit the inline budget here";
+    FAIL() << "/fast never moved onto the loop";
+  }
+  // The primary's streak came first, then the route's own.
+  EXPECT_GT(sent, 2 * static_cast<int>(util::Placement::kInlineStreak));
+  const Reply vote =
+      http_get(gateway.port(), "/vote?x=" + std::to_string(x - 1));
+  EXPECT_EQ(fast.body, vote.body);
   gateway.stop();
   EXPECT_EQ(gateway.jobs_inflight(), 0u);
 }
@@ -580,6 +615,120 @@ TEST(Gateway, LoopRunJoiningPoolWorkBehindItsOwnLockStillAnswers) {
   }
   ASSERT_TRUE(ran_inline);
   EXPECT_LT(elapsed, std::chrono::seconds(1));
+}
+
+TEST(Gateway, LoopRunRacingBehindItsOwnLockStillAnswers) {
+  // A route on its loop holds its lock and runs a hedged
+  // SequentialAlternatives whose primary has overrun its hedge budget, so
+  // the race leaves the primary to the pool until the budget passes, while
+  // every pool worker waits for that lock. The reactor then runs the
+  // alternate itself, as no worker is free. So the answer comes back after
+  // the budget, where waiting for a worker would last until the workers
+  // give up on the lock after 5 s.
+  using SA = core::SequentialAlternatives<std::uint64_t, std::uint64_t>;
+  constexpr std::uint64_t kBudgetNs = 200'000;
+  const std::size_t workers = util::ThreadPool::shared().size();
+  std::atomic<bool> slow_primary{false};
+  SA sa{{core::make_variant<std::uint64_t, std::uint64_t>(
+             "primary",
+             [&slow_primary](const std::uint64_t& x)
+                 -> core::Result<std::uint64_t> {
+               if (slow_primary.load()) spin_ns(2 * kBudgetNs);
+               return x + 1;
+             }),
+         core::make_variant<std::uint64_t, std::uint64_t>(
+             "alternate",
+             [](const std::uint64_t& x) -> core::Result<std::uint64_t> {
+               return x + 1;
+             })},
+        core::accept_all<std::uint64_t, std::uint64_t>()};
+  sa.set_obs_label("gateway_locked_hedge");
+  SA::Options::Hedge hedge;
+  hedge.enabled = true;
+  hedge.fallback_budget_ns = kBudgetNs;
+  hedge.min_samples = 1'000'000;  // pin the budget
+  hedge.min_budget_ns = 0;
+  sa.set_hedge(hedge);
+  std::timed_mutex route_m;
+  std::mutex gate_m;
+  std::condition_variable gate_cv;
+  bool holding = false;  // guarded by gate_m
+  std::atomic<bool> hold_next{false};
+  Gateway gateway{one_loop()};
+  gateway.add_route("/locked", [&](const Gateway::Request& req)
+                                   -> http::Response {
+    const std::uint64_t x = http::query_param(req.query, "x").value_or(0);
+    std::lock_guard lock(route_m);
+    if (hold_next.exchange(false)) {
+      {
+        std::lock_guard gate(gate_m);
+        holding = true;
+      }
+      gate_cv.notify_all();
+    }
+    const core::Result<std::uint64_t> r = sa.run(x);
+    return {200, "text/plain; charset=utf-8",
+            r.has_value() ? std::to_string(r.value()) + "\n" : "none\n"};
+  });
+  ASSERT_TRUE(gateway.start());
+  // The primary earns the caller first, so the route's runs stop posting.
+  for (std::uint64_t i = 0; i < 4 * util::Placement::kInlineStreak; ++i) {
+    std::lock_guard lock(route_m);
+    (void)sa.run(i);
+  }
+  const int fd = connect_loopback(gateway.port());
+  ASSERT_GE(fd, 0);
+  PROMOTE_OR_SKIP(fd, "/locked?x=1");
+  {
+    // Two overruns off the gateway: the first, on the caller, sends the
+    // primary back to the race, and the second overruns its hedge budget
+    // there.
+    std::lock_guard lock(route_m);
+    slow_primary.store(true);
+    (void)sa.run(2);
+    (void)sa.run(3);
+    slow_primary.store(false);
+  }
+  util::ThreadPool::shared().wait_idle();
+  const std::size_t hedges = [&] {
+    std::lock_guard lock(route_m);
+    return sa.metrics().hedged_launches;
+  }();
+  std::atomic<std::size_t> blocked{0};
+  for (std::size_t i = 0; i < workers; ++i) {
+    util::ThreadPool::shared().post(util::ThreadPool::Task{[&] {
+      blocked.fetch_add(1);
+      {
+        std::unique_lock gate(gate_m);
+        gate_cv.wait_for(gate, std::chrono::seconds(5),
+                         [&] { return holding; });
+      }
+      if (route_m.try_lock_for(std::chrono::seconds(5))) route_m.unlock();
+    }});
+  }
+  while (blocked.load() < workers) std::this_thread::yield();
+  hold_next.store(true);
+  bool ran_inline = false;
+  const auto start = std::chrono::steady_clock::now();
+  const Reply reply = round_trip(fd, "/locked?x=41", &ran_inline);
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  {
+    std::lock_guard gate(gate_m);
+    holding = true;  // release the workers if the run never got there
+  }
+  gate_cv.notify_all();
+  util::ThreadPool::shared().wait_idle();
+  ::close(fd);
+  gateway.stop();
+  EXPECT_EQ(reply.body, "42\n");
+  if (!ran_inline && kSanitized) {
+    GTEST_SKIP() << "the run after the promotion overran the budget here";
+  }
+  ASSERT_TRUE(ran_inline);
+  EXPECT_GT(sa.metrics().hedged_launches, hedges) << "the run did not race";
+  // The budget, with room for a loaded host.
+  EXPECT_LT(elapsed, std::chrono::milliseconds(100))
+      << "the reactor waited for a worker";
 }
 
 TEST(Gateway, OverBudgetInlineRunSendsTheRouteBackToThePool) {
